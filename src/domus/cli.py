@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -202,6 +203,34 @@ def _cmd_attack(args) -> int:
     return 0
 
 
+def _number(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _number(int, text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = _number(float, text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = _number(float, text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dims", type=int, nargs=3, default=[64, 64, 64],
@@ -233,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("natural", parents=[common], help="regularity and fractal report")
     sp.add_argument("file")
-    sp.add_argument("--threshold", type=float, default=0.5)
+    sp.add_argument("--threshold", type=_finite_float, default=0.5)
     sp.set_defaults(fn=_cmd_natural)
 
     sp = sub.add_parser("optimize", parents=[common], help="anneal a design")
@@ -250,11 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("attack", parents=[common], help="fleet attack transfer")
     sp.add_argument("file", help="program (.cvm)")
-    sp.add_argument("--fleet", type=int, default=50)
+    sp.add_argument("--fleet", type=_positive_int, default=50)
     sp.add_argument("--builder", choices=("robot", "human"), default="robot")
-    sp.add_argument("--p", type=float, default=0.2, help="human jitter probability")
-    sp.add_argument("--k", type=int, default=2, help="removal budget")
-    sp.add_argument("--threshold", type=float, default=0.5)
+    sp.add_argument("--p", type=_probability, default=0.2, help="human jitter probability")
+    sp.add_argument("--k", type=_positive_int, default=2, help="removal budget")
+    sp.add_argument("--threshold", type=_finite_float, default=0.5)
     sp.set_defaults(fn=_cmd_attack)
 
     return p

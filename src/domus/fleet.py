@@ -14,9 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import vm
 from .errors import DomusError
-from .world import Cell, VoxelStructure, check_stability, unsupported_cells
+from .world import (Cell, VoxelStructure, _dense_grid, _unsupported_mask,
+                    check_stability, unsupported_cells)
 
 __all__ = [
     "RobotBuilder",
@@ -115,18 +118,49 @@ def collapse_fraction(s: VoxelStructure, removed: frozenset[Cell],
     given cells are removed. Cells already unsupported before the
     attack do not count; removing everything collapses nothing."""
     before = frozenset(check_stability(s, max_overhang).unstable_cells)
-    return _collapse_given_baseline(s, removed, before, max_overhang)
-
-
-def _collapse_given_baseline(s: VoxelStructure, removed: frozenset[Cell],
-                             unstable_before: frozenset[Cell],
-                             max_overhang: int) -> float:
-    present = removed & s.occupied
-    remaining = s.occupied - present
+    remaining = s.occupied - removed
     if not remaining:
         return 0.0
-    newly = set(unsupported_cells(remaining, max_overhang)) - unstable_before
+    newly = set(unsupported_cells(remaining, max_overhang)) - before
     return len(newly) / len(remaining)
+
+
+class _AttackGrid:
+    """Padded dense occupancy of one structure, for windowed support counts.
+
+    Removing cell (x, y, z) changes vertical support only in column
+    (x, y) from height z up, and a cell reaches vertical support
+    through at most m = max_overhang in-layer steps, so only cells whose
+    columns lie within m of (x, y) can change status: the inner
+    (2m+1)^2 window. Those cells depend on nothing farther than m
+    beyond it, so a (4m+1)^2 full-height slice recomputes them exactly.
+    The grid is padded by 2m in x and y, so no slice needs clipping.
+    """
+
+    def __init__(self, cells: list[Cell], max_overhang: int):
+        self.m = max_overhang
+        self.occ, self.lo = _dense_grid(cells, pad=2 * max_overhang)
+        self.unsupported = _unsupported_mask(self.occ, max_overhang)
+
+    def delta(self, removal: tuple[Cell, ...]) -> int:
+        """Change in the unsupported count when removal is cleared: the
+        recount over the windows of its cells, less the current count
+        there. Cells outside those windows keep their status."""
+        m, (ox, oy, _) = self.m, self.lo
+        xs = [c[0] - ox for c in removal]
+        ys = [c[1] - oy for c in removal]
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        part = self.occ[x0 - 2 * m:x1 + 2 * m + 1, y0 - 2 * m:y1 + 2 * m + 1].copy()
+        for x, y, (_, _, z) in zip(xs, ys, removal):
+            part[x - x0 + 2 * m, y - y0 + 2 * m, z] = False
+        after = _unsupported_mask(part, m)[m:x1 - x0 + 3 * m + 1, m:y1 - y0 + 3 * m + 1]
+        before = self.unsupported[x0 - m:x1 + m + 1, y0 - m:y1 + m + 1]
+        return int(np.count_nonzero(after)) - int(np.count_nonzero(before))
+
+    def remove(self, c: Cell):
+        ox, oy, _ = self.lo
+        self.occ[c[0] - ox, c[1] - oy, c[2]] = False
+        self.unsupported = _unsupported_mask(self.occ, self.m)
 
 
 def find_attack(s: VoxelStructure, k: int, max_overhang: int = 2,
@@ -135,48 +169,75 @@ def find_attack(s: VoxelStructure, k: int, max_overhang: int = 2,
 
     Exhaustive over singletons and pairs when k <= 2 and the structure
     is small; otherwise greedy, iterating the best single removal. Ties
-    keep the lexicographically smallest removal set.
+    keep the first removal in sorted-cell order.
+
+    Each candidate is scored locally on one dense grid (see
+    _AttackGrid): the collapse count is the current unsupported count
+    plus the change inside the removed cells' windows. Two cells more
+    than 2m apart in x or y have disjoint windows, so a pair's count is
+    the sum of its singletons'; closer pairs are recounted jointly. The
+    greedy search clears each pick in the grid and carries its count
+    forward. Counts are exact integers, so the result equals a full
+    recount of every candidate.
     """
     if k < 1:
         raise ValueError("attack budget must be >= 1")
     report = check_stability(s, max_overhang)
     if not report.stable:
         raise AlreadyUnstable(f"{len(report.unstable_cells)} cells already unsupported")
-    baseline = frozenset(report.unstable_cells)
 
     cells = sorted(s.occupied)
+    n = len(cells)
     best_set: frozenset[Cell] = frozenset()
     best_frac = -1.0
+    if not cells:
+        return Attack(removed_cells=best_set, k=k, collapse_fraction=0.0)
+    grid = _AttackGrid(cells, max_overhang)
 
-    def consider(removal: tuple[Cell, ...]):
+    def fraction(count: int, removed: int) -> float:
+        return count / (n - removed) if n > removed else 0.0
+
+    def consider(removal: tuple[Cell, ...], fr: float):
         nonlocal best_set, best_frac
-        fr = _collapse_given_baseline(s, frozenset(removal), baseline, max_overhang)
         if fr > best_frac:
             best_frac = fr
             best_set = frozenset(removal)
 
-    if k <= 2 and len(cells) <= exhaustive_cell_limit:
-        for a in cells:
-            consider((a,))
+    if k <= 2 and n <= exhaustive_cell_limit:
+        # the prototype is stable, so every count starts from zero
+        single = [grid.delta((a,)) for a in cells]
+        for a, count in zip(cells, single):
+            consider((a,), fraction(count, 1))
         if k >= 2:
+            reach = 2 * max_overhang
             for i, a in enumerate(cells):
-                for b in cells[i + 1:]:
-                    consider((a, b))
+                for j in range(i + 1, n):
+                    b = cells[j]
+                    if abs(a[0] - b[0]) > reach or abs(a[1] - b[1]) > reach:
+                        count = single[i] + single[j]
+                    else:
+                        count = grid.delta((a, b))
+                    consider((a, b), fraction(count, 2))
     else:
         removed: list[Cell] = []
-        work = s
+        gone: set[Cell] = set()
+        base = 0
         for _ in range(k):
             step_best = None
-            for c in sorted(work.occupied):
-                fr = _collapse_given_baseline(s, frozenset(removed + [c]),
-                                              baseline, max_overhang)
+            for c in cells:
+                if c in gone:
+                    continue
+                count = base + grid.delta((c,))
+                fr = fraction(count, len(removed) + 1)
                 if step_best is None or fr > step_best[0]:
-                    step_best = (fr, c)
+                    step_best = (fr, c, count)
             if step_best is None:
                 break
-            removed.append(step_best[1])
-            work = VoxelStructure(s.dims, work.occupied - {step_best[1]})
-            consider(tuple(removed))
+            fr, c, base = step_best
+            removed.append(c)
+            gone.add(c)
+            grid.remove(c)
+            consider(tuple(removed), fr)
 
     return Attack(removed_cells=best_set, k=k,
                   collapse_fraction=max(best_frac, 0.0))
@@ -199,13 +260,19 @@ def transfer_rate(attack: Attack, fleet: list[VoxelStructure],
     """
     if not fleet:
         raise ValueError("fleet must be nonempty")
+    # collapse depends only on the occupied cells, so identical members
+    # (every robot fleet) share one stability check
+    fractions: dict[frozenset[Cell], float] = {}
     collapsed = 0
     for member in fleet:
-        if collapse_fraction(member, attack.removed_cells, max_overhang) >= collapse_threshold:
+        fr = fractions.get(member.occupied)
+        if fr is None:
+            fr = fractions[member.occupied] = collapse_fraction(
+                member, attack.removed_cells, max_overhang)
+        if fr >= collapse_threshold:
             collapsed += 1
-    distinct = len({m.occupied for m in fleet})
     return FleetReport(
         n=len(fleet),
-        distinct_structures=distinct,
+        distinct_structures=len(fractions),
         transfer_rate=collapsed / len(fleet),
     )

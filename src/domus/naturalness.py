@@ -207,7 +207,8 @@ def box_counting_dimension(s: VoxelStructure) -> tuple[float, float]:
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     syy = sum((y - mean_y) ** 2 for y in ys)
     slope = sxy / sxx
-    r2 = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
+    # an exact fit can round to just above 1
+    r2 = 1.0 if syy == 0 else min(1.0, (sxy * sxy) / (sxx * syy))
     return slope, r2
 
 

@@ -78,10 +78,6 @@ class VoxelStructure:
         zs = [c[2] for c in self.occupied]
         return (min(xs), min(ys), min(zs)), (max(xs), max(ys), max(zs))
 
-    def translated(self, dx: int, dy: int, dz: int) -> "VoxelStructure":
-        moved = frozenset((x + dx, y + dy, z + dz) for (x, y, z) in self.occupied)
-        return VoxelStructure(self.dims, moved)
-
     # --- layered text format (.vox.txt) ---
 
     def to_layer_text(self) -> str:
@@ -138,50 +134,56 @@ class StabilityReport:
     supported_count: int
 
 
+def _unsupported_mask(occ: np.ndarray, max_overhang: int) -> np.ndarray:
+    """Cells of a dense (x, y, z) occupancy grid that fail the support rule.
+
+    The grid's z=0 is the ground. Vertical support is a running AND up
+    each column; the overhang rule is max_overhang rounds of 4-neighbor
+    dilation within each layer, masked by occupancy, run on all layers
+    at once. Dilation past its fixpoint changes nothing, so the rounds
+    stop early once a round adds no cell.
+    """
+    seed = np.logical_and.accumulate(occ, axis=2)
+    for _ in range(max_overhang):
+        grown = seed.copy()
+        grown[1:, :] |= seed[:-1, :]
+        grown[:-1, :] |= seed[1:, :]
+        grown[:, 1:] |= seed[:, :-1]
+        grown[:, :-1] |= seed[:, 1:]
+        grown &= occ
+        if np.array_equal(grown, seed):
+            break
+        seed = grown
+    return occ & ~seed
+
+
+def _dense_grid(cells, pad: int = 0) -> tuple[np.ndarray, Cell]:
+    """Occupancy of a nonempty cell set over its bounding box, anchored
+    at z=0 so ground contact stays visible and padded by pad empty cells
+    on each side in x and y. Returns the grid and the cell its origin
+    stands for."""
+    idx = np.array(list(cells), dtype=np.int64)
+    lo = idx.min(axis=0) - (pad, pad, 0)
+    lo[2] = 0
+    idx -= lo
+    occ = np.zeros(tuple(idx.max(axis=0) + 1 + (pad, pad, 0)), dtype=bool)
+    occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    return occ, (int(lo[0]), int(lo[1]), 0)
+
+
 def unsupported_cells(occupied, max_overhang: int = 2) -> tuple[Cell, ...]:
     """Occupied cells failing the support rule, from a bare cell set.
 
-    Vectorized over the bounding box anchored at z=0: vertical support
-    is a running AND down each column, and the lateral overhang rule is
-    max_overhang rounds of 4-neighbor dilation masked to the occupied
-    cells of each layer.
+    Vectorized over the bounding box; see check_stability for the rule.
     """
     if not occupied:
         return ()
-    xs = [c[0] for c in occupied]
-    ys = [c[1] for c in occupied]
-    zs = [c[2] for c in occupied]
-    x0, y0 = min(xs), min(ys)
-    nx = max(xs) - x0 + 1
-    ny = max(ys) - y0 + 1
-    nz = max(zs) + 1  # anchored at z=0 so ground contact stays visible
-    occ = np.zeros((nx, ny, nz), dtype=bool)
-    for (x, y, z) in occupied:
-        occ[x - x0, y - y0, z] = True
-
-    vertical = np.logical_and.accumulate(occ, axis=2)
-    supported = vertical.copy()
-    for z in range(nz):
-        layer = occ[:, :, z]
-        if not layer.any():
-            continue
-        seed = supported[:, :, z] & layer
-        for _ in range(max_overhang):
-            grown = seed.copy()
-            grown[1:, :] |= seed[:-1, :]
-            grown[:-1, :] |= seed[1:, :]
-            grown[:, 1:] |= seed[:, :-1]
-            grown[:, :-1] |= seed[:, 1:]
-            new = grown & layer
-            if (new == seed).all():
-                break
-            seed = new
-        supported[:, :, z] = seed
-
-    unstable_idx = np.argwhere(occ & ~supported)
-    return tuple(sorted(
-        (int(x) + x0, int(y) + y0, int(z)) for (x, y, z) in unstable_idx
-    ))
+    occ, (x0, y0, _) = _dense_grid(occupied)
+    # argwhere walks the grid in C order, which is sorted cell order
+    return tuple(
+        (int(x) + x0, int(y) + y0, int(z))
+        for (x, y, z) in np.argwhere(_unsupported_mask(occ, max_overhang))
+    )
 
 
 def check_stability(s: VoxelStructure, max_overhang: int = 2) -> StabilityReport:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from domus import cli, vm
 from domus.world import VoxelStructure
 
@@ -88,6 +90,26 @@ def test_attack_report(capsys):
     assert report["transfer_rate"] < 1.0
     assert report["distinct_structures"] > 1
     assert report["prototype_collapse"] >= 0.5
+
+
+@pytest.mark.parametrize("bad", [
+    ["--k", "0"],
+    ["--fleet", "0"],
+    ["--builder", "human", "--p", "1.5"],
+    ["--builder", "human", "--p", "nan"],
+    ["--threshold", "nan"],
+    ["--threshold", "inf"],
+])
+def test_attack_bad_arguments_are_usage_errors(capsys, bad):
+    code, out, err = run(capsys, "attack", CORPUS / "bridge.cvm", "--dims", 8, 1, 8, *bad)
+    assert code == 2
+    assert out == ""
+    assert f"argument {bad[-2]}" in err and "Traceback" not in err
+
+
+def test_natural_rejects_non_finite_threshold(capsys):
+    code, _, err = run(capsys, "natural", CORPUS / "slab4.cvm", "--threshold", "nan")
+    assert code == 2 and "argument --threshold" in err
 
 
 def test_optimize_writes_artifacts(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domus import fleet, vm
 from domus.fleet import (
@@ -10,6 +12,7 @@ from domus.fleet import (
     find_attack,
     transfer_rate,
 )
+from domus.world import unsupported_cells
 from conftest import CORPUS, S
 
 BRIDGE_DIMS = (8, 1, 8)
@@ -115,6 +118,121 @@ def test_greedy_path_on_larger_structures():
     assert atk.collapse_fraction >= 0.0
 
 
+def _reference_attack(s, k, max_overhang, exhaustive_cell_limit):
+    """find_attack by full recount: unsupported_cells on the remaining
+    cells of every candidate removal, the same search and tie-breaks."""
+    cells = sorted(s.occupied)
+
+    def frac(removal):
+        remaining = s.occupied - frozenset(removal)
+        if not remaining:
+            return 0.0
+        return len(unsupported_cells(remaining, max_overhang)) / len(remaining)
+
+    best = (-1.0, frozenset())
+
+    def consider(removal):
+        nonlocal best
+        fr = frac(removal)
+        if fr > best[0]:
+            best = (fr, frozenset(removal))
+
+    if k <= 2 and len(cells) <= exhaustive_cell_limit:
+        for a in cells:
+            consider((a,))
+        if k >= 2:
+            for i, a in enumerate(cells):
+                for b in cells[i + 1:]:
+                    consider((a, b))
+    else:
+        removed = []
+        for _ in range(k):
+            step = None
+            for c in cells:
+                if c not in removed:
+                    fr = frac(removed + [c])
+                    if step is None or fr > step[0]:
+                        step = (fr, c)
+            if step is None:
+                break
+            removed.append(step[1])
+            consider(tuple(removed))
+    return Attack(best[1], k, max(best[0], 0.0))
+
+
+@st.composite
+def _stable_structures(draw):
+    """Towers, beams and loose cells on a small site, cut to their
+    stable part, so that bridges between towers are common."""
+    m = draw(st.integers(0, 3))
+    nx, ny, nz = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    xs, ys, zs = st.integers(0, nx - 1), st.integers(0, ny - 1), st.integers(0, nz - 1)
+    cells = {(x, y, z)
+             for (x, y, h) in draw(st.lists(st.tuples(xs, ys, zs), max_size=8))
+             for z in range(h + 1)}
+    for (x, y, z, along_x, n) in draw(st.lists(
+            st.tuples(xs, ys, zs, st.booleans(), st.integers(1, 7)), max_size=4)):
+        cells |= {(x + i, y, z) if along_x else (x, y + i, z)
+                  for i in range(n) if (x + i < nx if along_x else y + i < ny)}
+    cells |= draw(st.sets(st.tuples(xs, ys, zs), max_size=20))
+    cells -= set(unsupported_cells(cells, m))
+    return S((nx, ny, nz), cells), m
+
+
+@given(_stable_structures(), st.integers(1, 2))
+@settings(max_examples=250, deadline=None)
+def test_exhaustive_attack_matches_full_recount(structure, k):
+    s, m = structure
+    assert (find_attack(s, k, max_overhang=m, exhaustive_cell_limit=500)
+            == _reference_attack(s, k, m, 500))
+
+
+@given(_stable_structures(), st.integers(1, 3))
+@settings(max_examples=250, deadline=None)
+def test_greedy_attack_matches_full_recount(structure, k):
+    s, m = structure
+    assert (find_attack(s, k, max_overhang=m, exhaustive_cell_limit=0)
+            == _reference_attack(s, k, m, 0))
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_attack_pairs_around_the_window_edge(m):
+    # two towers joined by a beam on top: removing both bases collapses
+    # beam cells that either tower alone still holds, exactly when the
+    # bases lie at most 2m apart
+    for d in range(1, 2 * m + 3):
+        for along_x in (True, False):
+            cells = {(i, 0, 2) if along_x else (0, i, 2) for i in range(d + 1)}
+            for z in range(3):
+                cells |= {(0, 0, z), (d, 0, z) if along_x else (0, d, z)}
+            cells -= set(unsupported_cells(cells, m))
+            s = S((d + 1, 1, 3) if along_x else (1, d + 1, 3), cells)
+            assert (find_attack(s, 2, max_overhang=m)
+                    == _reference_attack(s, 2, m, 500)), (m, d, along_x)
+
+
+# attack_cells and prototype_collapse of `domus attack --k 2` on the
+# corpus at the criterion-8 dims, recorded from the full-recount search
+CORPUS_ATTACKS = {
+    "row3.cvm": ((4, 1, 1), [(0, 0, 0)], 0.0),
+    "slab4.cvm": ((8, 8, 4), [(0, 0, 0)], 0.0),
+    "pillar.cvm": ((4, 4, 10), [(0, 0, 0)], 1.0),
+    "bridge.cvm": ((8, 1, 8), [(0, 0, 0), (5, 0, 0)], 1.0),
+    "sierpinski2.cvm": ((9, 9, 1), [(0, 0, 0)], 0.0),
+    "sierpinski3.cvm": ((27, 27, 1), [(0, 0, 0)], 0.0),
+    "sierpinski4.cvm": ((81, 81, 1), [(0, 0, 0)], 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ATTACKS))
+def test_corpus_attacks_are_pinned(name):
+    dims, cells, collapse = CORPUS_ATTACKS[name]
+    proto = vm.execute(vm.parse((CORPUS / name).read_text()), dims)
+    atk = find_attack(proto, 2)
+    assert sorted(atk.removed_cells) == cells
+    assert atk.collapse_fraction == collapse
+
+
 # --- transfer ---
 
 def test_robot_transfer_is_total():
@@ -155,6 +273,19 @@ def test_transfer_robot_at_least_human():
     robots = build_fleet(prog, 50, RobotBuilder(), BRIDGE_DIMS)
     humans = build_fleet(prog, 50, HumanBuilder(0.2, 1), BRIDGE_DIMS)
     assert transfer_rate(atk, robots).transfer_rate >= transfer_rate(atk, humans).transfer_rate
+
+
+def test_transfer_counts_each_distinct_member_once(monkeypatch):
+    prog = _bridge()
+    proto = vm.execute(prog, BRIDGE_DIMS)
+    atk = find_attack(proto, 2)
+    members = build_fleet(prog, 50, HumanBuilder(0.2, 1), BRIDGE_DIMS)
+    calls = []
+    real = fleet.collapse_fraction
+    monkeypatch.setattr(fleet, "collapse_fraction",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    rep = transfer_rate(atk, members)
+    assert len(calls) == rep.distinct_structures == 13
 
 
 def test_transfer_requires_fleet():

@@ -130,7 +130,15 @@ def test_dimension_bounds_on_random_structures():
         except nat.TooSmall:
             continue
         assert -0.1 <= dim <= 3.1
-        assert 0.0 <= r2 <= 1.0 + 1e-12
+        assert 0.0 <= r2 <= 1.0
+
+
+def test_dimension_r2_of_exact_fit_is_at_most_one():
+    # unclamped, the fit of a solid 13^3 cube rounds to 1.0000000000000004
+    s = S((13, 13, 13), {(x, y, z) for x in range(13) for y in range(13) for z in range(13)})
+    dim, r2 = nat.box_counting_dimension(s)
+    assert dim == pytest.approx(3.0, abs=1e-9)
+    assert r2 <= 1.0
 
 
 def test_dimension_too_small():
