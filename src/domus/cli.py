@@ -38,7 +38,10 @@ def _read(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise DomusError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomusError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_structure(path: str, dims: tuple[int, int, int]) -> VoxelStructure:
@@ -157,14 +160,16 @@ def _cmd_optimize(args) -> int:
         max_program_bytes=args.max_bytes,
         islands=args.islands,
     )
-    best, trace = designer.optimize(dictionary, cs, params, workers=args.workers)
+    limits = _limits()
+    best, trace = designer.optimize(dictionary, cs, params, workers=args.workers,
+                                    limits=limits)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "best.cvm").write_text(vm.serialize(best) + "\n", encoding="utf-8")
-    built = vm.execute(best, tuple(args.dims), _limits())
+    built = vm.execute(best, tuple(args.dims), limits)
     (out_dir / "best.vox.txt").write_text(render(built) + "\n", encoding="utf-8")
     (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="utf-8")
-    final = designer.objective(best, dictionary, cs, tuple(args.dims))
+    final = designer.objective(best, dictionary, cs, tuple(args.dims), limits)
     payload = {
         "objective": final,
         "iterations": args.iters,

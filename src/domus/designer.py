@@ -104,13 +104,14 @@ def _fmt(x: float) -> str:
 
 
 def objective(program: vm.Program, dictionary: PatternDictionary,
-              cs: ConstraintSet, dims: tuple[int, int, int]) -> float:
+              cs: ConstraintSet, dims: tuple[int, int, int],
+              limits: vm.ExecutionLimits | None = None) -> float:
     """Residual perception cost plus constraint penalties, in bytes.
 
-    Programs that fail to execute score +inf.
+    Programs that fail to execute under the limits score +inf.
     """
     try:
-        built = vm.execute(program, dims)
+        built = vm.execute(program, dims, limits)
     except DomusError:
         return math.inf
     cov = cover(built, dictionary)
@@ -252,7 +253,8 @@ class _Editor:
 
 
 def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
-            params: SearchParams, seed: int) -> tuple[vm.Program, SearchTrace]:
+            params: SearchParams, seed: int,
+            limits: vm.ExecutionLimits | None) -> tuple[vm.Program, SearchTrace]:
     rng = random.Random(seed)
     prelude = stamp_prelude(dictionary)
     stamp_names = [d.name for d in prelude]
@@ -262,7 +264,7 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
         return vm.Program(prelude + tuple(tail))
 
     def score(tail: list[vm.Instruction]) -> float:
-        return objective(assemble(tail), dictionary, cs, params.dims)
+        return objective(assemble(tail), dictionary, cs, params.dims, limits)
 
     current: list[vm.Instruction] = []
     current_j = score(current)
@@ -278,7 +280,7 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
         if proposal is not None:
             candidate = assemble(proposal)
             if vm.program_length(candidate) <= params.max_program_bytes:
-                prop_j = objective(candidate, dictionary, cs, params.dims)
+                prop_j = objective(candidate, dictionary, cs, params.dims, limits)
                 delta = prop_j - current_j
                 if delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp)):
                     accepted = True
@@ -295,28 +297,31 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
 
 
 def optimize(dictionary: PatternDictionary, cs: ConstraintSet,
-             params: SearchParams, workers: int = 1
+             params: SearchParams, workers: int = 1,
+             limits: vm.ExecutionLimits | None = None
              ) -> tuple[vm.Program, SearchTrace]:
     """Minimize the objective by simulated annealing.
 
     Single island: deterministic given the seed. Multiple islands run
     independent annealers seeded per island and keep the best final
     objective (ties to the lowest island index); the outcome depends on
-    the island count but never on the worker count.
+    the island count but never on the worker count. Every candidate is
+    executed under the limits, so the result builds within them.
     """
     if params.islands == 1:
-        return _anneal(dictionary, cs, params, params.seed)
+        return _anneal(dictionary, cs, params, params.seed, limits)
 
     seeds = [_island_seed(params.seed, i) for i in range(params.islands)]
     if workers <= 1:
-        results = [_anneal(dictionary, cs, params, s) for s in seeds]
+        results = [_anneal(dictionary, cs, params, s, limits) for s in seeds]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_anneal, dictionary, cs, params, s) for s in seeds]
+            futures = [pool.submit(_anneal, dictionary, cs, params, s, limits)
+                       for s in seeds]
             results = [f.result() for f in futures]
 
     scored = [
-        (objective(prog, dictionary, cs, params.dims), i)
+        (objective(prog, dictionary, cs, params.dims, limits), i)
         for i, (prog, _) in enumerate(results)
     ]
     _, winner = min(scored)

@@ -21,13 +21,15 @@ Grammar (tokens are maximal runs of non-whitespace):
     int     := "-"? decimal digits, no leading zeros
 
 DEF is allowed at top level only, and a CALL may only name a DEF that
-appears earlier in the program, so every program terminates.
+appears earlier in the program, so every program terminates. Blocks nest
+at most MAX_BLOCK_DEPTH deep.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Union
 
 from .errors import DomusError
@@ -43,6 +45,7 @@ __all__ = [
     "Instruction",
     "Program",
     "ExecutionLimits",
+    "MAX_BLOCK_DEPTH",
     "DslError",
     "ParseError",
     "UnknownName",
@@ -91,7 +94,8 @@ class OutOfBounds(ExecError):
 
 
 class BudgetExceeded(ExecError):
-    """Placement count exceeded the execution budget."""
+    """Placement count, or the sequential builder's step count, exceeded
+    the execution budget."""
 
 
 class DepthExceeded(ExecError):
@@ -152,12 +156,21 @@ class Program:
 
 @dataclass(frozen=True)
 class ExecutionLimits:
+    """max_steps bounds the time of a jittered build: it counts REPEAT
+    iterations and CALL body runs. A deterministic build never takes
+    steps one by one, and its time is bounded by the program size and
+    the world volume instead."""
+
     max_placements: int = 10_000_000
     max_call_depth: int = 32
+    max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.max_placements < 1 or self.max_call_depth < 1:
+        if self.max_placements < 1 or self.max_call_depth < 1 or self.max_steps < 1:
             raise ValueError("execution limits must be positive")
+
+
+MAX_BLOCK_DEPTH = 100
 
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -183,6 +196,7 @@ class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
         self.defined: dict[str, tuple[Instruction, ...]] = {}
 
     def _err(self, message: str) -> ParseError:
@@ -224,11 +238,15 @@ class _Parser:
         return Program(tuple(out))
 
     def parse_block(self, current_def: Optional[str]) -> tuple[Instruction, ...]:
+        if self.depth == MAX_BLOCK_DEPTH:
+            raise self._err(f"blocks nested deeper than {MAX_BLOCK_DEPTH}")
         self.expect("{")
+        self.depth += 1
         body = []
         while self.peek() not in (None, "}"):
             body.append(self.parse_stmt(top_level=False, current_def=current_def))
         self.expect("}")
+        self.depth -= 1
         return tuple(body)
 
     def parse_stmt(self, top_level: bool, current_def: Optional[str]) -> Instruction:
@@ -337,6 +355,9 @@ JitterFn = Callable[[], Optional[tuple[int, int, int]]]
 
 
 class _Executor:
+    """The sequential walker: runs every instruction in order, each
+    REPEAT iteration and CALL body anew. Only jittered builds need it."""
+
     def __init__(self, dims: tuple[int, int, int], limits: ExecutionLimits,
                  jitter: Optional[JitterFn]):
         self.nx, self.ny, self.nz = dims
@@ -344,6 +365,7 @@ class _Executor:
         self.jitter = jitter
         self.cells: set[tuple[int, int, int]] = set()
         self.placements = 0
+        self.steps = 0
 
     def _charge(self, n: int):
         self.placements += n
@@ -351,6 +373,11 @@ class _Executor:
             raise BudgetExceeded(
                 f"more than {self.limits.max_placements} placements"
             )
+
+    def _step(self):
+        self.steps += 1
+        if self.steps > self.limits.max_steps:
+            raise BudgetExceeded(f"more than {self.limits.max_steps} steps")
 
     def _in_bounds(self, x: int, y: int, z: int) -> bool:
         return 0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz
@@ -407,6 +434,7 @@ class _Executor:
                     cur = (cur[0], cur[1], cur[2] + d)
             elif isinstance(ins, Repeat):
                 for _ in range(ins.count):
+                    self._step()
                     cur = self.run(ins.body, cur, scale, depth, env)
             elif isinstance(ins, Def):
                 if not top:
@@ -419,11 +447,169 @@ class _Executor:
                     raise DepthExceeded(
                         f"call depth exceeds {self.limits.max_call_depth}"
                     )
+                self._step()
                 # stamp semantics: body runs at the call site, cursor restored
                 self.run(env[ins.name], cur, scale * ins.scale, depth + 1, env)
             else:
                 raise TypeError(f"not an instruction: {ins!r}")
         return cur
+
+
+class _Summary:
+    """What one run of a body does, started at cursor (0, 0, 0).
+
+    cells are relative to the start cursor, and None once the build is
+    known to fail; disp is where the cursor ends; count is the exact
+    number of placements charged; height is the deepest CALL nesting
+    inside.
+    """
+
+    __slots__ = ("cells", "disp", "count", "height")
+
+    def __init__(self, cells: Optional[set[tuple[int, int, int]]],
+                 disp: tuple[int, int, int], count: int, height: int):
+        self.cells = cells
+        self.disp = disp
+        self.count = count
+        self.height = height
+
+
+def _shifted(cells: set[tuple[int, int, int]], ox: int, oy: int, oz: int):
+    if ox == oy == oz == 0:
+        return cells
+    return [(x + ox, y + oy, z + oz) for x, y, z in cells]
+
+
+class _Summarizer:
+    """The deterministic engine: summarises each (body, scale) once per
+    execution and stamps the summary by translation wherever the body
+    runs again.
+
+    A REPEAT places the union of count translates of its body's cells,
+    or one copy when the body's displacement is zero; a CALL places its
+    callee's cells at the cursor and leaves the cursor where it was.
+    Placement counts add up exactly. Once the build is certain to fail,
+    no more cells are built: only counts, displacements and the faults
+    of the program text are worked out. A build is certain to fail when
+    it passes the placement budget, or holds a block that cannot fit in
+    the world: a FILL wider than the world, a REPEAT whose translates
+    reach further than it, or a body with more cells than it has. That
+    bounds the time by the program size and the world volume.
+    """
+
+    def __init__(self, dims: tuple[int, int, int], limits: ExecutionLimits):
+        self.dims = dims
+        self.volume = dims[0] * dims[1] * dims[2]
+        self.limits = limits
+        self.env: dict[str, tuple[Instruction, ...]] = {}
+        # keyed by (id(body), scale): a body is summarised for the env
+        # of its first run, so rebinding a name clears the memo
+        self.memo: dict[tuple[int, int], _Summary] = {}
+        # a fault that is certain once found: cells are no longer built
+        self.fault: Optional[ExecError] = None
+
+    def run(self, program: Program) -> set[tuple[int, int, int]]:
+        top = self._summarize(program.instructions, 1, 0, top=True)
+        if top.count > self.limits.max_placements:
+            raise BudgetExceeded(f"more than {self.limits.max_placements} placements")
+        if self.fault is not None:
+            raise self.fault
+        if top.cells:
+            xs, ys, zs = zip(*top.cells)
+            lo, hi = (min(xs), min(ys), min(zs)), (max(xs), max(ys), max(zs))
+            nx, ny, nz = self.dims
+            if min(lo) < 0 or hi[0] >= nx or hi[1] >= ny or hi[2] >= nz:
+                raise OutOfBounds(f"placements span {lo}..{hi} outside dims {self.dims}")
+        return top.cells
+
+    def _fits(self, what: str, extent: tuple[int, int, int]) -> bool:
+        """Whether extent fits in the world; records an OutOfBounds if not."""
+        nx, ny, nz = self.dims
+        if extent[0] <= nx and extent[1] <= ny and extent[2] <= nz:
+            return True
+        self.fault = OutOfBounds(f"{what} spans {extent} cells, more than dims {self.dims}")
+        return False
+
+    def _sub(self, body: tuple[Instruction, ...], scale: int, depth: int) -> _Summary:
+        key = (id(body), scale)
+        s = self.memo.get(key)
+        if s is None:
+            s = self.memo[key] = self._summarize(body, scale, depth)
+        elif depth + s.height > self.limits.max_call_depth:
+            raise DepthExceeded(f"call depth exceeds {self.limits.max_call_depth}")
+        return s
+
+    def _summarize(self, body: tuple[Instruction, ...], scale: int, depth: int,
+                   top: bool = False) -> _Summary:
+        cells: set[tuple[int, int, int]] = set()
+        x = y = z = 0
+        count = height = 0
+        for ins in body:
+            kind = type(ins)
+            if kind is Place:
+                count += 1
+                cells.add((x, y, z))
+            elif kind is Fill:
+                dx, dy, dz = ins.dx * scale, ins.dy * scale, ins.dz * scale
+                count += dx * dy * dz
+                if self.fault is None and self._fits("FILL", (dx, dy, dz)):
+                    cells.update(product(range(x, x + dx), range(y, y + dy), range(z, z + dz)))
+            elif kind is Move:
+                d = ins.n * scale
+                if ins.axis == "X":
+                    x += d
+                elif ins.axis == "Y":
+                    y += d
+                else:
+                    z += d
+            elif kind is Repeat:
+                n = ins.count
+                if n < 1:
+                    continue
+                s = self._sub(ins.body, scale, depth)
+                count += n * s.count
+                if s.height > height:
+                    height = s.height
+                sx, sy, sz = s.disp
+                if self.fault is None and s.cells:
+                    if sx == sy == sz == 0:
+                        cells.update(_shifted(s.cells, x, y, z))
+                    else:
+                        reach = ((n - 1) * abs(sx) + 1, (n - 1) * abs(sy) + 1,
+                                 (n - 1) * abs(sz) + 1)
+                        if self._fits("REPEAT", reach):
+                            for i in range(n):
+                                cells.update(_shifted(s.cells, x + i * sx, y + i * sy, z + i * sz))
+                x += n * sx
+                y += n * sy
+                z += n * sz
+            elif kind is Def:
+                if not top:
+                    raise DslError("DEF is only allowed at top level")
+                if ins.name in self.env:
+                    self.memo.clear()
+                self.env[ins.name] = ins.body
+            elif kind is Call:
+                callee = self.env.get(ins.name)
+                if callee is None:
+                    raise UnknownName(f"CALL {ins.name!r} before its DEF")
+                if depth + 1 > self.limits.max_call_depth:
+                    raise DepthExceeded(f"call depth exceeds {self.limits.max_call_depth}")
+                s = self._sub(callee, scale * ins.scale, depth + 1)
+                count += s.count
+                if s.height >= height:
+                    height = s.height + 1
+                if self.fault is None and s.cells:
+                    cells.update(_shifted(s.cells, x, y, z))
+            else:
+                raise TypeError(f"not an instruction: {ins!r}")
+        if self.fault is None:
+            if count > self.limits.max_placements:
+                self.fault = BudgetExceeded(f"more than {self.limits.max_placements} placements")
+            elif len(cells) > self.volume:
+                self.fault = OutOfBounds(f"a block places {len(cells)} cells, more than "
+                                         f"dims {self.dims} hold")
+        return _Summary(None if self.fault is not None else cells, (x, y, z), count, height)
 
 
 def execute(program: Program, dims: tuple[int, int, int],
@@ -437,9 +623,23 @@ def execute(program: Program, dims: tuple[int, int, int],
     builder model: when set, it is consulted once per PLACE/FILL, may
     displace the placement anchor, and out-of-bounds cells are silently
     skipped instead of raising.
+
+    The two cases run on two engines. With jitter, a sequential walker
+    runs every instruction in order, and its steps are bounded by
+    limits.max_steps. Without, a summary engine runs each (body, scale)
+    once and stamps the result by translation, so nested REPEATs and
+    CALLs cost no more than their text. A program with more than one
+    fault reports, on the deterministic engine, the first of these that
+    applies: a fault of the program text (a DEF below top level, a CALL
+    to an unbound name, CALL nesting past max_call_depth), the first in
+    execution order; then BudgetExceeded when the program's placements
+    exceed max_placements; then OutOfBounds. The walker reports the
+    first fault in execution order.
     """
     if limits is None:
         limits = ExecutionLimits()
-    ex = _Executor(dims, limits, jitter)
-    ex.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
-    return VoxelStructure(dims, frozenset(ex.cells))
+    if jitter is not None:
+        ex = _Executor(dims, limits, jitter)
+        ex.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+        return VoxelStructure(dims, frozenset(ex.cells))
+    return VoxelStructure(dims, frozenset(_Summarizer(dims, limits).run(program)))

@@ -161,3 +161,38 @@ def test_env_placement_budget(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "build", CORPUS / "slab4.cvm", "--dims", 4, 4, 1)
     assert code == 3
     assert "placements" in err
+
+
+def test_optimize_searches_within_the_placement_budget(tmp_path, capsys, monkeypatch):
+    # the dictionary's one stamp encloses a cell, which the constraint pays
+    # for, but it takes more placements than the budget allows
+    shell = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)
+             if (x, y, z) != (1, 1, 1)]
+    pat = tmp_path / "shell.pat"
+    pat.write_text("PATTERN shell\n" + "\n".join(f"{x} {y} {z}" for x, y, z in shell) + "\n")
+    cons = tmp_path / "enclose.json"
+    cons.write_text(json.dumps([{"kind": "EnclosedVolumeAtLeast",
+                                 "params": {"v_min": 1}, "weight": 100.0}]))
+    monkeypatch.setenv("DOMUS_MAX_PLACEMENTS", "20")
+    out_dir = tmp_path / "design"
+    code, _, err = run(capsys, "optimize", "--dict", pat, "--constraints", cons,
+                       "--dims", 3, 3, 3, "--seed", 0, "--iters", 30, "--out-dir", out_dir)
+    assert code == 0, err
+    best = vm.parse((out_dir / "best.cvm").read_text())
+    vm.execute(best, (3, 3, 3), vm.ExecutionLimits(max_placements=20))
+
+
+def test_deeply_nested_program_is_an_error(tmp_path, capsys):
+    deep = tmp_path / "deep.cvm"
+    deep.write_text("REPEAT 2 { " * 3000 + "PLACE" + " }" * 3000)
+    code, _, err = run(capsys, "build", deep, "--dims", 2, 2, 2)
+    assert code == 3
+    assert err.startswith("domus: error:") and "nested deeper" in err
+
+
+def test_non_utf8_program_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cvm"
+    bad.write_bytes("PLACE # café".encode("latin-1"))
+    code, _, err = run(capsys, "build", bad, "--dims", 2, 2, 2)
+    assert code == 3
+    assert err.startswith("domus: error:") and "UTF-8" in err

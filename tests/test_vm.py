@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from domus import vm
-
+from domus.errors import DomusError
+from domus.world import VoxelStructure
 
 
 # --- parsing ---
@@ -74,6 +77,15 @@ def test_bad_literals(text):
 def test_syntax_errors(text):
     with pytest.raises(vm.ParseError):
         vm.parse(text)
+
+
+def test_parse_rejects_deep_nesting():
+    depth = vm.MAX_BLOCK_DEPTH
+    vm.parse("REPEAT 2 { " * depth + "PLACE" + " }" * depth)
+    with pytest.raises(vm.ParseError, match="nested deeper"):
+        vm.parse("REPEAT 2 { " * (depth + 1) + "PLACE" + " }" * (depth + 1))
+    with pytest.raises(vm.ParseError):
+        vm.parse("REPEAT 2 { " * 3000 + "PLACE" + " }" * 3000)
 
 
 def test_parse_error_carries_position():
@@ -228,6 +240,8 @@ def test_call_depth_limit():
 def test_limits_validation():
     with pytest.raises(ValueError):
         vm.ExecutionLimits(max_placements=0)
+    with pytest.raises(ValueError):
+        vm.ExecutionLimits(max_steps=0)
 
 
 def test_stamp_neutrality():
@@ -249,3 +263,170 @@ def test_def_below_top_level_rejected_at_execution():
     bogus = vm.Program((vm.Repeat(2, (vm.Def("a", (vm.Place(),)),)),))
     with pytest.raises(vm.DslError):
         vm.execute(bogus, (2, 2, 2))
+
+
+# --- the summary engine against the sequential walker ---
+
+def _zero_placement_nest(levels: int) -> vm.Program:
+    """PLACE, then REPEAT 2 { MOVE X 1 MOVE X -1 } nested `levels` deep:
+    one cell, but 2**levels walker iterations."""
+    return vm.parse("PLACE " + "REPEAT 2 { " * levels + "MOVE X 1 MOVE X -1" + " }" * levels)
+
+
+def test_deep_zero_placement_nest_builds_its_one_cell():
+    # the walker would need 2**41 steps; only the summary engine finishes
+    assert vm.execute(_zero_placement_nest(40), (2, 1, 1)).occupied == {(0, 0, 0)}
+
+
+def test_walker_step_budget_stops_a_jittered_deep_nest():
+    with pytest.raises(vm.BudgetExceeded, match="steps"):
+        vm.execute(_zero_placement_nest(22), (2, 1, 1),
+                   vm.ExecutionLimits(max_steps=1000), jitter=lambda: None)
+
+
+def test_walker_step_budget_counts_iterations_and_calls():
+    p = vm.parse("DEF a { PLACE } REPEAT 3 { CALL a }")  # 3 iterations + 3 calls
+    run = vm._Executor((2, 2, 2), vm.ExecutionLimits(max_steps=6), jitter=None).run
+    run(p.instructions, (0, 0, 0), 1, 0, {}, top=True)
+    run = vm._Executor((2, 2, 2), vm.ExecutionLimits(max_steps=5), jitter=None).run
+    with pytest.raises(vm.BudgetExceeded):
+        run(p.instructions, (0, 0, 0), 1, 0, {}, top=True)
+
+
+def test_fault_precedence():
+    # each program has two faults; the walker reports the first it meets,
+    # execute reports by the precedence its docstring gives
+    oob_then_unbound = vm.Program((vm.Move("X", -1), vm.Place(), vm.Call("zz")))
+    oob_then_budget = vm.parse("MOVE X -1 PLACE MOVE X 1 FILL 2 2 2")
+    limits = vm.ExecutionLimits(max_placements=4)
+    for program, walker_fault, engine_fault in (
+            (oob_then_unbound, vm.OutOfBounds, vm.UnknownName),
+            (oob_then_budget, vm.OutOfBounds, vm.BudgetExceeded)):
+        with pytest.raises(walker_fault):
+            vm._Executor((2, 2, 2), limits, jitter=None).run(
+                program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+        with pytest.raises(engine_fault):
+            vm.execute(program, (2, 2, 2), limits)
+
+
+def test_rebinding_a_name_rebinds_its_callers():
+    a1, a2 = vm.Def("a", (vm.Place(),)), vm.Def("a", (vm.Move("X", 1), vm.Place()))
+    b = vm.Def("b", (vm.Call("a"),))
+    p = vm.Program((a1, b, vm.Call("b"), a2, vm.Move("Y", 1), vm.Call("b")))
+    assert vm.execute(p, (2, 2, 1)).occupied == {(0, 0, 0), (1, 1, 0)}
+
+
+@pytest.mark.parametrize("b_body", ["CALL a", "REPEAT 2 { CALL a }"])
+def test_depth_limit_holds_when_a_summary_is_reused_deeper(b_body):
+    # b is summarised under the first CALL b at depth 1, then reused at
+    # depth 2 under c, where its own CALL a reaches depth 3
+    p = vm.parse(f"DEF a {{ PLACE }} DEF b {{ {b_body} }} DEF c {{ CALL b }} CALL b CALL c")
+    vm.execute(p, (1, 1, 1), vm.ExecutionLimits(max_call_depth=3))
+    with pytest.raises(vm.DepthExceeded):
+        vm.execute(p, (1, 1, 1), vm.ExecutionLimits(max_call_depth=2))
+
+
+class _FaultLog(vm._Executor):
+    """The walker with BudgetExceeded and OutOfBounds recorded, not raised,
+    so that it runs on to the first fault of the program text."""
+
+    out_of_bounds = False
+
+    def _charge(self, n):
+        self.placements += n
+
+    def _place(self, cur):
+        self._fill(cur, 1, 1, 1)
+
+    def _fill(self, cur, dx, dy, dz):
+        self._charge(dx * dy * dz)
+        x, y, z = cur
+        if not (self._in_bounds(x, y, z) and self._in_bounds(x + dx - 1, y + dy - 1, z + dz - 1)):
+            self.out_of_bounds = True
+        elif self.placements <= self.limits.max_placements:
+            self.cells.update(itertools.product(range(x, x + dx), range(y, y + dy),
+                                                range(z, z + dz)))
+
+
+def _faults(program, dims, limits):
+    """The program's faults in the precedence execute documents, and the
+    structure it builds when there are none."""
+    log = _FaultLog(dims, limits, jitter=None)
+    faults = []
+    try:
+        log.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+    except vm.BudgetExceeded:
+        reject()  # the step budget: too slow to walk
+    except (vm.DslError, vm.DepthExceeded) as exc:
+        faults.append(type(exc))
+    if log.placements > limits.max_placements:
+        faults.append(vm.BudgetExceeded)
+    if log.out_of_bounds:
+        faults.append(vm.OutOfBounds)
+    return faults, VoxelStructure(dims, frozenset(log.cells))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DomusError as exc:
+        return type(exc)
+
+
+_NAMES = ("a", "b", "c")
+_any_call = st.builds(vm.Call, st.sampled_from(_NAMES), st.integers(1, 2))
+
+
+def _any_instr(depth: int):
+    base = st.one_of(
+        st.just(vm.Place()),
+        st.builds(vm.Move, st.sampled_from("XYZ"), st.sampled_from((-2, -1, 1, 2))),
+        st.builds(vm.Fill, st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+        _any_call,
+    )
+    if depth == 0:
+        return base
+    body = st.lists(_any_instr(depth - 1), min_size=1, max_size=4).map(tuple)
+    # counts below 2 do not parse, but execute runs them as the walker does
+    return st.one_of(base, st.builds(vm.Repeat, st.integers(0, 3), body))
+
+
+# DEF bodies call other names often, so that chains of calls form
+_any_def = st.builds(vm.Def, st.sampled_from(_NAMES),
+                     st.lists(st.one_of(_any_instr(2), _any_call),
+                              min_size=1, max_size=4).map(tuple))
+
+
+@st.composite
+def _any_case(draw):
+    """A small world, limits, and a program of leading DEFs, a move to the
+    world's centre, then instructions and DEFs mixed: names may be
+    unbound, rebound, or call themselves."""
+    dims = draw(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)))
+    limits = vm.ExecutionLimits(max_placements=draw(st.integers(1, 300)),
+                                max_call_depth=draw(st.integers(1, 4)), max_steps=3000)
+    centre = tuple(vm.Move(axis, n // 2) for axis, n in zip("XYZ", dims) if n > 1)
+    tail = st.lists(st.one_of(_any_instr(2), _any_call, _any_def), min_size=1, max_size=6)
+    program = vm.Program(tuple(draw(st.lists(_any_def, max_size=3))) + centre
+                         + tuple(draw(tail)))
+    return program, dims, limits
+
+
+@given(_any_case())
+@settings(max_examples=600, deadline=None)
+def test_summary_engine_matches_walker(case):
+    program, dims, limits = case
+    faults, built = _faults(program, dims, limits)
+
+    def walk():
+        ex = vm._Executor(dims, limits, jitter=None)
+        ex.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+        return VoxelStructure(dims, frozenset(ex.cells))
+
+    walker = _outcome(walk)
+    engine = _outcome(lambda: vm.execute(program, dims, limits))
+    if not faults:
+        assert walker == engine == built
+    else:
+        assert engine is faults[0]
+        assert walker in faults
