@@ -252,6 +252,15 @@ class _Editor:
         return new_tail
 
 
+def _block_depth(body: tuple[vm.Instruction, ...]) -> int:
+    """How deep REPEAT and DEF blocks nest in body."""
+    depth = 0
+    for ins in body:
+        if isinstance(ins, (vm.Repeat, vm.Def)):
+            depth = max(depth, 1 + _block_depth(ins.body))
+    return depth
+
+
 def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
             params: SearchParams, seed: int,
             limits: vm.ExecutionLimits | None) -> tuple[vm.Program, SearchTrace]:
@@ -279,7 +288,9 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
         prop_j = current_j
         if proposal is not None:
             candidate = assemble(proposal)
-            if vm.program_length(candidate) <= params.max_program_bytes:
+            # an edit may nest blocks deeper than vm.parse reads back
+            if (vm.program_length(candidate) <= params.max_program_bytes
+                    and _block_depth(candidate.instructions) <= vm.MAX_BLOCK_DEPTH):
                 prop_j = objective(candidate, dictionary, cs, params.dims, limits)
                 delta = prop_j - current_j
                 if delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp)):

@@ -46,6 +46,7 @@ __all__ = [
     "Program",
     "ExecutionLimits",
     "MAX_BLOCK_DEPTH",
+    "MAX_STEPS",
     "DslError",
     "ParseError",
     "UnknownName",
@@ -156,21 +157,22 @@ class Program:
 
 @dataclass(frozen=True)
 class ExecutionLimits:
-    """max_steps bounds the time of a jittered build: it counts REPEAT
-    iterations and CALL body runs. A deterministic build never takes
-    steps one by one, and its time is bounded by the program size and
-    the world volume instead."""
-
     max_placements: int = 10_000_000
     max_call_depth: int = 32
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.max_placements < 1 or self.max_call_depth < 1 or self.max_steps < 1:
+        if self.max_placements < 1 or self.max_call_depth < 1:
             raise ValueError("execution limits must be positive")
 
 
 MAX_BLOCK_DEPTH = 100
+
+# Bounds the time of a jittered build, which runs every REPEAT iteration
+# and CALL body one by one: about a second of walking. The largest corpus
+# program takes 585 steps, and a 64^3 world filled one PLACE at a time
+# about 266,000. A deterministic build never takes steps one by one; its
+# time is bounded by the program size and the world volume instead.
+MAX_STEPS = 1_000_000
 
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -376,8 +378,8 @@ class _Executor:
 
     def _step(self):
         self.steps += 1
-        if self.steps > self.limits.max_steps:
-            raise BudgetExceeded(f"more than {self.limits.max_steps} steps")
+        if self.steps > MAX_STEPS:
+            raise BudgetExceeded(f"more than {MAX_STEPS} steps")
 
     def _in_bounds(self, x: int, y: int, z: int) -> bool:
         return 0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz
@@ -458,16 +460,15 @@ class _Executor:
 class _Summary:
     """What one run of a body does, started at cursor (0, 0, 0).
 
-    cells are relative to the start cursor, and None once the build is
-    known to fail; disp is where the cursor ends; count is the exact
-    number of placements charged; height is the deepest CALL nesting
-    inside.
+    cells are relative to the start cursor; disp is where the cursor
+    ends; count is the exact number of placements charged; height is
+    the deepest CALL nesting inside.
     """
 
     __slots__ = ("cells", "disp", "count", "height")
 
-    def __init__(self, cells: Optional[set[tuple[int, int, int]]],
-                 disp: tuple[int, int, int], count: int, height: int):
+    def __init__(self, cells: set[tuple[int, int, int]], disp: tuple[int, int, int],
+                 count: int, height: int):
         self.cells = cells
         self.disp = disp
         self.count = count
@@ -488,13 +489,12 @@ class _Summarizer:
     A REPEAT places the union of count translates of its body's cells,
     or one copy when the body's displacement is zero; a CALL places its
     callee's cells at the cursor and leaves the cursor where it was.
-    Placement counts add up exactly. Once the build is certain to fail,
-    no more cells are built: only counts, displacements and the faults
-    of the program text are worked out. A build is certain to fail when
-    it passes the placement budget, or holds a block that cannot fit in
-    the world: a FILL wider than the world, a REPEAT whose translates
-    reach further than it, or a body with more cells than it has. That
-    bounds the time by the program size and the world volume.
+    Placement counts add up exactly. A fault is raised as soon as it is
+    proved: a body past the placement budget, a FILL wider than the
+    world, a REPEAT whose translates reach further than it, or a body
+    with more cells than it has. No summary holds more cells than the
+    world, which bounds the time by the program size and the world
+    volume.
     """
 
     def __init__(self, dims: tuple[int, int, int], limits: ExecutionLimits):
@@ -505,30 +505,21 @@ class _Summarizer:
         # keyed by (id(body), scale): a body is summarised for the env
         # of its first run, so rebinding a name clears the memo
         self.memo: dict[tuple[int, int], _Summary] = {}
-        # a fault that is certain once found: cells are no longer built
-        self.fault: Optional[ExecError] = None
 
     def run(self, program: Program) -> set[tuple[int, int, int]]:
-        top = self._summarize(program.instructions, 1, 0, top=True)
-        if top.count > self.limits.max_placements:
-            raise BudgetExceeded(f"more than {self.limits.max_placements} placements")
-        if self.fault is not None:
-            raise self.fault
-        if top.cells:
-            xs, ys, zs = zip(*top.cells)
+        cells = self._summarize(program.instructions, 1, 0, top=True).cells
+        if cells:
+            xs, ys, zs = zip(*cells)
             lo, hi = (min(xs), min(ys), min(zs)), (max(xs), max(ys), max(zs))
             nx, ny, nz = self.dims
             if min(lo) < 0 or hi[0] >= nx or hi[1] >= ny or hi[2] >= nz:
                 raise OutOfBounds(f"placements span {lo}..{hi} outside dims {self.dims}")
-        return top.cells
+        return cells
 
-    def _fits(self, what: str, extent: tuple[int, int, int]) -> bool:
-        """Whether extent fits in the world; records an OutOfBounds if not."""
+    def _check_fits(self, what: str, extent: tuple[int, int, int]):
         nx, ny, nz = self.dims
-        if extent[0] <= nx and extent[1] <= ny and extent[2] <= nz:
-            return True
-        self.fault = OutOfBounds(f"{what} spans {extent} cells, more than dims {self.dims}")
-        return False
+        if extent[0] > nx or extent[1] > ny or extent[2] > nz:
+            raise OutOfBounds(f"{what} spans {extent} cells, more than dims {self.dims}")
 
     def _sub(self, body: tuple[Instruction, ...], scale: int, depth: int) -> _Summary:
         key = (id(body), scale)
@@ -552,8 +543,8 @@ class _Summarizer:
             elif kind is Fill:
                 dx, dy, dz = ins.dx * scale, ins.dy * scale, ins.dz * scale
                 count += dx * dy * dz
-                if self.fault is None and self._fits("FILL", (dx, dy, dz)):
-                    cells.update(product(range(x, x + dx), range(y, y + dy), range(z, z + dz)))
+                self._check_fits("FILL", (dx, dy, dz))
+                cells.update(product(range(x, x + dx), range(y, y + dy), range(z, z + dz)))
             elif kind is Move:
                 d = ins.n * scale
                 if ins.axis == "X":
@@ -571,15 +562,14 @@ class _Summarizer:
                 if s.height > height:
                     height = s.height
                 sx, sy, sz = s.disp
-                if self.fault is None and s.cells:
+                if s.cells:
                     if sx == sy == sz == 0:
                         cells.update(_shifted(s.cells, x, y, z))
                     else:
-                        reach = ((n - 1) * abs(sx) + 1, (n - 1) * abs(sy) + 1,
-                                 (n - 1) * abs(sz) + 1)
-                        if self._fits("REPEAT", reach):
-                            for i in range(n):
-                                cells.update(_shifted(s.cells, x + i * sx, y + i * sy, z + i * sz))
+                        self._check_fits("REPEAT", ((n - 1) * abs(sx) + 1, (n - 1) * abs(sy) + 1,
+                                                    (n - 1) * abs(sz) + 1))
+                        for i in range(n):
+                            cells.update(_shifted(s.cells, x + i * sx, y + i * sy, z + i * sz))
                 x += n * sx
                 y += n * sy
                 z += n * sz
@@ -599,17 +589,16 @@ class _Summarizer:
                 count += s.count
                 if s.height >= height:
                     height = s.height + 1
-                if self.fault is None and s.cells:
+                if s.cells:
                     cells.update(_shifted(s.cells, x, y, z))
             else:
                 raise TypeError(f"not an instruction: {ins!r}")
-        if self.fault is None:
-            if count > self.limits.max_placements:
-                self.fault = BudgetExceeded(f"more than {self.limits.max_placements} placements")
-            elif len(cells) > self.volume:
-                self.fault = OutOfBounds(f"a block places {len(cells)} cells, more than "
-                                         f"dims {self.dims} hold")
-        return _Summary(None if self.fault is not None else cells, (x, y, z), count, height)
+        if count > self.limits.max_placements:
+            raise BudgetExceeded(f"more than {self.limits.max_placements} placements")
+        if len(cells) > self.volume:
+            raise OutOfBounds(f"a block places {len(cells)} cells, more than dims "
+                              f"{self.dims} hold")
+        return _Summary(cells, (x, y, z), count, height)
 
 
 def execute(program: Program, dims: tuple[int, int, int],
@@ -625,16 +614,21 @@ def execute(program: Program, dims: tuple[int, int, int],
     skipped instead of raising.
 
     The two cases run on two engines. With jitter, a sequential walker
-    runs every instruction in order, and its steps are bounded by
-    limits.max_steps. Without, a summary engine runs each (body, scale)
-    once and stamps the result by translation, so nested REPEATs and
-    CALLs cost no more than their text. A program with more than one
-    fault reports, on the deterministic engine, the first of these that
-    applies: a fault of the program text (a DEF below top level, a CALL
-    to an unbound name, CALL nesting past max_call_depth), the first in
-    execution order; then BudgetExceeded when the program's placements
-    exceed max_placements; then OutOfBounds. The walker reports the
-    first fault in execution order.
+    runs every instruction in order and reports the first fault it
+    meets; it raises BudgetExceeded after MAX_STEPS REPEAT iterations
+    and CALL body runs. Without, a summary engine runs each (body,
+    scale) once and stamps the result by translation, so nested REPEATs
+    and CALLs cost no more than their text. A program with more than
+    one fault reports, on the deterministic engine, the first fault the
+    engine proves. Faults of the program text (a DEF below top level, a
+    CALL to an unbound name, CALL nesting past max_call_depth) are
+    proved where the walker meets them; BudgetExceeded at the end of
+    the first block whose placements pass max_placements; OutOfBounds
+    at a FILL or REPEAT too wide for the world, at the end of a block
+    with more cells than the world, or else once all cells are built.
+    So an out-of-bounds PLACE before a CALL to an unbound name reports
+    UnknownName, and a FILL wider than the world before it reports
+    OutOfBounds.
     """
     if limits is None:
         limits = ExecutionLimits()

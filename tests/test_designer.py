@@ -123,3 +123,15 @@ def test_params_validation():
         SearchParams(cooling=1.5)
     with pytest.raises(ValueError):
         SearchParams(initial_temperature=0)
+
+
+def test_search_skips_candidates_nested_deeper_than_parse_reads(monkeypatch):
+    # each proposal wraps the whole tail in a zero-placement REPEAT, which
+    # leaves the objective as it is, so only the nesting cap stops the wraps
+    def wrap(self, tail):
+        return [vm.Repeat(2, tuple(tail) or (vm.Move("X", 1), vm.Move("X", -1)))]
+
+    monkeypatch.setattr(designer._Editor, "propose", wrap)
+    cs = ConstraintSet((Stability(weight=10.0),))
+    _, trace = optimize(DICT1, cs, _params(iterations=vm.MAX_BLOCK_DEPTH + 20))
+    assert sum(r.accepted for r in trace.records) == vm.MAX_BLOCK_DEPTH

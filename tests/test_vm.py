@@ -240,8 +240,6 @@ def test_call_depth_limit():
 def test_limits_validation():
     with pytest.raises(ValueError):
         vm.ExecutionLimits(max_placements=0)
-    with pytest.raises(ValueError):
-        vm.ExecutionLimits(max_steps=0)
 
 
 def test_stamp_neutrality():
@@ -279,28 +277,30 @@ def test_deep_zero_placement_nest_builds_its_one_cell():
 
 
 def test_walker_step_budget_stops_a_jittered_deep_nest():
+    # 2**23 - 2 steps, about 6 s of walking without the budget
     with pytest.raises(vm.BudgetExceeded, match="steps"):
-        vm.execute(_zero_placement_nest(22), (2, 1, 1),
-                   vm.ExecutionLimits(max_steps=1000), jitter=lambda: None)
+        vm.execute(_zero_placement_nest(22), (2, 1, 1), jitter=lambda: None)
 
 
-def test_walker_step_budget_counts_iterations_and_calls():
+def test_walker_step_budget_counts_iterations_and_calls(monkeypatch):
     p = vm.parse("DEF a { PLACE } REPEAT 3 { CALL a }")  # 3 iterations + 3 calls
-    run = vm._Executor((2, 2, 2), vm.ExecutionLimits(max_steps=6), jitter=None).run
-    run(p.instructions, (0, 0, 0), 1, 0, {}, top=True)
-    run = vm._Executor((2, 2, 2), vm.ExecutionLimits(max_steps=5), jitter=None).run
+    monkeypatch.setattr(vm, "MAX_STEPS", 6)
+    vm.execute(p, (2, 2, 2), jitter=lambda: None)
+    monkeypatch.setattr(vm, "MAX_STEPS", 5)
     with pytest.raises(vm.BudgetExceeded):
-        run(p.instructions, (0, 0, 0), 1, 0, {}, top=True)
+        vm.execute(p, (2, 2, 2), jitter=lambda: None)
 
 
 def test_fault_precedence():
     # each program has two faults; the walker reports the first it meets,
-    # execute reports by the precedence its docstring gives
+    # execute the first its engine proves, as its docstring gives
     oob_then_unbound = vm.Program((vm.Move("X", -1), vm.Place(), vm.Call("zz")))
+    wide_then_unbound = vm.Program((vm.Fill(3, 1, 1), vm.Call("zz")))
     oob_then_budget = vm.parse("MOVE X -1 PLACE MOVE X 1 FILL 2 2 2")
     limits = vm.ExecutionLimits(max_placements=4)
     for program, walker_fault, engine_fault in (
             (oob_then_unbound, vm.OutOfBounds, vm.UnknownName),
+            (wide_then_unbound, vm.OutOfBounds, vm.OutOfBounds),
             (oob_then_budget, vm.OutOfBounds, vm.BudgetExceeded)):
         with pytest.raises(walker_fault):
             vm._Executor((2, 2, 2), limits, jitter=None).run(
@@ -332,6 +332,11 @@ class _FaultLog(vm._Executor):
 
     out_of_bounds = False
 
+    def _step(self):
+        self.steps += 1
+        if self.steps > 3000:
+            reject()  # too slow to walk
+
     def _charge(self, n):
         self.placements += n
 
@@ -349,14 +354,12 @@ class _FaultLog(vm._Executor):
 
 
 def _faults(program, dims, limits):
-    """The program's faults in the precedence execute documents, and the
-    structure it builds when there are none."""
+    """The program's faults, and the structure it builds when there are
+    none."""
     log = _FaultLog(dims, limits, jitter=None)
     faults = []
     try:
         log.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
-    except vm.BudgetExceeded:
-        reject()  # the step budget: too slow to walk
     except (vm.DslError, vm.DepthExceeded) as exc:
         faults.append(type(exc))
     if log.placements > limits.max_placements:
@@ -404,7 +407,7 @@ def _any_case(draw):
     unbound, rebound, or call themselves."""
     dims = draw(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)))
     limits = vm.ExecutionLimits(max_placements=draw(st.integers(1, 300)),
-                                max_call_depth=draw(st.integers(1, 4)), max_steps=3000)
+                                max_call_depth=draw(st.integers(1, 4)))
     centre = tuple(vm.Move(axis, n // 2) for axis, n in zip("XYZ", dims) if n > 1)
     tail = st.lists(st.one_of(_any_instr(2), _any_call, _any_def), min_size=1, max_size=6)
     program = vm.Program(tuple(draw(st.lists(_any_def, max_size=3))) + centre
@@ -428,5 +431,5 @@ def test_summary_engine_matches_walker(case):
     if not faults:
         assert walker == engine == built
     else:
-        assert engine is faults[0]
+        assert engine in faults
         assert walker in faults
