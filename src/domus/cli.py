@@ -229,6 +229,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _open_fraction(text: str) -> float:
+    value = _number(float, text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
 def _probability(text: str) -> float:
     value = _number(float, text)
     if not 0.0 <= value <= 1.0:
@@ -238,7 +252,7 @@ def _probability(text: str) -> float:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dims", type=int, nargs=3, default=[64, 64, 64],
+    common.add_argument("--dims", type=_positive_int, nargs=3, default=[64, 64, 64],
                         metavar=("NX", "NY", "NZ"), help="world size (default 64 64 64)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", "-o", default=None, help="write output to this file")
@@ -273,12 +287,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", parents=[common], help="anneal a design")
     sp.add_argument("--dict", required=True)
     sp.add_argument("--constraints", required=True)
-    sp.add_argument("--iters", type=int, default=1000)
-    sp.add_argument("--temperature", type=float, default=8.0)
-    sp.add_argument("--cooling", type=float, default=0.999)
+    sp.add_argument("--iters", type=_positive_int, default=1000)
+    sp.add_argument("--temperature", type=_positive_float, default=8.0)
+    sp.add_argument("--cooling", type=_open_fraction, default=0.999)
     sp.add_argument("--max-bytes", type=int, default=4096)
-    sp.add_argument("--islands", type=int, default=1)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--islands", type=_positive_int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1)
     sp.add_argument("--out-dir", default="design_out")
     sp.set_defaults(fn=_cmd_optimize)
 

@@ -68,8 +68,8 @@ class SearchParams:
             raise ValueError("iterations must be >= 1")
         if not (0.0 < self.cooling < 1.0):
             raise ValueError("cooling must lie in (0, 1)")
-        if self.initial_temperature <= 0:
-            raise ValueError("initial temperature must be positive")
+        if not 0.0 < self.initial_temperature < math.inf:
+            raise ValueError("initial temperature must be positive and finite")
         if self.islands < 1:
             raise ValueError("islands must be >= 1")
 
@@ -252,15 +252,6 @@ class _Editor:
         return new_tail
 
 
-def _block_depth(body: tuple[vm.Instruction, ...]) -> int:
-    """How deep REPEAT and DEF blocks nest in body."""
-    depth = 0
-    for ins in body:
-        if isinstance(ins, (vm.Repeat, vm.Def)):
-            depth = max(depth, 1 + _block_depth(ins.body))
-    return depth
-
-
 def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
             params: SearchParams, seed: int,
             limits: vm.ExecutionLimits | None) -> tuple[vm.Program, SearchTrace]:
@@ -290,7 +281,7 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
             candidate = assemble(proposal)
             # an edit may nest blocks deeper than vm.parse reads back
             if (vm.program_length(candidate) <= params.max_program_bytes
-                    and _block_depth(candidate.instructions) <= vm.MAX_BLOCK_DEPTH):
+                    and vm.block_depth(candidate.instructions) <= vm.MAX_BLOCK_DEPTH):
                 prop_j = objective(candidate, dictionary, cs, params.dims, limits)
                 delta = prop_j - current_j
                 if delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp)):

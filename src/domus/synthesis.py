@@ -117,36 +117,6 @@ def _cuboid_program(s: VoxelStructure) -> vm.Program:
     return vm.Program(tuple(out))
 
 
-# --- canonical lengths without serializing ---
-
-
-def _ilen(ins: vm.Instruction) -> int:
-    if isinstance(ins, vm.Place):
-        return 5
-    if isinstance(ins, vm.Move):
-        return 7 + len(str(ins.n))
-    if isinstance(ins, vm.Fill):
-        return 7 + len(str(ins.dx)) + len(str(ins.dy)) + len(str(ins.dz))
-    if isinstance(ins, vm.Repeat):
-        if not ins.body:
-            return 11 + len(str(ins.count))
-        return 12 + len(str(ins.count)) + _seq_len(ins.body)
-    if isinstance(ins, vm.Def):
-        if not ins.body:
-            return 8 + len(ins.name)
-        return 9 + len(ins.name) + _seq_len(ins.body)
-    if isinstance(ins, vm.Call):
-        base = 5 + len(ins.name)
-        return base if ins.scale == 1 else base + 1 + len(str(ins.scale))
-    raise TypeError(f"not an instruction: {ins!r}")
-
-
-def _seq_len(instrs) -> int:
-    if not instrs:
-        return 0
-    return sum(_ilen(i) for i in instrs) + len(instrs) - 1
-
-
 # --- shared rolling-hash scan over instruction sequences ---
 
 _MASK64 = (1 << 64) - 1
@@ -256,8 +226,9 @@ def _best_fold(seq: tuple, hasher: _SeqHasher):
                     dominated[j] = 1
             if r < 2:
                 continue
-            lb = _seq_len(block)
-            savings = (r - 1) * (lb + 1) - 12 - len(str(r))
+            # r copies and their r - 1 separators, against one REPEAT
+            lb = vm.body_length(block)
+            savings = r * lb + r - 1 - vm.body_length((vm.Repeat(r, block),))
             if savings <= 0:
                 continue
             key = (b, r, -i)
@@ -394,11 +365,11 @@ def _best_extraction(instrs: tuple, hasher: _SeqHasher, name: str):
                 last_end = p + b
             if len(occ) < 2:
                 continue
-            lb = _seq_len(block)
+            lb = vm.body_length(block)
             repl = _repl_instructions(name, _net_displacement(block))
-            repl_len = _seq_len(repl)
-            def_cost = 9 + len(name) + lb + 1
-            savings = len(occ) * (lb - repl_len) - def_cost
+            # the DEF costs its text and the separator before it
+            def_cost = vm.body_length((vm.Def(name, block),)) + 1
+            savings = len(occ) * (lb - vm.body_length(repl)) - def_cost
             if savings <= 0:
                 continue
             key = (-savings, first, b)
@@ -456,7 +427,7 @@ def _extract_defs(program: vm.Program,
     loop.
     """
     instrs = program.instructions
-    length = _seq_len(instrs)
+    length = vm.body_length(instrs)
     hasher = _SeqHasher()
     while True:
         used = {ins.name for ins in instrs if isinstance(ins, vm.Def)}
@@ -466,7 +437,7 @@ def _extract_defs(program: vm.Program,
             return vm.Program(instrs)
         block, occ, _ = found
         candidate = _apply_extraction(instrs, block, occ, name)
-        cand_len = _seq_len(candidate)
+        cand_len = vm.body_length(candidate)
         if cand_len >= length:
             return vm.Program(instrs)
         instrs, length = candidate, cand_len
@@ -515,6 +486,11 @@ def relative_complexity(a: VoxelStructure, b: VoxelStructure) -> int:
 # --- exhaustive enumeration at desk scale ---
 
 _ENUM_PLACEMENT_BUDGET = 10_000
+_NAMES = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _costed(ins: vm.Instruction) -> tuple[vm.Instruction, int]:
+    return ins, vm.body_length((ins,))
 
 
 class _Enumerator:
@@ -530,34 +506,37 @@ class _Enumerator:
     programs ending in a dead MOVE, and DEFs called fewer than twice
     (inlining is always at least as short at these literal sizes).
     Subroutine names are canonical (a, b, ... in definition order).
+
+    Programs are built of vm instructions. Their execution here, on the
+    bitmask, is a second interpreter kept apart from vm.execute, so that
+    the table is an independent reference for the synthesis pipeline.
     """
 
     def __init__(self, dims: tuple[int, int, int], max_len: int,
                  node_budget: int, target_mask: Optional[int]):
         self.nx, self.ny, self.nz = dims
-        self.maxd = max(dims)
+        maxd = max(dims)
         self.max_len = max_len
         self.node_budget = node_budget
         self.target = target_mask
         self.nodes = 0
-        self.table: dict[int, tuple[int, str]] = {}
+        # mask -> (length, canonical text, program) of its best producer
+        self.table: dict[int, tuple[int, str, vm.Program]] = {}
         self._body_memo: dict = {}
 
-        self.move_opts = []
-        for ai, ax in enumerate("XYZ"):
-            for n in [k for k in range(1, self.maxd)] + [-k for k in range(1, self.maxd)]:
-                self.move_opts.append((ai, n, 7 + len(str(n))))
-        self.fill_opts = []
-        for dx in range(1, self.nx + 1):
-            for dy in range(1, self.ny + 1):
-                for dz in range(1, self.nz + 1):
-                    cost = 7 + len(str(dx)) + len(str(dy)) + len(str(dz))
-                    self.fill_opts.append((dx, dy, dz, cost))
-        self.rep_counts = list(range(2, self.maxd + 1))
-        self.call_scales = list(range(1, self.maxd + 1))
-
-    # internal instruction encoding: tuples, cheaper than dataclasses here
-    # ("P",) ("M",ai,n) ("F",dx,dy,dz) ("R",n,body) ("C",idx,scale) ("D",idx,body)
+        # each option with its canonical length
+        self.place = _costed(vm.Place())
+        self.move_opts = [_costed(vm.Move(axis, n)) for axis in "XYZ"
+                          for n in [*range(1, maxd), *range(-1, -maxd, -1)]]
+        self.fill_opts = [_costed(vm.Fill(dx, dy, dz)) for dx in range(1, self.nx + 1)
+                          for dy in range(1, self.ny + 1) for dz in range(1, self.nz + 1)]
+        self.call_opts = {name: [_costed(vm.Call(name, sc)) for sc in range(1, maxd + 1)]
+                          for name in _NAMES}
+        # a REPEAT or DEF around a nonempty body costs its empty form,
+        # the body and one more LF
+        self.rep_opts = [(cnt, vm.body_length((vm.Repeat(cnt, ()),)) + 1)
+                         for cnt in range(2, maxd + 1)]
+        self.def_opts = [(name, vm.body_length((vm.Def(name, ()),)) + 1) for name in _NAMES]
 
     def _tick(self):
         self.nodes += 1
@@ -582,26 +561,9 @@ class _Enumerator:
                     m |= 1 << (x + base)
         return m
 
-    def _tuple_len(self, ins) -> int:
-        k = ins[0]
-        if k == "P":
-            return 5
-        if k == "M":
-            return 7 + len(str(ins[2]))
-        if k == "F":
-            return 7 + len(str(ins[1])) + len(str(ins[2])) + len(str(ins[3]))
-        if k == "R":
-            return 12 + len(str(ins[1])) + self._body_len(ins[2])
-        if k == "C":
-            base = 6  # "CALL " + 1-char name
-            return base if ins[2] == 1 else base + 1 + len(str(ins[2]))
-        raise AssertionError(ins)
-
-    def _body_len(self, body) -> int:
-        return sum(self._tuple_len(i) for i in body) + len(body) - 1
-
     def _bodies(self, budget: int, ndefs: int, trailing_move_ok: bool) -> list:
-        """All nonempty instruction tuples with canonical length <= budget.
+        """All nonempty instruction sequences with canonical length <=
+        budget, as (body, length) pairs.
 
         Context-free: placement validity is judged later, when the
         enclosing REPEAT or CALL node executes at a concrete cursor.
@@ -610,69 +572,48 @@ class _Enumerator:
         hit = self._body_memo.get(key)
         if hit is not None:
             return hit
-        out: list[tuple] = []
+        out: list[tuple[tuple[vm.Instruction, ...], int]] = []
+        seq: list[vm.Instruction] = []
+        place, place_len = self.place
 
-        def extend(seq: list, used: int, last):
+        def take(ins, length: int, record: bool = True):
+            seq.append(ins)
+            if record:
+                out.append((tuple(seq), length))
+            extend(length, ins)
+            seq.pop()
+
+        def extend(used: int, last):
             self._tick()
-            sep = 1 if seq else 0
-            room = budget - used - sep
-            if room >= 5 and not (last and last[0] == "P"):
-                seq.append(("P",))
-                out.append(tuple(seq))
-                extend(seq, used + sep + 5, ("P",))
-                seq.pop()
-            for ai, n, cost in self.move_opts:
-                if cost > room:
+            at = used + (1 if seq else 0)
+            room = budget - at
+            if room >= place_len and type(last) is not vm.Place:
+                take(place, at + place_len)
+            for ins, cost in self.move_opts:
+                if cost <= room and not (type(last) is vm.Move and ins.axis <= last.axis):
+                    take(ins, at + cost, trailing_move_ok)
+            for ins, cost in self.fill_opts:
+                if cost <= room:
+                    take(ins, at + cost)
+            for cnt, overhead in self.rep_opts:
+                if room < overhead + place_len:
                     continue
-                if last and last[0] == "M" and ai <= last[1]:
-                    continue
-                ins = ("M", ai, n)
-                seq.append(ins)
-                if trailing_move_ok:
-                    out.append(tuple(seq))
-                extend(seq, used + sep + cost, ins)
-                seq.pop()
-            for dx, dy, dz, cost in self.fill_opts:
-                if cost > room:
-                    continue
-                ins = ("F", dx, dy, dz)
-                seq.append(ins)
-                out.append(tuple(seq))
-                extend(seq, used + sep + cost, ins)
-                seq.pop()
-            for cnt in self.rep_counts:
-                overhead = 12 + len(str(cnt))
-                if room < overhead + 5:
-                    continue
-                for body in self._bodies(room - overhead, ndefs, True):
-                    ins = ("R", cnt, body)
-                    cost = self._tuple_len(ins)
-                    if cost > room:
-                        continue
-                    seq.append(ins)
-                    out.append(tuple(seq))
-                    extend(seq, used + sep + cost, ins)
-                    seq.pop()
-            for d in range(ndefs):
-                for sc in self.call_scales:
-                    ins = ("C", d, sc)
-                    cost = self._tuple_len(ins)
-                    if cost > room:
-                        continue
-                    seq.append(ins)
-                    out.append(tuple(seq))
-                    extend(seq, used + sep + cost, ins)
-                    seq.pop()
+                for body, length in self._bodies(room - overhead, ndefs, True):
+                    take(vm.Repeat(cnt, body), at + overhead + length)
+            for name in _NAMES[:ndefs]:
+                for ins, cost in self.call_opts[name]:
+                    if cost <= room:
+                        take(ins, at + cost)
 
-        extend([], 0, None)
+        extend(0, None)
         self._body_memo[key] = out
         return out
 
     def _exec(self, ins, mask: int, cur, defs, scale: int, placed: int):
         """Apply one instruction; returns (mask, cur, placed) or None when
         a placement leaves the world or the budget runs out."""
-        k = ins[0]
-        if k == "P":
+        kind = type(ins)
+        if kind is vm.Place:
             x, y, z = cur
             if not (0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz):
                 return None
@@ -680,16 +621,16 @@ class _Enumerator:
             if placed > _ENUM_PLACEMENT_BUDGET:
                 return None
             return mask | self._bit(x, y, z), cur, placed
-        if k == "M":
-            d = ins[2] * scale
+        if kind is vm.Move:
+            d = ins.n * scale
             x, y, z = cur
-            if ins[1] == 0:
+            if ins.axis == "X":
                 return mask, (x + d, y, z), placed
-            if ins[1] == 1:
+            if ins.axis == "Y":
                 return mask, (x, y + d, z), placed
             return mask, (x, y, z + d), placed
-        if k == "F":
-            dx, dy, dz = ins[1] * scale, ins[2] * scale, ins[3] * scale
+        if kind is vm.Fill:
+            dx, dy, dz = ins.dx * scale, ins.dy * scale, ins.dz * scale
             placed += dx * dy * dz
             if placed > _ENUM_PLACEMENT_BUDGET:
                 return None
@@ -697,73 +638,47 @@ class _Enumerator:
             if fm is None:
                 return None
             return mask | fm, cur, placed
-        if k == "R":
-            for _ in range(ins[1]):
-                for sub in ins[2]:
+        if kind is vm.Repeat:
+            for _ in range(ins.count):
+                for sub in ins.body:
                     r = self._exec(sub, mask, cur, defs, scale, placed)
                     if r is None:
                         return None
                     mask, cur, placed = r
             return mask, cur, placed
-        if k == "C":
+        if kind is vm.Call:
             inner = cur
-            for sub in defs[ins[1]]:
-                r = self._exec(sub, mask, inner, defs, scale * ins[2], placed)
+            for sub in defs[ins.name]:
+                r = self._exec(sub, mask, inner, defs, scale * ins.scale, placed)
                 if r is None:
                     return None
                 mask, inner, placed = r
             return mask, cur, placed
         raise AssertionError(ins)
 
-    _NAMES = "abcdefghijklmnopqrstuvwxyz"
-
-    def _render(self, ins, lines: list[str]):
-        k = ins[0]
-        if k == "P":
-            lines.append("PLACE")
-        elif k == "M":
-            lines.append(f"MOVE {'XYZ'[ins[1]]} {ins[2]}")
-        elif k == "F":
-            lines.append(f"FILL {ins[1]} {ins[2]} {ins[3]}")
-        elif k == "R":
-            lines.append(f"REPEAT {ins[1]} {{")
-            for sub in ins[2]:
-                self._render(sub, lines)
-            lines.append("}")
-        elif k == "C":
-            nm = self._NAMES[ins[1]]
-            lines.append(f"CALL {nm}" if ins[2] == 1 else f"CALL {nm} {ins[2]}")
-        elif k == "D":
-            lines.append(f"DEF {self._NAMES[ins[1]]} {{")
-            for sub in ins[2]:
-                self._render(sub, lines)
-            lines.append("}")
-        else:
-            raise AssertionError(ins)
-
-    def _record(self, mask: int, used: int, seq: list, call_counts: list[int]):
+    def _record(self, mask: int, used: int, seq: list, call_counts: dict[str, int]):
         if self.target is not None and mask != self.target:
             return
-        if any(c < 2 for c in call_counts):
+        if any(c < 2 for c in call_counts.values()):
             return
         prev = self.table.get(mask)
         if prev is not None and prev[0] < used:
             return
-        lines: list[str] = []
-        for ins in seq:
-            self._render(ins, lines)
-        text = "\n".join(lines)
+        program = vm.Program(tuple(seq))
+        text = vm.serialize(program)
         if prev is None or used < prev[0] or (used == prev[0] and text < prev[1]):
-            self.table[mask] = (used, text)
+            self.table[mask] = (used, text, program)
 
     def run(self):
-        self.table[0] = (0, "")
+        self.table[0] = (0, "", vm.Program())
         if self.target == 0:
             return
-        self._dfs([], 0, 0, (0, 0, 0), 0, [], [])
+        self._dfs([], 0, 0, (0, 0, 0), 0, {}, {})
 
     def _dfs(self, seq: list, used: int, mask: int, cur, placed: int,
-             defs: list, call_counts: list[int]):
+             defs: dict[str, tuple], call_counts: dict[str, int]):
+        """defs maps each DEF name in seq to its body, call_counts to
+        the number of top-level CALLs of it."""
         self._tick()
         sep = 1 if seq else 0
         room = self.max_len - used - sep
@@ -772,54 +687,54 @@ class _Enumerator:
 
         def attach(ins, cost, m2, c2, p2):
             seq.append(ins)
-            if ins[0] == "C":
-                call_counts[ins[1]] += 1
-            if ins[0] != "M":
+            kind = type(ins)
+            if kind is vm.Call:
+                call_counts[ins.name] += 1
+            if kind is not vm.Move:
                 self._record(m2, used + sep + cost, seq, call_counts)
             self._dfs(seq, used + sep + cost, m2, c2, p2, defs, call_counts)
-            if ins[0] == "C":
-                call_counts[ins[1]] -= 1
+            if kind is vm.Call:
+                call_counts[ins.name] -= 1
             seq.pop()
 
         # PLACE
-        if room >= 5 and not (last and last[0] == "P"):
+        place, place_len = self.place
+        if room >= place_len and type(last) is not vm.Place:
             x, y, z = cur
             if 0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz:
                 b = self._bit(x, y, z)
                 if not (mask & b) and (target is None or (target & b)):
-                    attach(("P",), 5, mask | b, cur, placed + 1)
+                    attach(place, place_len, mask | b, cur, placed + 1)
 
         # MOVE
-        for ai, n, cost in self.move_opts:
+        for ins, cost in self.move_opts:
             if cost > room:
                 continue
-            if last and last[0] == "M" and ai <= last[1]:
+            if type(last) is vm.Move and ins.axis <= last.axis:
                 continue
             x, y, z = cur
-            c2 = (x + n, y, z) if ai == 0 else ((x, y + n, z) if ai == 1 else (x, y, z + n))
-            attach(("M", ai, n), cost, mask, c2, placed)
+            n = ins.n
+            c2 = (x + n, y, z) if ins.axis == "X" else (
+                (x, y + n, z) if ins.axis == "Y" else (x, y, z + n))
+            attach(ins, cost, mask, c2, placed)
 
         # FILL
-        for dx, dy, dz, cost in self.fill_opts:
+        for ins, cost in self.fill_opts:
             if cost > room:
                 continue
-            fm = self._fill_mask(cur[0], cur[1], cur[2], dx, dy, dz)
+            fm = self._fill_mask(cur[0], cur[1], cur[2], ins.dx, ins.dy, ins.dz)
             if fm is None or not (fm & ~mask):
                 continue
             if target is not None and (fm & ~target):
                 continue
-            attach(("F", dx, dy, dz), cost, mask | fm, cur, placed + dx * dy * dz)
+            attach(ins, cost, mask | fm, cur, placed + ins.dx * ins.dy * ins.dz)
 
         # REPEAT
-        for cnt in self.rep_counts:
-            overhead = 12 + len(str(cnt))
-            if room < overhead + 5:
+        for cnt, overhead in self.rep_opts:
+            if room < overhead + place_len:
                 continue
-            for body in self._bodies(room - overhead, len(defs), True):
-                ins = ("R", cnt, body)
-                cost = self._tuple_len(ins)
-                if cost > room:
-                    continue
+            for body, length in self._bodies(room - overhead, len(defs), True):
+                ins = vm.Repeat(cnt, body)
                 r = self._exec(ins, mask, cur, defs, 1, placed)
                 if r is None:
                     continue
@@ -828,31 +743,25 @@ class _Enumerator:
                     continue
                 if target is not None and (m2 & ~target):
                     continue
-                attach(ins, cost, m2, c2, p2)
+                attach(ins, overhead + length, m2, c2, p2)
 
         # DEF (top level, canonical 1-char names)
-        if len(defs) < len(self._NAMES):
-            overhead = 10  # "DEF x {" header, braces, separators
-            if room >= overhead + 5:
-                for body in self._bodies(room - overhead, len(defs), False):
-                    cost = overhead + self._body_len(body)
-                    if cost > room:
-                        continue
-                    ins = ("D", len(defs), body)
-                    seq.append(ins)
-                    defs.append(body)
-                    call_counts.append(0)
-                    self._dfs(seq, used + sep + cost, mask, cur, placed,
+        if len(defs) < len(_NAMES):
+            name, overhead = self.def_opts[len(defs)]
+            if room >= overhead + place_len:
+                for body, length in self._bodies(room - overhead, len(defs), False):
+                    seq.append(vm.Def(name, body))
+                    defs[name] = body
+                    call_counts[name] = 0
+                    self._dfs(seq, used + sep + overhead + length, mask, cur, placed,
                               defs, call_counts)
-                    call_counts.pop()
-                    defs.pop()
+                    del call_counts[name]
+                    del defs[name]
                     seq.pop()
 
         # CALL
-        for d in range(len(defs)):
-            for sc in self.call_scales:
-                ins = ("C", d, sc)
-                cost = self._tuple_len(ins)
+        for name in defs:
+            for ins, cost in self.call_opts[name]:
                 if cost > room:
                     continue
                 r = self._exec(ins, mask, cur, defs, 1, placed)
@@ -902,8 +811,8 @@ def exhaustive_min(s: VoxelStructure, max_len: int,
     hit = enum.table.get(_mask_of(s))
     if hit is None:
         return None
-    length, text = hit
-    return ComplexityBound(program=vm.parse(text), length=length, method="exhaustive")
+    length, _, program = hit
+    return ComplexityBound(program=program, length=length, method="exhaustive")
 
 
 def exhaustive_table(dims: tuple[int, int, int], max_len: int,
@@ -914,8 +823,8 @@ def exhaustive_table(dims: tuple[int, int, int], max_len: int,
     enum = _Enumerator(dims, max_len, node_budget, None)
     enum.run()
     out = {}
-    for mask, (length, text) in enum.table.items():
+    for mask, (length, _, program) in enum.table.items():
         out[_cells_of(mask, dims)] = ComplexityBound(
-            program=vm.parse(text), length=length, method="exhaustive"
+            program=program, length=length, method="exhaustive"
         )
     return out

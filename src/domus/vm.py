@@ -22,7 +22,8 @@ Grammar (tokens are maximal runs of non-whitespace):
 
 DEF is allowed at top level only, and a CALL may only name a DEF that
 appears earlier in the program, so every program terminates. Blocks nest
-at most MAX_BLOCK_DEPTH deep.
+at most MAX_BLOCK_DEPTH deep, counting each CALL as its callee's body
+written out in its place (see block_depth).
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ __all__ = [
     "DepthExceeded",
     "parse",
     "serialize",
+    "body_length",
     "program_length",
+    "block_depth",
     "execute",
 ]
 
@@ -199,7 +202,8 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.depth = 0
-        self.defined: dict[str, tuple[Instruction, ...]] = {}
+        # each DEF name, to how deep blocks nest in its body (block_depth)
+        self.defined: dict[str, int] = {}
 
     def _err(self, message: str) -> ParseError:
         if self.pos < len(self.toks):
@@ -288,10 +292,10 @@ class _Parser:
             if name in self.defined:
                 raise ParseError(f"duplicate definition of {name!r}", tok.line, tok.col)
             body = self.parse_block(current_def=name)
-            self.defined[name] = body
+            self.defined[name] = _block_depth(body, self.defined)
             return Def(name, body)
         if head == "CALL":
-            self.take()
+            tok = self.take()
             name = self.take_ident("subroutine name")
             scale = 1
             if self.peek() is not None and _INT_RE.match(self.peek()):
@@ -302,6 +306,9 @@ class _Parser:
                 raise RecursiveCall(f"{name!r} calls itself")
             if name not in self.defined:
                 raise UnknownName(f"CALL {name!r} before its DEF")
+            if self.depth + self.defined[name] > MAX_BLOCK_DEPTH:
+                raise ParseError(f"blocks nested deeper than {MAX_BLOCK_DEPTH} "
+                                 f"through CALL {name}", tok.line, tok.col)
             return Call(name, scale)
         raise self._err("expected an instruction")
 
@@ -348,9 +355,63 @@ def serialize(program: Program) -> str:
     return "\n".join(lines)
 
 
+def body_length(instructions: tuple[Instruction, ...]) -> int:
+    """Byte length of the canonical text of an instruction sequence, as
+    serialize writes it (the grammar is ASCII), reckoned without
+    building the text."""
+    n = len(instructions) - 1 if instructions else 0  # LF separators
+    for ins in instructions:
+        kind = type(ins)
+        if kind is Place:
+            n += 5
+        elif kind is Move:
+            n += 6 + len(ins.axis) + len(str(ins.n))
+        elif kind is Fill:
+            n += 7 + len(str(ins.dx)) + len(str(ins.dy)) + len(str(ins.dz))
+        elif kind is Call:
+            n += 5 + len(ins.name)
+            if ins.scale != 1:
+                n += 1 + len(str(ins.scale))
+        elif kind is Repeat or kind is Def:
+            # "REPEAT n {" or "DEF name {", LF, the body and its LF, "}"
+            head = 9 + len(str(ins.count)) if kind is Repeat else 6 + len(ins.name)
+            n += head + 2 + (body_length(ins.body) + 1 if ins.body else 0)
+        else:
+            raise TypeError(f"not an instruction: {ins!r}")
+    return n
+
+
 def program_length(program: Program) -> int:
-    """Byte length of the canonical serialization (the grammar is ASCII)."""
-    return len(serialize(program))
+    """Byte length of the canonical serialization."""
+    return body_length(program.instructions)
+
+
+def block_depth(instructions: tuple[Instruction, ...]) -> int:
+    """How deep blocks nest when each CALL is read as its callee's body
+    written out in its place: a REPEAT or DEF block is one level, and a
+    CALL adds the depth of its callee's body. parse rejects a program
+    deeper than MAX_BLOCK_DEPTH, which bounds how deep execution
+    recurses."""
+    return _block_depth(instructions, {})
+
+
+def _block_depth(body: tuple[Instruction, ...], inner: dict[str, int]) -> int:
+    # inner maps each DEF name met so far to the depth of its body
+    depth = 0
+    for ins in body:
+        kind = type(ins)
+        if kind is Repeat:
+            d = 1 + _block_depth(ins.body, inner)
+        elif kind is Def:
+            inner[ins.name] = _block_depth(ins.body, inner)
+            d = 1 + inner[ins.name]
+        elif kind is Call:
+            d = inner.get(ins.name, 0)
+        else:
+            continue
+        if d > depth:
+            depth = d
+    return depth
 
 
 JitterFn = Callable[[], Optional[tuple[int, int, int]]]

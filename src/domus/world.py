@@ -11,6 +11,7 @@ program byte counts.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -298,8 +299,8 @@ class ConstraintSet:
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
         for c in self.constraints:
-            if c.weight < 0:
-                raise ValueError(f"constraint weight must be >= 0: {c}")
+            if not 0.0 <= c.weight < math.inf:
+                raise ValueError(f"constraint weight must be finite and >= 0: {c}")
 
 
 @dataclass(frozen=True)
@@ -334,7 +335,8 @@ def eval_constraints(s: VoxelStructure, cs: ConstraintSet) -> ConstraintPenaltie
 def load_constraints(text: str) -> ConstraintSet:
     """Parse the JSON constraint list.
 
-    Format: array of {"kind": ..., "params": {...}, "weight": w}. Kinds:
+    Format: array of {"kind": ..., "params": {...}, "weight": w}, w
+    finite and >= 0 (default 1). Kinds:
     Stability (optional param max_overhang), EnclosedVolumeAtLeast
     (param v_min), MaterialAtMost (param m_max), WithinBox (param box =
     [x0, y0, z0, x1, y1, z1], inclusive).
@@ -350,7 +352,12 @@ def load_constraints(text: str) -> ConstraintSet:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise FormatError(f"constraint #{i} lacks a 'kind'")
         kind = entry["kind"]
-        weight = float(entry.get("weight", 1.0))
+        try:
+            weight = float(entry.get("weight", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"constraint #{i}: bad weight {entry['weight']!r}") from exc
+        if not 0.0 <= weight < math.inf:
+            raise FormatError(f"constraint #{i}: weight must be finite and >= 0, got {weight}")
         params = entry.get("params", {})
         try:
             if kind == "Stability":

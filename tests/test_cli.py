@@ -196,3 +196,74 @@ def test_non_utf8_program_is_an_error(tmp_path, capsys):
     code, _, err = run(capsys, "build", bad, "--dims", 2, 2, 2)
     assert code == 3
     assert err.startswith("domus: error:") and "UTF-8" in err
+
+
+def _call_chain(defs: int, repeats: int) -> str:
+    """Each DEF wraps the previous one's CALL (or a PLACE) in `repeats`
+    nested REPEATs; the program calls the last."""
+    lines = []
+    inner = "PLACE"
+    for i in range(defs):
+        lines.append(f"DEF d{i} {{ " + "REPEAT 2 { " * repeats + inner + " }" * repeats + " }")
+        inner = f"CALL d{i}"
+    return "\n".join(lines + [inner]) + "\n"
+
+
+def test_call_chain_nested_too_deep_is_an_error(tmp_path, capsys):
+    chain = tmp_path / "chain.cvm"
+    chain.write_text(_call_chain(8, 99))
+    code, _, err = run(capsys, "build", chain, "--dims", 2, 2, 2)
+    assert code == 3
+    assert err.startswith("domus: error:") and "nested deeper" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [
+    ["--iters", "0"],
+    ["--islands", "0"],
+    ["--workers", "0"],
+    ["--temperature", "0"],
+    ["--temperature", "-1"],
+    ["--temperature", "inf"],
+    ["--temperature", "nan"],
+    ["--cooling", "0"],
+    ["--cooling", "1"],
+    ["--cooling", "1.5"],
+    ["--cooling", "nan"],
+])
+def test_optimize_bad_arguments_are_usage_errors(tmp_path, capsys, bad):
+    out_dir = tmp_path / "design"
+    code, out, err = run(capsys, "optimize", "--dict", CORPUS / "brick.pat",
+                         "--constraints", CORPUS / "constraints.json",
+                         "--dims", 4, 4, 4, "--out-dir", out_dir, *bad)
+    assert code == 2
+    assert out == "" and not out_dir.exists()
+    assert f"argument {bad[0]}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["build", CORPUS / "row3.cvm"],
+    ["render", CORPUS / "row3.cvm"],
+    ["complexity", CORPUS / "row3.cvm"],
+    ["beauty", CORPUS / "row3.cvm", "--dict", CORPUS / "brick.pat"],
+    ["natural", CORPUS / "row3.cvm"],
+    ["optimize", "--dict", CORPUS / "brick.pat", "--constraints", CORPUS / "constraints.json"],
+    ["attack", CORPUS / "row3.cvm"],
+], ids=lambda c: c[0])
+def test_zero_dims_are_usage_errors(capsys, command):
+    code, out, err = run(capsys, *command, "--dims", 0, 1, 1)
+    assert code == 2 and out == ""
+    assert "argument --dims" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("weight", ["-1.0", "NaN"])
+def test_bad_constraint_weight_is_an_error(tmp_path, capsys, weight):
+    cons = tmp_path / "weights.json"
+    cons.write_text(f'[{{"kind": "Stability", "weight": {weight}}}]')
+    out_dir = tmp_path / "design"
+    code, out, err = run(capsys, "optimize", "--dict", CORPUS / "brick.pat",
+                         "--constraints", cons, "--dims", 4, 4, 4, "--iters", 5,
+                         "--out-dir", out_dir)
+    assert code == 3 and out == ""
+    assert err.startswith("domus: error:") and "weight" in err
+    assert not out_dir.exists()

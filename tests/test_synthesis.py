@@ -115,22 +115,6 @@ def test_cell_limit():
         synthesize_min(s, cell_limit=2)
 
 
-def test_internal_length_helper_matches_serialization():
-    programs = [
-        "PLACE",
-        "",
-        "MOVE X -12\nFILL 10 1 3",
-        "REPEAT 3 {\nPLACE\nMOVE X 1\n}",
-        "REPEAT 2 {\n}",
-        "DEF a {\n}",
-        "DEF ab {\nPLACE\n}\nCALL ab 2\nCALL ab",
-        "DEF a {\nREPEAT 12 {\nMOVE Z -2\nPLACE\n}\n}\nCALL a\nCALL a",
-    ]
-    for text in programs:
-        p = vm.parse(text)
-        assert synthesis._seq_len(p.instructions) == vm.program_length(p), text
-
-
 def test_subadditivity_with_join_overhead():
     rng = random.Random(31)
     for _ in range(15):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from domus import vm
@@ -166,6 +166,38 @@ def test_roundtrip_parse_serialize(program):
     text = vm.serialize(program)
     assert vm.parse(text) == program
     assert vm.serialize(vm.parse(text)) == text
+
+
+@given(_programs())
+@settings(max_examples=200, deadline=None)
+@example(vm.parse("PLACE"))
+@example(vm.parse(""))
+@example(vm.parse("MOVE X -12\nFILL 10 1 3"))
+@example(vm.parse("REPEAT 3 {\nPLACE\nMOVE X 1\n}"))
+@example(vm.parse("REPEAT 2 {\n}"))
+@example(vm.parse("DEF a {\n}"))
+@example(vm.parse("DEF ab {\nPLACE\n}\nCALL ab 2\nCALL ab"))
+@example(vm.parse("DEF a {\nREPEAT 12 {\nMOVE Z -2\nPLACE\n}\n}\nCALL a\nCALL a"))
+def test_program_length_matches_serialization(program):
+    assert vm.program_length(program) == len(vm.serialize(program))
+
+
+def test_parse_counts_nesting_through_calls():
+    depth = vm.MAX_BLOCK_DEPTH
+    inner = "DEF a { " + "REPEAT 2 { " * (depth - 1) + "PLACE" + " }" * (depth - 1) + " } "
+    assert vm.block_depth(vm.parse(inner + "CALL a").instructions) == depth
+    vm.parse(inner + "DEF b { CALL a } CALL b")
+    with pytest.raises(vm.ParseError, match="nested deeper .* through CALL a"):
+        vm.parse(inner + "DEF b { REPEAT 2 { CALL a } }")
+    with pytest.raises(vm.ParseError, match="through CALL a"):
+        vm.parse(inner + "REPEAT 2 { REPEAT 2 { CALL a } }")
+
+
+def test_block_depth_reads_calls_as_their_bodies():
+    assert vm.block_depth(()) == 0
+    assert vm.block_depth(vm.parse("PLACE MOVE X 1").instructions) == 0
+    p = vm.parse("DEF a { REPEAT 2 { PLACE } } DEF b { REPEAT 3 { CALL a } } CALL b")
+    assert vm.block_depth(p.instructions) == 3
 
 
 # --- execution ---

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -175,6 +176,13 @@ def test_negative_weight_rejected():
         ConstraintSet((Stability(weight=-1.0),))
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_non_finite_weight_rejected(weight):
+    # an infinite weight times a zero violation would price a design at NaN
+    with pytest.raises(ValueError):
+        ConstraintSet((Stability(weight=weight),))
+
+
 def test_constraint_json_loader():
     text = """
     [
@@ -199,6 +207,10 @@ def test_constraint_json_loader():
     '[{"weight": 1}]',
     '[{"kind": "Nope", "weight": 1}]',
     '[{"kind": "MaterialAtMost", "params": {}, "weight": 1}]',
+    '[{"kind": "Stability", "weight": -1.0}]',
+    '[{"kind": "Stability", "weight": NaN}]',
+    '[{"kind": "Stability", "weight": Infinity}]',
+    '[{"kind": "Stability", "weight": "heavy"}]',
 ])
 def test_constraint_json_errors(text):
     with pytest.raises(world.FormatError):
