@@ -161,15 +161,18 @@ def _cmd_optimize(args) -> int:
         islands=args.islands,
     )
     limits = _limits()
-    best, trace = designer.optimize(dictionary, cs, params, workers=args.workers,
-                                    limits=limits)
+    try:
+        best, trace = designer.optimize(dictionary, cs, params, workers=args.workers,
+                                        limits=limits)
+    except ValueError as exc:  # raised before the search: a cap below the prelude
+        args.parser.error(f"argument --max-bytes: {exc}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "best.cvm").write_text(vm.serialize(best) + "\n", encoding="utf-8")
     built = vm.execute(best, tuple(args.dims), limits)
     (out_dir / "best.vox.txt").write_text(render(built) + "\n", encoding="utf-8")
     (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="utf-8")
-    final = designer.objective(best, dictionary, cs, tuple(args.dims), limits)
+    final = trace.records[-1].best_so_far
     payload = {
         "objective": final,
         "iterations": args.iters,
@@ -292,9 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cooling", type=_open_fraction, default=0.999)
     sp.add_argument("--max-bytes", type=int, default=4096)
     sp.add_argument("--islands", type=_positive_int, default=1)
-    sp.add_argument("--workers", type=_positive_int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1,
+                    help="accepted for compatibility; islands run one after "
+                         "another, so it changes nothing")
     sp.add_argument("--out-dir", default="design_out")
-    sp.set_defaults(fn=_cmd_optimize)
+    sp.set_defaults(fn=_cmd_optimize, parser=sp)
 
     sp = sub.add_parser("attack", parents=[common], help="fleet attack transfer")
     sp.add_argument("file", help="program (.cvm)")
@@ -312,10 +317,9 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
         return args.fn(args)
+    except SystemExit as exc:  # argparse's usage errors, also those found after parsing
+        return int(exc.code) if exc.code else 0
     except DomusError as exc:
         print(f"domus: error: {exc}", file=sys.stderr)
         return 3

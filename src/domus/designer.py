@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import synthesis, vm
 from .aesthetics import Pattern, PatternDictionary, cover
@@ -33,23 +32,16 @@ __all__ = [
     "stamp_prelude",
 ]
 
-_MOVE_KINDS = (
-    "insert",
-    "delete",
-    "perturb",
-    "wrap_repeat",
-    "extract_def",
-    "insert_stamp",
+# Edit kinds and their draw weights. The order is part of the search:
+# rng.choices draws against it.
+_MOVE_KINDS, _MOVE_WEIGHTS = zip(
+    ("insert", 3.0),
+    ("delete", 2.0),
+    ("perturb", 3.0),
+    ("wrap_repeat", 1.0),
+    ("extract_def", 0.5),
+    ("insert_stamp", 3.0),
 )
-
-DEFAULT_MOVE_WEIGHTS = {
-    "insert": 3.0,
-    "delete": 2.0,
-    "perturb": 3.0,
-    "wrap_repeat": 1.0,
-    "extract_def": 0.5,
-    "insert_stamp": 3.0,
-}
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,6 @@ class SearchParams:
     cooling: float = 0.999
     dims: tuple[int, int, int] = (16, 16, 16)
     max_program_bytes: int = 4096
-    move_weights: dict = field(default_factory=lambda: dict(DEFAULT_MOVE_WEIGHTS))
     islands: int = 1
 
     def __post_init__(self):
@@ -156,16 +147,12 @@ class _Editor:
     """Random structure-preserving edits of the instruction list after
     the stamp prelude."""
 
-    def __init__(self, rng: random.Random, params: SearchParams,
+    def __init__(self, rng: random.Random, dims: tuple[int, int, int],
                  stamp_names: list[str]):
         self.rng = rng
-        self.params = params
+        self.dims = dims
         self.stamp_names = stamp_names
-        nx, ny, nz = params.dims
-        self.max_move = max(nx, ny, nz) - 1 if max(nx, ny, nz) > 1 else 1
-        weights = params.move_weights
-        self.kinds = [k for k in _MOVE_KINDS if weights.get(k, 0) > 0]
-        self.weights = [weights[k] for k in self.kinds]
+        self.max_move = max(max(dims) - 1, 1)
 
     def random_instruction(self) -> vm.Instruction:
         rng = self.rng
@@ -177,13 +164,13 @@ class _Editor:
             n = rng.randint(1, min(4, self.max_move)) * rng.choice((1, -1))
             return vm.Move(axis, n)
         if roll == 2:
-            nx, ny, nz = self.params.dims
+            nx, ny, nz = self.dims
             return vm.Fill(rng.randint(1, min(4, nx)), rng.randint(1, min(4, ny)),
                            rng.randint(1, min(4, nz)))
         return vm.Call(rng.choice(self.stamp_names))
 
     def propose(self, tail: list[vm.Instruction]) -> list[vm.Instruction] | None:
-        kind = self.rng.choices(self.kinds, weights=self.weights, k=1)[0]
+        kind = self.rng.choices(_MOVE_KINDS, weights=_MOVE_WEIGHTS, k=1)[0]
         fn = getattr(self, "_" + kind)
         return fn(list(tail))
 
@@ -253,12 +240,10 @@ class _Editor:
 
 
 def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
-            params: SearchParams, seed: int,
+            params: SearchParams, seed: int, prelude: tuple[vm.Def, ...],
             limits: vm.ExecutionLimits | None) -> tuple[vm.Program, SearchTrace]:
     rng = random.Random(seed)
-    prelude = stamp_prelude(dictionary)
-    stamp_names = [d.name for d in prelude]
-    editor = _Editor(rng, params, stamp_names)
+    editor = _Editor(rng, params.dims, [d.name for d in prelude])
 
     def assemble(tail: list[vm.Instruction]) -> vm.Program:
         return vm.Program(prelude + tuple(tail))
@@ -304,30 +289,25 @@ def optimize(dictionary: PatternDictionary, cs: ConstraintSet,
              ) -> tuple[vm.Program, SearchTrace]:
     """Minimize the objective by simulated annealing.
 
-    Single island: deterministic given the seed. Multiple islands run
-    independent annealers seeded per island and keep the best final
-    objective (ties to the lowest island index); the outcome depends on
-    the island count but never on the worker count. Every candidate is
-    executed under the limits, so the result builds within them.
+    Deterministic given the seed and the island count. The islands are
+    independent annealers, seeded per island and run one after another;
+    the best final objective wins, ties to the lowest island index.
+    `workers` is accepted for compatibility and changes nothing. Every
+    candidate is executed under the limits, so the result builds within
+    them. Raises ValueError when `max_program_bytes` is below the stamp
+    prelude's own length, since no design could then meet the cap.
     """
-    if params.islands == 1:
-        return _anneal(dictionary, cs, params, params.seed, limits)
-
-    seeds = [_island_seed(params.seed, i) for i in range(params.islands)]
-    if workers <= 1:
-        results = [_anneal(dictionary, cs, params, s, limits) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_anneal, dictionary, cs, params, s, limits)
-                       for s in seeds]
-            results = [f.result() for f in futures]
-
-    scored = [
-        (objective(prog, dictionary, cs, params.dims, limits), i)
-        for i, (prog, _) in enumerate(results)
-    ]
-    _, winner = min(scored)
-    return results[winner]
+    prelude = stamp_prelude(dictionary)
+    floor = vm.program_length(vm.Program(prelude))
+    if params.max_program_bytes < floor:
+        raise ValueError(f"max_program_bytes {params.max_program_bytes} is below "
+                         f"the {floor}-byte stamp prelude")
+    runs = [_anneal(dictionary, cs, params, _island_seed(params.seed, i), prelude, limits)
+            for i in range(params.islands)]
+    # an island's final best-so-far is the objective of the program it returns
+    winner = min(range(params.islands),
+                 key=lambda i: (runs[i][1].records[-1].best_so_far, i))
+    return runs[winner]
 
 
 def _island_seed(seed: int, index: int) -> int:

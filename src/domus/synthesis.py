@@ -26,6 +26,7 @@ from .world import Cell, VoxelStructure
 __all__ = [
     "ComplexityBound",
     "EnumerationBudgetExceeded",
+    "WitnessMismatch",
     "literal_program",
     "synthesize_min",
     "exhaustive_min",
@@ -38,6 +39,10 @@ DEFAULT_CELL_LIMIT = 1_000_000
 
 class EnumerationBudgetExceeded(DomusError):
     """Exhaustive search exceeded its node budget."""
+
+
+class WitnessMismatch(DomusError):
+    """A synthesized witness does not rebuild the structure it bounds."""
 
 
 @dataclass(frozen=True)
@@ -473,7 +478,7 @@ def synthesize_min(s: VoxelStructure,
 
     rebuilt = vm.execute(best, s.dims)
     if rebuilt != s:
-        raise RuntimeError("synthesis produced a witness that does not rebuild its input")
+        raise WitnessMismatch("synthesis produced a witness that does not rebuild its input")
     return ComplexityBound(program=best, length=best_len, method=method)
 
 

@@ -107,6 +107,8 @@ class VoxelStructure:
             nx, ny, nz = (int(t) for t in lines[0].split()[1:])
         except (TypeError, ValueError) as exc:
             raise FormatError(f"bad DIMS line: {lines[0]!r}") from exc
+        if min(nx, ny, nz) < 1:
+            raise FormatError(f"DIMS must be positive: {lines[0]!r}")
         cells = set()
         pos = 1
         for z in range(nz):
@@ -359,6 +361,8 @@ def load_constraints(text: str) -> ConstraintSet:
         if not 0.0 <= weight < math.inf:
             raise FormatError(f"constraint #{i}: weight must be finite and >= 0, got {weight}")
         params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise FormatError(f"constraint #{i}: params must be a JSON object, got {params!r}")
         try:
             if kind == "Stability":
                 out.append(Stability(weight=weight, max_overhang=int(params.get("max_overhang", 2))))
@@ -372,6 +376,6 @@ def load_constraints(text: str) -> ConstraintSet:
                 out.append(WithinBox(lo=(x0, y0, z0), hi=(x1, y1, z1), weight=weight))
             else:
                 raise FormatError(f"constraint #{i}: unknown kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"constraint #{i}: bad params for {kind}: {params!r}") from exc
     return ConstraintSet(tuple(out))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from domus import cli, vm
+from domus import cli, synthesis, vm
 from domus.world import VoxelStructure
 
 from conftest import CORPUS
@@ -230,6 +230,8 @@ def test_call_chain_nested_too_deep_is_an_error(tmp_path, capsys):
     ["--cooling", "1"],
     ["--cooling", "1.5"],
     ["--cooling", "nan"],
+    ["--max-bytes", "-5"],
+    ["--max-bytes", "23"],  # brick.pat's stamp prelude alone is 24 bytes
 ])
 def test_optimize_bad_arguments_are_usage_errors(tmp_path, capsys, bad):
     out_dir = tmp_path / "design"
@@ -267,3 +269,28 @@ def test_bad_constraint_weight_is_an_error(tmp_path, capsys, weight):
     assert code == 3 and out == ""
     assert err.startswith("domus: error:") and "weight" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("params.json", '[{"kind": "Stability", "params": null}]'),
+    ("overflow.json", '[{"kind": "MaterialAtMost", "params": {"m_max": 1e400}}]'),
+    ("dims.vox.txt", "DIMS 2 1 -1\n"),
+], ids=["params-null", "int-overflow", "negative-dims"])
+def test_hostile_inputs_are_format_errors(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    if name.endswith(".json"):
+        argv = ["optimize", "--dict", CORPUS / "brick.pat", "--constraints", path,
+                "--dims", 4, 4, 4, "--iters", 5, "--out-dir", tmp_path / "design"]
+    else:
+        argv = ["render", path]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("domus: error:") and "Traceback" not in err
+
+
+def test_witness_mismatch_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(synthesis, "_extract_defs", lambda program: vm.Program(()))
+    code, out, err = run(capsys, "complexity", CORPUS / "row3.cvm", "--dims", 4, 1, 1)
+    assert code == 3 and out == ""
+    assert err.startswith("domus: error:") and "does not rebuild" in err

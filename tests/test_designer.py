@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -106,6 +107,52 @@ def test_islands_independent_of_worker_count():
     b_prog, b_trace = optimize(DICT1, cs, p, workers=3)
     assert vm.serialize(a_prog) == vm.serialize(b_prog)
     assert a_trace == b_trace
+
+
+# sha256 of serialize(best) + trace.to_csv(); they move whenever the
+# editor's RNG stream or the island seeding changes
+GOLDEN_SEARCHES = [
+    (dict(), 1, "04904592ac9ad8e1871648d495261296a7a94bac8cc9c7e22c9f8123a81f671b"),
+    (dict(iterations=120, islands=3), 1,
+     "a245f5a8c981d8e59d692ebe72b0970e41dd2a240893538c8f80658203c93354"),
+    (dict(iterations=120, islands=3), 2,
+     "a245f5a8c981d8e59d692ebe72b0970e41dd2a240893538c8f80658203c93354"),
+]
+
+
+@pytest.mark.parametrize("kw, workers, digest", GOLDEN_SEARCHES,
+                         ids=["single", "islands3-w1", "islands3-w2"])
+def test_search_is_pinned(kw, workers, digest):
+    cs = ConstraintSet((Stability(weight=10.0), MaterialAtMost(2, weight=2.0)))
+    best, trace = optimize(DICT1, cs, _params(**kw), workers=workers)
+    got = hashlib.sha256((vm.serialize(best) + trace.to_csv()).encode()).hexdigest()
+    assert got == digest
+
+
+def test_islands_pick_the_lowest_final_best_then_the_lowest_index(monkeypatch):
+    finals = {}
+
+    def fake_anneal(dictionary, cs, params, seed, prelude, limits):
+        record = designer.TraceRecord(0, finals[seed], True, finals[seed])
+        return vm.Program((vm.Move("X", seed),)), designer.SearchTrace((record,))
+
+    monkeypatch.setattr(designer, "_anneal", fake_anneal)
+    seeds = [designer._island_seed(7, i) for i in range(4)]
+    cs = ConstraintSet(())
+    for values, winner in (([5.0, 3.0, 4.0, 3.0], 1), ([math.inf] * 4, 0),
+                           ([math.inf, 9.0, 2.0, 2.0], 2)):
+        finals = dict(zip(seeds, values))
+        best, _ = optimize(DICT1, cs, _params(islands=4))
+        assert best.instructions == (vm.Move("X", seeds[winner]),)
+
+
+def test_cap_below_stamp_prelude_is_refused():
+    prelude_bytes = vm.program_length(vm.Program(stamp_prelude(DICT1)))
+    cs = ConstraintSet((Stability(weight=1.0),))
+    with pytest.raises(ValueError):
+        optimize(DICT1, cs, _params(iterations=5, max_program_bytes=prelude_bytes - 1))
+    best, _ = optimize(DICT1, cs, _params(iterations=5, max_program_bytes=prelude_bytes))
+    assert vm.program_length(best) <= prelude_bytes
 
 
 def test_trace_csv_format():

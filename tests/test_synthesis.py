@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from domus import synthesis, vm
+from domus import DomusError, synthesis, vm
 from domus.synthesis import (
     exhaustive_min,
     exhaustive_table,
@@ -113,6 +113,16 @@ def test_cell_limit():
     s = S((4, 1, 1), {(0, 0, 0), (1, 0, 0), (2, 0, 0)})
     with pytest.raises(vm.BudgetExceeded):
         synthesize_min(s, cell_limit=2)
+
+
+def test_witness_that_misses_its_input_is_a_domain_error(monkeypatch):
+    # a pass that returns a shorter but wrong program wins the length race,
+    # and the re-execution must catch it
+    monkeypatch.setattr(synthesis, "_extract_defs", lambda program: vm.Program(()))
+    s = S((4, 1, 1), {(0, 0, 0), (1, 0, 0), (2, 0, 0)})
+    with pytest.raises(synthesis.WitnessMismatch) as info:
+        synthesize_min(s)
+    assert isinstance(info.value, DomusError)
 
 
 def test_subadditivity_with_join_overhead():

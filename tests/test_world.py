@@ -57,6 +57,10 @@ def test_layer_text_bad_input():
         VoxelStructure.from_layer_text("bogus")
     with pytest.raises(world.FormatError):
         VoxelStructure.from_layer_text("DIMS 2 1 1\nLAYER 0\n#")  # short row
+    # non-positive DIMS, each otherwise well formed for its layer count
+    for text in ("DIMS 2 1 -1", "DIMS 0 1 1\nLAYER 0\n\n", "DIMS 1 0 1\nLAYER 0"):
+        with pytest.raises(world.FormatError):
+            VoxelStructure.from_layer_text(text)
 
 
 # --- stability ---
@@ -211,6 +215,10 @@ def test_constraint_json_loader():
     '[{"kind": "Stability", "weight": NaN}]',
     '[{"kind": "Stability", "weight": Infinity}]',
     '[{"kind": "Stability", "weight": "heavy"}]',
+    '[{"kind": "Stability", "params": null}]',
+    '[{"kind": "Stability", "params": [2]}]',
+    '[{"kind": "MaterialAtMost", "params": {"m_max": 1e400}}]',
+    '[{"kind": "Stability", "params": {"max_overhang": -1e400}}]',
 ])
 def test_constraint_json_errors(text):
     with pytest.raises(world.FormatError):
