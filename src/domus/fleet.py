@@ -19,7 +19,7 @@ import numpy as np
 from . import vm
 from .errors import DomusError
 from .world import (Cell, VoxelStructure, _dense_grid, _unsupported_mask,
-                    check_stability, unsupported_cells)
+                    check_stability)
 
 __all__ = [
     "RobotBuilder",
@@ -116,13 +116,21 @@ def collapse_fraction(s: VoxelStructure, removed: frozenset[Cell],
                       max_overhang: int = 2) -> float:
     """Fraction of surviving cells that newly lose support when the
     given cells are removed. Cells already unsupported before the
-    attack do not count; removing everything collapses nothing."""
-    before = frozenset(check_stability(s, max_overhang).unstable_cells)
-    remaining = s.occupied - removed
-    if not remaining:
+    attack do not count; removing everything collapses nothing.
+
+    Removing cells only takes support away, so the cells that newly
+    lose it number the change in the unsupported count, which
+    _AttackGrid counts in the removed cells' windows, plus the removed
+    cells that were unsupported already.
+    """
+    gone = tuple(removed & s.occupied)
+    remaining = len(s.occupied) - len(gone)
+    if not gone or not remaining:
         return 0.0
-    newly = set(unsupported_cells(remaining, max_overhang)) - before
-    return len(newly) / len(remaining)
+    grid = _AttackGrid(s.occupied, max_overhang)
+    ox, oy, _ = grid.lo
+    was = sum(bool(grid.unsupported[x - ox, y - oy, z]) for x, y, z in gone)
+    return (grid.delta(gone) + was) / remaining
 
 
 class _AttackGrid:
@@ -137,7 +145,7 @@ class _AttackGrid:
     The grid is padded by 2m in x and y, so no slice needs clipping.
     """
 
-    def __init__(self, cells: list[Cell], max_overhang: int):
+    def __init__(self, cells, max_overhang: int):
         self.m = max_overhang
         self.occ, self.lo = _dense_grid(cells, pad=2 * max_overhang)
         self.unsupported = _unsupported_mask(self.occ, max_overhang)

@@ -122,52 +122,44 @@ def _cuboid_program(s: VoxelStructure) -> vm.Program:
     return vm.Program(tuple(out))
 
 
-# --- shared rolling-hash scan over instruction sequences ---
-
-_MASK64 = (1 << 64) - 1
-_HASH_BASE = 0x9E3779B97F4A7C15 | 1
+# --- exact classes of equal instruction blocks ---
 
 
-class _SeqHasher:
-    """Interns instructions and exposes O(1) block hashes per sequence."""
-
-    def __init__(self):
-        self._intern: dict[vm.Instruction, int] = {}
-        self._next_sentinel = 1 << 40
-
-    def ids_for(self, seq, unique_mask=None) -> list[int]:
-        out = []
-        for k, ins in enumerate(seq):
-            if unique_mask is not None and unique_mask(ins):
-                out.append(self.sentinel())
-                continue
-            v = self._intern.get(ins)
-            if v is None:
-                v = ((len(self._intern) + 1) * 0x2545F4914F6CDD1D) & _MASK64
-                self._intern[ins] = v
-            out.append(v)
-        return out
-
-    def sentinel(self) -> int:
-        self._next_sentinel += 0x10001
-        return (self._next_sentinel * 0xD1342543DE82EF95) & _MASK64
+def _instruction_ids(seqs) -> list[int]:
+    """Small-int ids of the instructions of seqs laid end to end, with
+    one separator between sequences. Equal instructions share the
+    position of the first one; each DEF and each separator keeps its own
+    position, so no repeated block holds one."""
+    first: dict[vm.Instruction, int] = {}
+    ids: list[int] = []
+    for k, seq in enumerate(seqs):
+        if k:
+            ids.append(len(ids))
+        for ins in seq:
+            p = len(ids)
+            ids.append(p if isinstance(ins, vm.Def) else first.setdefault(ins, p))
+    return ids
 
 
-def _prefix_hashes(ids: list[int]) -> tuple[np.ndarray, list[int]]:
-    h = 0
-    acc = [0]
-    for v in ids:
-        h = (h * _HASH_BASE + v) & _MASK64
-        acc.append(h)
-    pw = [1]
-    for _ in ids:
-        pw.append((pw[-1] * _HASH_BASE) & _MASK64)
-    return np.array(acc, dtype=np.uint64), pw
+def _block_classes(ids: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (b, cls) for b = 1, 2, ..., where cls[p] == cls[q] exactly
+    when ids[p:p+b] == ids[q:q+b].
 
-
-def _block_hashes(h: np.ndarray, pw: list[int], b: int) -> np.ndarray:
-    # hash of ids[i:i+b] at index i, modulo 2**64 wraparound
-    return h[b:] - h[:-b] * np.uint64(pw[b] & _MASK64)
+    Length b+1 refines length b by renumbering the pairs
+    (cls[p], ids[p+b]), as Karp, Miller & Rosenberg (1972) name equal
+    blocks. The scan stops at the first b where no block repeats: a
+    repeated block of length b+1 has a repeated prefix of length b, so
+    no longer block repeats either.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    m = len(ids)
+    key = ids
+    for b in range(1, m + 1):
+        uniq, cls = np.unique(key, return_inverse=True)
+        if len(uniq) == len(key):
+            return
+        yield b, cls
+        key = cls[:-1] * m + ids[b:]
 
 
 # --- sequence tree access ---
@@ -198,39 +190,33 @@ def _rebuild_with(instrs: tuple, path: tuple, new_seq: tuple) -> tuple:
 # --- pass: loop folding ---
 
 
-def _best_fold(seq: tuple, hasher: _SeqHasher):
-    """Best (block_len, reps, start, savings) fold of this sequence, or None.
+def _best_fold(seq: tuple):
+    """Best (block_len, reps, start) fold of this sequence, or None.
 
     Prefers the longest repeated block, then the most repetitions, then
     the earliest start; only folds that strictly shrink the canonical
     text qualify.
     """
     n = len(seq)
-    if n < 2:
-        return None
-    ids = hasher.ids_for(seq)
-    h, pw = _prefix_hashes(ids)
     best = None  # key: (b, r, -i) maximized
-    for b in range(1, n // 2 + 1):
-        bh = _block_hashes(h, pw, b)
-        eq = bh[: n - 2 * b + 1] == bh[b: n - b + 1]
-        cand = np.nonzero(eq)[0]
+    for b, cls in _block_classes(_instruction_ids([seq])):
+        if 2 * b > n:
+            break
+        cand = np.nonzero(cls[: n - 2 * b + 1] == cls[b: n - b + 1])[0]
         if cand.size == 0:
             continue
+        cls = cls.tolist()
         dominated = bytearray(n)
-        for i in map(int, cand):
+        for i in cand.tolist():
             if dominated[i]:
                 continue
-            block = seq[i: i + b]
             r = 1
             j = i
-            while j + 2 * b <= n and seq[j + b: j + 2 * b] == block:
+            while j + 2 * b <= n and cls[j + b] == cls[i]:
                 r += 1
                 j += b
-                if j < n:
-                    dominated[j] = 1
-            if r < 2:
-                continue
+                dominated[j] = 1
+            block = seq[i: i + b]
             # r copies and their r - 1 separators, against one REPEAT
             lb = vm.body_length(block)
             savings = r * lb + r - 1 - vm.body_length((vm.Repeat(r, block),))
@@ -238,7 +224,7 @@ def _best_fold(seq: tuple, hasher: _SeqHasher):
                 continue
             key = (b, r, -i)
             if best is None or key > best[0]:
-                best = (key, (b, r, i, savings))
+                best = (key, (b, r, i))
     return best[1] if best else None
 
 
@@ -247,21 +233,15 @@ def _fold_loops(program: vm.Program) -> vm.Program:
     nodes, everywhere in the tree, while each fold strictly shrinks the
     canonical text."""
     instrs = program.instructions
-    hasher = _SeqHasher()
     while True:
-        chosen = None  # (key, path, fold)
+        chosen = None  # (key, path, seq, fold)
         for path, seq in _walk_sequences(instrs):
-            fold = _best_fold(seq, hasher)
-            if fold is None:
-                continue
-            b, r, i, savings = fold
-            key = (b, r)
-            if chosen is None or key > chosen[0]:
-                chosen = (key, path, fold)
+            fold = _best_fold(seq)
+            if fold is not None and (chosen is None or fold[:2] > chosen[0]):
+                chosen = (fold[:2], path, seq, fold)
         if chosen is None:
             return vm.Program(instrs)
-        _, path, (b, r, i, _) = chosen
-        seq = dict(_walk_sequences(instrs))[path]
+        _, path, seq, (b, r, i) = chosen
         folded = seq[:i] + (vm.Repeat(r, seq[i: i + b]),) + seq[i + b * r:]
         instrs = _rebuild_with(instrs, path, folded)
 
@@ -309,65 +289,38 @@ def _repl_instructions(name: str, disp: tuple[int, int, int]) -> tuple:
     return tuple(out)
 
 
-def _best_extraction(instrs: tuple, hasher: _SeqHasher, name: str):
+def _best_extraction(instrs: tuple, name: str):
     """Best repeated block to hoist into a DEF, or None.
 
-    Returns (block, occurrences, savings) where occurrences is a list of
+    Returns (block, occurrences) where occurrences is a list of
     (path, start) chosen non-overlapping. A CALL plus compensating MOVE
     instructions replaces each occurrence, so blocks with nonzero net
     cursor displacement stay eligible.
     """
     seqs = list(_walk_sequences(instrs))
-    ids: list[int] = []
-    where: list[tuple[tuple, int] | None] = []
     seq_by_path = dict(seqs)
+    where: list[tuple[tuple, int] | None] = []  # None marks a separator
     for path, seq in seqs:
-        if ids:
-            ids.append(hasher.sentinel())
+        if where:
             where.append(None)
-        ids.extend(hasher.ids_for(seq, unique_mask=lambda ins: isinstance(ins, vm.Def)))
         where.extend((path, k) for k in range(len(seq)))
-    m = len(ids)
-    if m < 2:
-        return None
-    h, pw = _prefix_hashes(ids)
-    max_b = max((len(seq) for _, seq in seqs), default=0)
     best = None  # minimized key: (-savings, first_pos, b)
-    for b in range(1, max_b + 1):
-        if 2 * b > m:
-            break
-        bh = _block_hashes(h, pw, b)
-        uniq, inv, counts = np.unique(bh, return_inverse=True, return_counts=True)
-        if not (counts >= 2).any():
-            continue
-        repeated = counts[inv] >= 2
-        pos = np.nonzero(repeated)[0]
-        order = np.argsort(inv[pos], kind="stable")
-        pos = pos[order]
+    for b, cls in _block_classes(_instruction_ids([seq for _, seq in seqs])):
+        counts = np.bincount(cls)
+        pos = np.nonzero(counts[cls] >= 2)[0]
         groups: dict[int, list[int]] = {}
-        for p in map(int, pos):
-            groups.setdefault(int(inv[p]), []).append(p)
+        for p, c in zip(pos.tolist(), cls[pos].tolist()):
+            groups.setdefault(c, []).append(p)
         for plist in groups.values():
-            plist.sort()
             first = plist[0]
-            loc = where[first]
-            if loc is None:
-                continue
-            block = seq_by_path[loc[0]][loc[1]: loc[1] + b]
-            if len(block) != b or any(isinstance(x, vm.Def) for x in block):
-                continue
+            path, k = where[first]
+            block = seq_by_path[path][k: k + b]
             occ: list[tuple[tuple, int]] = []
             last_end = -1
             for p in plist:
-                w = where[p]
-                if w is None or p < last_end:
-                    continue
-                path2, k2 = w
-                cand = seq_by_path[path2][k2: k2 + b]
-                if cand != block:
-                    continue
-                occ.append((path2, k2))
-                last_end = p + b
+                if p >= last_end:
+                    occ.append(where[p])
+                    last_end = p + b
             if len(occ) < 2:
                 continue
             lb = vm.body_length(block)
@@ -379,10 +332,10 @@ def _best_extraction(instrs: tuple, hasher: _SeqHasher, name: str):
                 continue
             key = (-savings, first, b)
             if best is None or key < best[0]:
-                best = (key, block, occ, savings)
+                best = (key, block, occ)
     if best is None:
         return None
-    return best[1], best[2], best[3]
+    return best[1], best[2]
 
 
 def _contains_call(ins: vm.Instruction, name: str) -> bool:
@@ -433,14 +386,13 @@ def _extract_defs(program: vm.Program,
     """
     instrs = program.instructions
     length = vm.body_length(instrs)
-    hasher = _SeqHasher()
     while True:
         used = {ins.name for ins in instrs if isinstance(ins, vm.Def)}
         name = _next_name(used | reserved_names)
-        found = _best_extraction(instrs, hasher, name)
+        found = _best_extraction(instrs, name)
         if found is None:
             return vm.Program(instrs)
-        block, occ, _ = found
+        block, occ = found
         candidate = _apply_extraction(instrs, block, occ, name)
         cand_len = vm.body_length(candidate)
         if cand_len >= length:

@@ -1,6 +1,13 @@
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domus import cli, synthesis, vm
 from domus.world import VoxelStructure
@@ -294,3 +301,105 @@ def test_witness_mismatch_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "complexity", CORPUS / "row3.cvm", "--dims", 4, 1, 1)
     assert code == 3 and out == ""
     assert err.startswith("domus: error:") and "does not rebuild" in err
+
+
+# --- hostile-input fuzzing ---
+
+_FUZZ_PROGRAMS = sorted(p.name for p in CORPUS.glob("*.cvm"))
+_FUZZ_TOKENS = ["0", "1", "-1", "9", "-9", "10", "4096", "99999999999", "1e400", "nan",
+                "-0", "{", "}", "[", "]", "DEF", "REPEAT", "CALL", "MOVE", "PLACE", "FILL",
+                "X", "Y", "Z", "W", "a", "c1", "#", ".", "LAYER", "DIMS", "PATTERN", '"',
+                ":", ",", "null", "true", '"kind"', '"params"', '"weight"', '"Stability"',
+                "\x00", "é", ""]
+
+
+def _layer_text(name: str, dims) -> str:
+    return cli.render(vm.execute(vm.parse((CORPUS / name).read_text()), dims)) + "\n"
+
+
+_FUZZ_LAYERS = [_layer_text("row3.cvm", (4, 1, 1)), _layer_text("bridge.cvm", (8, 1, 8)),
+                _layer_text("sierpinski2.cvm", (9, 9, 1))]
+
+_PRINTABLE = "0123456789-{} \n#.XYZ"
+_byte = st.one_of(st.binary(min_size=1, max_size=1), st.sampled_from(_PRINTABLE).map(str.encode))
+_bytes = st.one_of(st.binary(max_size=4), st.text(_PRINTABLE, max_size=4).map(str.encode))
+_edits = st.lists(st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 10**6), _byte),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), _bytes),
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 8)),
+    st.tuples(st.just("token"), st.integers(0, 10**6), st.sampled_from(_FUZZ_TOKENS)),
+), min_size=1, max_size=3)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, at, arg in edits:
+        if kind == "token":
+            parts = re.split(rb"(\s+)", data)
+            i = 2 * (at % ((len(parts) + 1) // 2))
+            parts[i] = arg.encode()
+            data = b"".join(parts)
+            continue
+        at %= len(data) + 1
+        if kind == "byte":
+            data = data[:at] + arg + data[at + 1:]
+        elif kind == "insert":
+            data = data[:at] + arg + data[at:]
+        else:
+            data = data[:at] + data[at + arg:]
+    return data
+
+
+@st.composite
+def _hostile_cases(draw):
+    """A command over one corpus input with a few byte and token edits."""
+    role = draw(st.sampled_from(["program", "layers", "pat", "constraints"]))
+    if role == "program":
+        name = draw(st.sampled_from(_FUZZ_PROGRAMS))
+        source, suffix = (CORPUS / name).read_bytes(), ".cvm"
+        command = draw(st.sampled_from(["build", "complexity", "natural", "attack", "beauty"]))
+    elif role == "layers":
+        source, suffix = draw(st.sampled_from(_FUZZ_LAYERS)).encode(), ".vox.txt"
+        command = draw(st.sampled_from(["complexity", "natural", "beauty"]))
+    elif role == "pat":
+        source, suffix = (CORPUS / "brick.pat").read_bytes(), ".pat"
+        command = draw(st.sampled_from(["beauty", "optimize"]))
+    else:
+        source, suffix = (CORPUS / "constraints.json").read_bytes(), ".json"
+        command = "optimize"
+    # 9^3 holds every corpus program but pillar and the larger carpets
+    dims = draw(st.one_of(st.just((9, 9, 9)),
+                          st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))))
+    return role, suffix, _mutate(source, draw(_edits)), command, dims
+
+
+def _hostile_argv(role, path, command, dims, tmp):
+    dims = ["--dims", *map(str, dims)]
+    if command == "optimize":
+        pat = path if role == "pat" else CORPUS / "brick.pat"
+        cons = path if role == "constraints" else CORPUS / "constraints.json"
+        return ["optimize", "--dict", pat, "--constraints", cons, *dims,
+                "--iters", "5", "--out-dir", tmp / "design"]
+    target = CORPUS / "bridge.cvm" if role == "pat" else path
+    argv = [command, target, *dims]
+    if command == "beauty":
+        argv += ["--dict", path if role == "pat" else CORPUS / "brick.pat"]
+    if command == "attack":
+        argv += ["--builder", "human", "--fleet", "3", "--seed", "1"]
+    return argv
+
+
+@given(_hostile_cases())
+@settings(max_examples=1500, deadline=None)
+def test_hostile_inputs_end_in_a_documented_exit_code(case):
+    role, suffix, data, command, dims = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / f"input{suffix}"
+        path.write_bytes(data)
+        argv = [str(a) for a in _hostile_argv(role, path, command, dims, tmp)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(argv)
+    assert code in (0, 1, 2, 3), (argv, data)
+    if code == 3:
+        assert "domus: error:" in err.getvalue(), (argv, data)

@@ -72,6 +72,28 @@ def test_collapse_vacuous_when_everything_removed():
     assert collapse_fraction(s, frozenset({(0, 0, 0)})) == 0.0
 
 
+@st.composite
+def _removals(draw):
+    """Any structure on a small site, stable or not, and a removal that
+    may name cells it does not hold."""
+    nx, ny, nz = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    site = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1), st.integers(0, nz - 1))
+    cells = draw(st.sets(site, max_size=40))
+    held = draw(st.sets(st.sampled_from(sorted(cells)), max_size=5)) if cells else set()
+    absent = draw(st.sets(site, max_size=3))
+    return S((nx, ny, nz), cells), frozenset(held | absent)
+
+
+@given(_removals(), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_collapse_fraction_matches_full_recount(case, m):
+    s, removed = case
+    rest = s.occupied - removed
+    expected = (len(set(unsupported_cells(rest, m)) - set(unsupported_cells(s.occupied, m)))
+                / len(rest)) if rest else 0.0
+    assert collapse_fraction(s, removed, max_overhang=m) == expected
+
+
 def test_attack_single_ground_cell():
     atk = find_attack(S((3, 3, 3), {(0, 0, 0)}), 1)
     assert atk.removed_cells == {(0, 0, 0)}

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domus import DomusError, synthesis, vm
 from domus.synthesis import (
@@ -11,7 +14,7 @@ from domus.synthesis import (
     synthesize_min,
 )
 
-from conftest import S, random_structure
+from conftest import CORPUS, S, random_structure
 
 
 # --- literal programs ---
@@ -140,6 +143,66 @@ def test_subadditivity_with_join_overhead():
         assert synthesize_min(both).length <= (
             synthesize_min(u).length + synthesize_min(v).length + 30
         )
+
+
+# the `complexity` witness of each corpus program at the criterion-8
+# dims: canonical length and sha256 of its text, so that a change to
+# the synthesis passes that moves any witness shows here
+CORPUS_WITNESSES = {
+    "row3.cvm": ((4, 1, 1), 10,
+                 "a60c32391f46e806be1ecb2d49105f113a29444805dd72c057ab9e93894356e4"),
+    "slab4.cvm": ((8, 8, 4), 10,
+                  "b6f1a4a08ff6bf475b0463274fd352a6951d2d210145a34f9e9bceac728cef8b"),
+    "pillar.cvm": ((4, 4, 10), 10,
+                   "d069b9a2cd4d9f793a22fdc16bd24ee85c91732075d89b90a1856c3d442bc198"),
+    "bridge.cvm": ((8, 1, 8), 60,
+                   "1bb9e8b86f2382cfef09161f288df6d17658b9bb4b8273df3c28070f58bffaf3"),
+    "sierpinski2.cvm": ((9, 9, 1), 353,
+                        "536e5e31e459a01856b5c5bf884b34f53384c10ac740175687021f2e7ae42cfc"),
+    "sierpinski3.cvm": ((27, 27, 1), 1588,
+                        "0e8fa6531bdbac1cf1537b6008491196d99ce84f3826fde27541d3b6665807e7"),
+    "sierpinski4.cvm": ((81, 81, 1), 5361,
+                        "862bcabbbaaaeb4e1326809fde55d08a42e0bfb7a525ae06a56f6d128ab6f023"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_WITNESSES))
+def test_corpus_witnesses_are_pinned(name):
+    dims, length, digest = CORPUS_WITNESSES[name]
+    s = vm.execute(vm.parse((CORPUS / name).read_text()), dims)
+    text = vm.serialize(synthesize_min(s).program)
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (length, digest)
+
+
+# --- exact block classes ---
+
+@given(st.lists(st.integers(0, 2), max_size=40), st.integers(2, 3))
+@settings(max_examples=300, deadline=None)
+def test_block_classes_name_equal_blocks(ids, letters):
+    ids = [v % letters for v in ids]
+    n = len(ids)
+    seen = []
+    for b, cls in synthesis._block_classes(ids):
+        seen.append(b)
+        blocks = [tuple(ids[p:p + b]) for p in range(n - b + 1)]
+        assert len(cls) == len(blocks)
+        for p in range(len(blocks)):
+            for q in range(len(blocks)):
+                assert (cls[p] == cls[q]) == (blocks[p] == blocks[q])
+    # every length up to the first with no repeated block, and no further
+    repeats = [b for b in range(1, n + 1)
+               if len({tuple(ids[p:p + b]) for p in range(n - b + 1)}) < n - b + 1]
+    stop = next((b for b in range(1, n + 1) if b not in repeats), n + 1)
+    assert seen == list(range(1, stop))
+    assert all(b < stop for b in repeats)
+
+
+def test_separators_and_defs_never_repeat():
+    place, move = vm.Place(), vm.Move("X", 1)
+    d = vm.Def("a", (place,))
+    ids = synthesis._instruction_ids([(place, move, d), (place, move, d)])
+    assert ids == [0, 1, 2, 3, 0, 1, 6]
+    assert [b for b, _ in synthesis._block_classes(ids)] == [1, 2]
 
 
 # --- overhead cancellation ---
