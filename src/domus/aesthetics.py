@@ -182,8 +182,8 @@ def load_patterns(text: str) -> PatternDictionary:
         if not line:
             flush()
             continue
-        if line.startswith("PATTERN"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "PATTERN":
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected 'PATTERN name'")
             flush()
@@ -191,7 +191,6 @@ def load_patterns(text: str) -> PatternDictionary:
             continue
         if name is None:
             raise FormatError(f"line {lineno}: offset outside a PATTERN block")
-        parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected 'x y z'")
         try:

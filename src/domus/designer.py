@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from . import synthesis, vm
-from .aesthetics import Pattern, PatternDictionary, cover
+from .aesthetics import Pattern, PatternDictionary, beauty_score
 from .errors import DomusError
 from .world import ConstraintSet, VoxelStructure, eval_constraints
 
@@ -105,10 +105,7 @@ def objective(program: vm.Program, dictionary: PatternDictionary,
         built = vm.execute(program, dims, limits)
     except DomusError:
         return math.inf
-    cov = cover(built, dictionary)
-    residual = VoxelStructure(dims, cov.residual)
-    r = synthesis.synthesize_min(residual).length
-    return r + eval_constraints(built, cs).total
+    return beauty_score(built, dictionary).r + eval_constraints(built, cs).total
 
 
 _IDENT_OK = re.compile(r"[a-z][a-z0-9_]*\Z")

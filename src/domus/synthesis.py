@@ -122,22 +122,61 @@ def _cuboid_program(s: VoxelStructure) -> vm.Program:
     return vm.Program(tuple(out))
 
 
+# --- the flat layout of the sequence tree ---
+
+
+def _layout(instrs: tuple) -> list:
+    """The top level and every nested REPEAT/DEF body in preorder, laid
+    end to end with None between sequences. A position in this list is
+    the one address of an instruction in the fold and extraction passes."""
+    flat = list(instrs)
+    for ins in instrs:
+        if isinstance(ins, (vm.Repeat, vm.Def)):
+            flat.append(None)
+            flat.extend(_layout(ins.body))
+    return flat
+
+
+def _rewrite(instrs: tuple, edits: dict[int, tuple[int, tuple]]) -> tuple:
+    """Rebuild the tree with each edits[p] = (span, repl) replacing the
+    span instructions that start at position p of _layout(instrs).
+
+    Bodies are rebuilt before the sequence that holds them. A sequence
+    that no edit touches comes back as the same object.
+    """
+    def rebuild(seq: tuple, start: int) -> tuple[tuple, int]:
+        out = list(seq)
+        changed = False
+        end = start + len(seq)
+        for i, ins in enumerate(seq):
+            if isinstance(ins, (vm.Repeat, vm.Def)):
+                body, end = rebuild(ins.body, end + 1)
+                if body is not ins.body:
+                    out[i] = (vm.Repeat(ins.count, body) if isinstance(ins, vm.Repeat)
+                              else vm.Def(ins.name, body))
+                    changed = True
+        # right to left, so that each splice leaves the indices before it
+        for k in range(len(seq) - 1, -1, -1):
+            edit = edits.get(start + k)
+            if edit is not None:
+                out[k: k + edit[0]] = edit[1]
+                changed = True
+        return (tuple(out) if changed else seq), end
+
+    return rebuild(instrs, 0)[0]
+
+
 # --- exact classes of equal instruction blocks ---
 
 
-def _instruction_ids(seqs) -> list[int]:
-    """Small-int ids of the instructions of seqs laid end to end, with
-    one separator between sequences. Equal instructions share the
-    position of the first one; each DEF and each separator keeps its own
-    position, so no repeated block holds one."""
+def _instruction_ids(flat: list) -> list[int]:
+    """Small-int ids of the instructions of a flat layout. Equal
+    instructions share the position of the first one; each DEF and each
+    separator keeps its own position, so no repeated block holds one."""
     first: dict[vm.Instruction, int] = {}
     ids: list[int] = []
-    for k, seq in enumerate(seqs):
-        if k:
-            ids.append(len(ids))
-        for ins in seq:
-            p = len(ids)
-            ids.append(p if isinstance(ins, vm.Def) else first.setdefault(ins, p))
+    for p, ins in enumerate(flat):
+        ids.append(p if ins is None or isinstance(ins, vm.Def) else first.setdefault(ins, p))
     return ids
 
 
@@ -162,69 +201,45 @@ def _block_classes(ids: list[int]) -> Iterator[tuple[int, np.ndarray]]:
         key = cls[:-1] * m + ids[b:]
 
 
-# --- sequence tree access ---
-
-
-def _walk_sequences(instrs: tuple, path: tuple = ()) -> Iterator[tuple[tuple, tuple]]:
-    """Yield (path, sequence) for the top level and every nested body."""
-    yield path, instrs
-    for i, ins in enumerate(instrs):
-        if isinstance(ins, (vm.Repeat, vm.Def)):
-            yield from _walk_sequences(ins.body, path + (i,))
-
-
-def _rebuild_with(instrs: tuple, path: tuple, new_seq: tuple) -> tuple:
-    if not path:
-        return tuple(new_seq)
-    i, rest = path[0], path[1:]
-    ins = instrs[i]
-    if isinstance(ins, vm.Repeat):
-        replaced = vm.Repeat(ins.count, _rebuild_with(ins.body, rest, new_seq))
-    elif isinstance(ins, vm.Def):
-        replaced = vm.Def(ins.name, _rebuild_with(ins.body, rest, new_seq))
-    else:
-        raise ValueError(f"path {path} does not address a body")
-    return instrs[:i] + (replaced,) + instrs[i + 1:]
-
-
 # --- pass: loop folding ---
 
 
-def _best_fold(seq: tuple):
-    """Best (block_len, reps, start) fold of this sequence, or None.
+def _best_fold(flat: list, ids: list[int]):
+    """Best (block_len, reps, start) fold in the flat layout, or None.
 
     Prefers the longest repeated block, then the most repetitions, then
     the earliest start; only folds that strictly shrink the canonical
-    text qualify.
+    text qualify. A block that holds a separator never repeats, so every
+    fold stays inside one sequence.
     """
-    n = len(seq)
-    best = None  # key: (b, r, -i) maximized
-    for b, cls in _block_classes(_instruction_ids([seq])):
-        if 2 * b > n:
+    m = len(flat)
+    best = None  # key: (b, r, -p) maximized
+    for b, cls in _block_classes(ids):
+        if 2 * b > m:
             break
-        cand = np.nonzero(cls[: n - 2 * b + 1] == cls[b: n - b + 1])[0]
+        cand = np.nonzero(cls[: m - 2 * b + 1] == cls[b: m - b + 1])[0]
         if cand.size == 0:
             continue
         cls = cls.tolist()
-        dominated = bytearray(n)
-        for i in cand.tolist():
-            if dominated[i]:
+        dominated = bytearray(m)
+        for p in cand.tolist():
+            if dominated[p]:
                 continue
             r = 1
-            j = i
-            while j + 2 * b <= n and cls[j + b] == cls[i]:
+            j = p
+            while j + 2 * b <= m and cls[j + b] == cls[p]:
                 r += 1
                 j += b
                 dominated[j] = 1
-            block = seq[i: i + b]
+            block = tuple(flat[p: p + b])
             # r copies and their r - 1 separators, against one REPEAT
             lb = vm.body_length(block)
             savings = r * lb + r - 1 - vm.body_length((vm.Repeat(r, block),))
             if savings <= 0:
                 continue
-            key = (b, r, -i)
+            key = (b, r, -p)
             if best is None or key > best[0]:
-                best = (key, (b, r, i))
+                best = (key, (b, r, p))
     return best[1] if best else None
 
 
@@ -234,16 +249,12 @@ def _fold_loops(program: vm.Program) -> vm.Program:
     canonical text."""
     instrs = program.instructions
     while True:
-        chosen = None  # (key, path, seq, fold)
-        for path, seq in _walk_sequences(instrs):
-            fold = _best_fold(seq)
-            if fold is not None and (chosen is None or fold[:2] > chosen[0]):
-                chosen = (fold[:2], path, seq, fold)
-        if chosen is None:
+        flat = _layout(instrs)
+        fold = _best_fold(flat, _instruction_ids(flat))
+        if fold is None:
             return vm.Program(instrs)
-        _, path, seq, (b, r, i) = chosen
-        folded = seq[:i] + (vm.Repeat(r, seq[i: i + b]),) + seq[i + b * r:]
-        instrs = _rebuild_with(instrs, path, folded)
+        b, r, p = fold
+        instrs = _rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p: p + b])),))})
 
 
 # --- pass: subroutine extraction ---
@@ -289,23 +300,16 @@ def _repl_instructions(name: str, disp: tuple[int, int, int]) -> tuple:
     return tuple(out)
 
 
-def _best_extraction(instrs: tuple, name: str):
+def _best_extraction(flat: list, ids: list[int], name: str):
     """Best repeated block to hoist into a DEF, or None.
 
-    Returns (block, occurrences) where occurrences is a list of
-    (path, start) chosen non-overlapping. A CALL plus compensating MOVE
+    Returns (block, occurrences) where occurrences are non-overlapping
+    positions in the flat layout. A CALL plus compensating MOVE
     instructions replaces each occurrence, so blocks with nonzero net
     cursor displacement stay eligible.
     """
-    seqs = list(_walk_sequences(instrs))
-    seq_by_path = dict(seqs)
-    where: list[tuple[tuple, int] | None] = []  # None marks a separator
-    for path, seq in seqs:
-        if where:
-            where.append(None)
-        where.extend((path, k) for k in range(len(seq)))
     best = None  # minimized key: (-savings, first_pos, b)
-    for b, cls in _block_classes(_instruction_ids([seq for _, seq in seqs])):
+    for b, cls in _block_classes(ids):
         counts = np.bincount(cls)
         pos = np.nonzero(counts[cls] >= 2)[0]
         groups: dict[int, list[int]] = {}
@@ -313,13 +317,12 @@ def _best_extraction(instrs: tuple, name: str):
             groups.setdefault(c, []).append(p)
         for plist in groups.values():
             first = plist[0]
-            path, k = where[first]
-            block = seq_by_path[path][k: k + b]
-            occ: list[tuple[tuple, int]] = []
+            block = tuple(flat[first: first + b])
+            occ: list[int] = []
             last_end = -1
             for p in plist:
                 if p >= last_end:
-                    occ.append(where[p])
+                    occ.append(p)
                     last_end = p + b
             if len(occ) < 2:
                 continue
@@ -346,22 +349,9 @@ def _contains_call(ins: vm.Instruction, name: str) -> bool:
     return False
 
 
-def _apply_extraction(instrs: tuple, block: tuple, occ: list[tuple[tuple, int]],
-                      name: str) -> tuple:
-    b = len(block)
+def _apply_extraction(instrs: tuple, block: tuple, occ: list[int], name: str) -> tuple:
     repl = _repl_instructions(name, _net_displacement(block))
-    by_path: dict[tuple, list[int]] = {}
-    for path, k in occ:
-        by_path.setdefault(path, []).append(k)
-    # deepest paths first: editing a sequence shifts indices inside it,
-    # so every route through it must already be resolved
-    seq_by_path = dict(_walk_sequences(instrs))
-    for path, starts in sorted(by_path.items(), reverse=True):
-        seq = seq_by_path[path]
-        for k in sorted(starts, reverse=True):
-            seq = seq[:k] + repl + seq[k + b:]
-        instrs = _rebuild_with(instrs, path, seq)
-        seq_by_path = dict(_walk_sequences(instrs))
+    instrs = _rewrite(instrs, {p: (len(block), repl) for p in occ})
 
     # the DEF goes right before the first top-level node whose subtree
     # calls it; every name the block itself calls is defined earlier
@@ -378,18 +368,19 @@ def _extract_defs(program: vm.Program,
     """Hoist repeated instruction blocks into DEF/CALL while each
     extraction strictly shrinks the canonical text.
 
-    The savings estimate ignores occurrences nested inside other
-    replaced spans (possible only for blocks holding repeat bodies that
-    themselves repeat the block), so the realized length is re-measured
-    and any non-shrinking step is rolled back, which also bounds the
-    loop.
+    No occurrence lies inside another's span: that block would hold a
+    REPEAT equal to one inside that REPEAT's own body, and a finite tree
+    has none. The realized length is still re-measured, and any
+    non-shrinking step rolled back, only to guard the savings estimate;
+    this also bounds the loop.
     """
     instrs = program.instructions
     length = vm.body_length(instrs)
     while True:
         used = {ins.name for ins in instrs if isinstance(ins, vm.Def)}
         name = _next_name(used | reserved_names)
-        found = _best_extraction(instrs, name)
+        flat = _layout(instrs)
+        found = _best_extraction(flat, _instruction_ids(flat), name)
         if found is None:
             return vm.Program(instrs)
         block, occ = found

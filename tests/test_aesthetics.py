@@ -174,6 +174,7 @@ def test_pattern_file_normalizes():
     "PATTERN a\n0 0",
     "PATTERN a b\n0 0 0",
     "PATTERN a\n0 0 0\n\nPATTERN a\n1 0 0",
+    "PATTERNX brick\n0 0 0\n1 0 0",
 ])
 def test_pattern_file_errors(text):
     with pytest.raises(FormatError):

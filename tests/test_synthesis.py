@@ -200,9 +200,64 @@ def test_block_classes_name_equal_blocks(ids, letters):
 def test_separators_and_defs_never_repeat():
     place, move = vm.Place(), vm.Move("X", 1)
     d = vm.Def("a", (place,))
-    ids = synthesis._instruction_ids([(place, move, d), (place, move, d)])
+    ids = synthesis._instruction_ids([place, move, d, None, place, move, d])
     assert ids == [0, 1, 2, 3, 0, 1, 6]
     assert [b for b, _ in synthesis._block_classes(ids)] == [1, 2]
+
+
+def test_layout_is_preorder():
+    place, call = vm.Place(), vm.Call("a")
+    mx, my, mz = vm.Move("X", 1), vm.Move("Y", 1), vm.Move("Z", 1)
+    inner = vm.Repeat(2, (mz,))
+    first = vm.Repeat(3, (my, inner))
+    second = vm.Repeat(4, (call,))
+    flat = synthesis._layout((place, first, mx, second))
+    assert flat == [place, first, mx, second, None, my, inner, None, mz, None, call]
+
+
+def test_rewrite_keeps_untouched_sequences():
+    place, mx = vm.Place(), vm.Move("X", 1)
+    left, right = vm.Repeat(2, (place, mx)), vm.Repeat(3, (mx, place))
+    instrs = (left, right)
+    # positions: left 0, right 1, left's body 3-4, right's body 6-7
+    out = synthesis._rewrite(instrs, {6: (2, (place,))})
+    assert out == (left, vm.Repeat(3, (place,)))
+    assert out[0] is left
+    assert synthesis._rewrite(instrs, {}) is instrs
+
+
+# --- the passes on nested programs ---
+
+def _nested_block(rng, depth, calls):
+    out = []
+    for _ in range(rng.randint(1, 5)):
+        k = rng.random()
+        if depth < 3 and k < 0.2:
+            out.append(vm.Repeat(rng.randint(2, 4), _nested_block(rng, depth + 1, calls)))
+        elif calls and k < 0.35:
+            out.append(vm.Call("a", rng.choice((1, 1, 2))))
+        elif k < 0.7:
+            out.append(vm.Move(rng.choice("XYZ"), rng.choice((-2, -1, 1, 2))))
+        else:
+            out.append(vm.Place())
+    # a repeated tail gives the fold something to fold
+    tail = out[-rng.randint(1, len(out)):]
+    return tuple(out + tail * rng.randint(0, 3))
+
+
+def test_passes_on_nested_programs_are_pinned():
+    # one DEF, then CALLs, MOVEs, PLACEs and REPEATs nested up to 3 deep:
+    # these pin the tie-breaks between sequences of the tree, which the
+    # corpus witnesses (flat cuboid listings to start with) barely reach
+    rng = random.Random(2024)
+    h = hashlib.sha256()
+    for _ in range(300):
+        p = vm.Program((vm.Def("a", _nested_block(rng, 1, False)),)
+                       + _nested_block(rng, 0, True))
+        h.update(vm.serialize(synthesis._fold_loops(p)).encode() + b"\0")
+        h.update(vm.serialize(synthesis._extract_defs(p)).encode() + b"\0")
+    assert h.hexdigest() == (
+        "a1260976d125abd1545c20ea34750de83d9dc96da5263eaa4dc1e2fc138ad2b7")
 
 
 # --- overhead cancellation ---
