@@ -58,31 +58,31 @@ def render(s: VoxelStructure) -> str:
     return s.to_layer_text()
 
 
+def _write(args, text: str):
+    """The one writer of every command's output: the --out file, or
+    else stdout."""
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, payload: dict, text_lines: list[str]):
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
-    if getattr(args, "out", None):
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    _write(args, out)
 
 
 def _cmd_build(args) -> int:
     program = vm.parse(_read(args.file))
-    s = vm.execute(program, tuple(args.dims), _limits())
-    text = render(s) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(args, render(vm.execute(program, tuple(args.dims), _limits())) + "\n")
     return 0
 
 
 def _cmd_render(args) -> int:
-    s = _load_structure(args.file, tuple(args.dims))
-    sys.stdout.write(render(s) + "\n")
+    _write(args, render(_load_structure(args.file, tuple(args.dims))) + "\n")
     return 0
 
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import vm
 from .errors import DomusError
-from .world import (Cell, VoxelStructure, _dense_grid, _unsupported_mask,
-                    check_stability)
+from .world import Cell, VoxelStructure, _dense_grid, _unsupported_mask
 
 __all__ = [
     "RobotBuilder",
@@ -190,10 +189,6 @@ def find_attack(s: VoxelStructure, k: int, max_overhang: int = 2,
     """
     if k < 1:
         raise ValueError("attack budget must be >= 1")
-    report = check_stability(s, max_overhang)
-    if not report.stable:
-        raise AlreadyUnstable(f"{len(report.unstable_cells)} cells already unsupported")
-
     cells = sorted(s.occupied)
     n = len(cells)
     best_set: frozenset[Cell] = frozenset()
@@ -201,6 +196,11 @@ def find_attack(s: VoxelStructure, k: int, max_overhang: int = 2,
     if not cells:
         return Attack(removed_cells=best_set, k=k, collapse_fraction=0.0)
     grid = _AttackGrid(cells, max_overhang)
+    # padding changes no occupied cell's support, so this is the
+    # prototype's own unsupported count
+    unstable = int(np.count_nonzero(grid.unsupported))
+    if unstable:
+        raise AlreadyUnstable(f"{unstable} cells already unsupported")
 
     def fraction(count: int, removed: int) -> float:
         return count / (n - removed) if n > removed else 0.0

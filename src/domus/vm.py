@@ -47,6 +47,7 @@ __all__ = [
     "Program",
     "ExecutionLimits",
     "MAX_BLOCK_DEPTH",
+    "MAX_CALL_DEPTH",
     "MAX_STEPS",
     "DslError",
     "ParseError",
@@ -161,14 +162,16 @@ class Program:
 @dataclass(frozen=True)
 class ExecutionLimits:
     max_placements: int = 10_000_000
-    max_call_depth: int = 32
 
     def __post_init__(self):
-        if self.max_placements < 1 or self.max_call_depth < 1:
+        if self.max_placements < 1:
             raise ValueError("execution limits must be positive")
 
 
 MAX_BLOCK_DEPTH = 100
+
+# CALLs nest at most this deep when a program runs.
+MAX_CALL_DEPTH = 32
 
 # Bounds the time of a jittered build, which runs every REPEAT iteration
 # and CALL body one by one: about a second of walking. The largest corpus
@@ -506,10 +509,8 @@ class _Executor:
             elif isinstance(ins, Call):
                 if ins.name not in env:
                     raise UnknownName(f"CALL {ins.name!r} before its DEF")
-                if depth + 1 > self.limits.max_call_depth:
-                    raise DepthExceeded(
-                        f"call depth exceeds {self.limits.max_call_depth}"
-                    )
+                if depth + 1 > MAX_CALL_DEPTH:
+                    raise DepthExceeded(f"call depth exceeds {MAX_CALL_DEPTH}")
                 self._step()
                 # stamp semantics: body runs at the call site, cursor restored
                 self.run(env[ins.name], cur, scale * ins.scale, depth + 1, env)
@@ -587,8 +588,8 @@ class _Summarizer:
         s = self.memo.get(key)
         if s is None:
             s = self.memo[key] = self._summarize(body, scale, depth)
-        elif depth + s.height > self.limits.max_call_depth:
-            raise DepthExceeded(f"call depth exceeds {self.limits.max_call_depth}")
+        elif depth + s.height > MAX_CALL_DEPTH:
+            raise DepthExceeded(f"call depth exceeds {MAX_CALL_DEPTH}")
         return s
 
     def _summarize(self, body: tuple[Instruction, ...], scale: int, depth: int,
@@ -644,8 +645,8 @@ class _Summarizer:
                 callee = self.env.get(ins.name)
                 if callee is None:
                     raise UnknownName(f"CALL {ins.name!r} before its DEF")
-                if depth + 1 > self.limits.max_call_depth:
-                    raise DepthExceeded(f"call depth exceeds {self.limits.max_call_depth}")
+                if depth + 1 > MAX_CALL_DEPTH:
+                    raise DepthExceeded(f"call depth exceeds {MAX_CALL_DEPTH}")
                 s = self._sub(callee, scale * ins.scale, depth + 1)
                 count += s.count
                 if s.height >= height:
@@ -672,7 +673,9 @@ def execute(program: Program, dims: tuple[int, int, int],
     aborts with OutOfBounds. The jitter hook exists for the randomized
     builder model: when set, it is consulted once per PLACE/FILL, may
     displace the placement anchor, and out-of-bounds cells are silently
-    skipped instead of raising.
+    skipped instead of raising. limits sets the placement budget only;
+    CALLs nest at most MAX_CALL_DEPTH deep, a module constant like
+    MAX_STEPS.
 
     The two cases run on two engines. With jitter, a sequential walker
     runs every instruction in order and reports the first fault it
@@ -682,7 +685,7 @@ def execute(program: Program, dims: tuple[int, int, int],
     and CALLs cost no more than their text. A program with more than
     one fault reports, on the deterministic engine, the first fault the
     engine proves. Faults of the program text (a DEF below top level, a
-    CALL to an unbound name, CALL nesting past max_call_depth) are
+    CALL to an unbound name, CALL nesting past MAX_CALL_DEPTH) are
     proved where the walker meets them; BudgetExceeded at the end of
     the first block whose placements pass max_placements; OutOfBounds
     at a FILL or REPEAT too wide for the world, at the end of a block

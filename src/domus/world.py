@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,50 +208,32 @@ def check_stability(s: VoxelStructure, max_overhang: int = 2) -> StabilityReport
 def enclosed_volume(s: VoxelStructure) -> int:
     """Count empty cells unreachable from the world boundary.
 
-    Reachability is 6-connected flood fill through empty cells starting
-    from every empty cell on a boundary face of the dims box.
+    Reachability is 6-connected flood fill through empty cells from
+    every empty cell on a boundary face of the dims box. Only the
+    occupied box needs flooding: an empty cell outside it reaches the
+    world boundary in a straight line. So the box from _dense_grid is
+    padded with an empty shell that stands for the outside, where the
+    flood starts from one cell, and then with a wall shell, so no step
+    leaves the array. What the flood does not reach is enclosed.
     """
-    nx, ny, nz = s.dims
-    occ = s.occupied
-    total_empty = nx * ny * nz - len(occ)
-    if total_empty == 0:
+    if not s.occupied:
         return 0
-
-    seen: set[Cell] = set()
-    frontier: deque[Cell] = deque()
-
-    def seed(c: Cell):
-        if c not in occ and c not in seen:
-            seen.add(c)
-            frontier.append(c)
-
-    for x in range(nx):
-        for y in range(ny):
-            seed((x, y, 0))
-            seed((x, y, nz - 1))
-    for x in range(nx):
-        for z in range(nz):
-            seed((x, 0, z))
-            seed((x, ny - 1, z))
-    for y in range(ny):
-        for z in range(nz):
-            seed((0, y, z))
-            seed((nx - 1, y, z))
-
+    occ, _ = _dense_grid(s.occupied)
+    grid = np.pad(np.pad(occ, 1), 1, constant_values=True)
+    _, ny, nz = grid.shape
+    filled = bytearray(grid.tobytes())
+    steps = (ny * nz, -ny * nz, nz, -nz, 1, -1)
+    start = ny * nz + nz + 1  # cell (1, 1, 1), a corner of the empty shell
+    filled[start] = 1
+    frontier = [start]
     while frontier:
-        x, y, z = frontier.popleft()
-        for nxt in (
-            (x + 1, y, z), (x - 1, y, z),
-            (x, y + 1, z), (x, y - 1, z),
-            (x, y, z + 1), (x, y, z - 1),
-        ):
-            (a, b, c) = nxt
-            if 0 <= a < nx and 0 <= b < ny and 0 <= c < nz:
-                if nxt not in occ and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-
-    return total_empty - len(seen)
+        i = frontier.pop()
+        for d in steps:
+            j = i + d
+            if not filled[j]:
+                filled[j] = 1
+                frontier.append(j)
+    return filled.count(0)
 
 
 # --- constraints ---

@@ -47,6 +47,14 @@ def test_usage_error_is_exit_2(capsys):
     assert cli.run([]) == 2
 
 
+def test_render_writes_to_out(tmp_path, capsys):
+    out_file = tmp_path / "row.vox.txt"
+    code, out, _ = run(capsys, "render", CORPUS / "row3.cvm", "--dims", 4, 1, 1,
+                       "-o", out_file)
+    assert code == 0 and out == ""
+    assert out_file.read_text() == "DIMS 4 1 1\nLAYER 0\n###.\n"
+
+
 def test_render_examples(capsys):
     assert cli.render(VoxelStructure((1, 1, 1))) == "DIMS 1 1 1\nLAYER 0\n."
     assert cli.render(VoxelStructure((1, 1, 1), {(0, 0, 0)})) == "DIMS 1 1 1\nLAYER 0\n#"
@@ -320,6 +328,40 @@ def _layer_text(name: str, dims) -> str:
 _FUZZ_LAYERS = [_layer_text("row3.cvm", (4, 1, 1)), _layer_text("bridge.cvm", (8, 1, 8)),
                 _layer_text("sierpinski2.cvm", (9, 9, 1))]
 
+_LAYER_JUNK = ["", " ", "#", "..#", "LAYER", "LAYER -1", "LAYER 0 0", "LAYER 99999999999",
+               "DIMS 1 1 1", "DIMS 2 2", "\t.", "é#", "\x00"]
+
+
+@st.composite
+def _scratch_layers(draw) -> bytes:
+    """Layer text written from scratch: a DIMS line, then LAYER lines and
+    rows spelled out for those dims at a random density, with a few
+    lines dropped, duplicated or replaced by junk."""
+    dims = draw(st.tuples(*(st.integers(-1, 4),) * 3))
+    density = draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    nx, ny, nz = (max(n, 0) for n in dims)
+    lines = ["DIMS " + " ".join(map(str, dims))]
+    for z in range(nz):
+        lines.append(f"LAYER {z}")
+        lines += ["".join("#" if rng.random() < density else "." for _ in range(nx))
+                  for _ in range(ny)]
+    for at, junk in draw(st.lists(st.tuples(st.integers(0, 10**6),
+                                            st.one_of(st.none(), st.just(0),
+                                                      st.sampled_from(_LAYER_JUNK))),
+                                  max_size=2)):
+        if not lines:
+            break
+        at %= len(lines)
+        if junk is None:
+            del lines[at]
+        elif junk == 0:
+            lines.insert(at, lines[at])
+        else:
+            lines[at] = junk
+    return ("\n".join(lines) + draw(st.sampled_from(["", "\n"]))).encode()
+
+
 _PRINTABLE = "0123456789-{} \n#.XYZ"
 _byte = st.one_of(st.binary(min_size=1, max_size=1), st.sampled_from(_PRINTABLE).map(str.encode))
 _bytes = st.one_of(st.binary(max_size=4), st.text(_PRINTABLE, max_size=4).map(str.encode))
@@ -351,8 +393,9 @@ def _mutate(data: bytes, edits) -> bytes:
 
 @st.composite
 def _hostile_cases(draw):
-    """A command over one corpus input with a few byte and token edits."""
-    role = draw(st.sampled_from(["program", "layers", "pat", "constraints"]))
+    """A command over one corpus input with a few byte and token edits, or
+    over layer text written from scratch."""
+    role = draw(st.sampled_from(["program", "layers", "scratch", "pat", "constraints"]))
     if role == "program":
         name = draw(st.sampled_from(_FUZZ_PROGRAMS))
         source, suffix = (CORPUS / name).read_bytes(), ".cvm"
@@ -360,6 +403,9 @@ def _hostile_cases(draw):
     elif role == "layers":
         source, suffix = draw(st.sampled_from(_FUZZ_LAYERS)).encode(), ".vox.txt"
         command = draw(st.sampled_from(["complexity", "natural", "beauty"]))
+    elif role == "scratch":
+        source, suffix = draw(_scratch_layers()), ".vox.txt"
+        command = draw(st.sampled_from(["render", "complexity", "natural", "beauty"]))
     elif role == "pat":
         source, suffix = (CORPUS / "brick.pat").read_bytes(), ".pat"
         command = draw(st.sampled_from(["beauty", "optimize"]))
@@ -369,7 +415,8 @@ def _hostile_cases(draw):
     # 9^3 holds every corpus program but pillar and the larger carpets
     dims = draw(st.one_of(st.just((9, 9, 9)),
                           st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))))
-    return role, suffix, _mutate(source, draw(_edits)), command, dims
+    data = source if role == "scratch" else _mutate(source, draw(_edits))
+    return role, suffix, data, command, dims
 
 
 def _hostile_argv(role, path, command, dims, tmp):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domus import fleet, vm
+from domus import fleet, vm, world
 from domus.fleet import (
     Attack,
     HumanBuilder,
@@ -117,6 +117,17 @@ def test_attack_two_pillars():
 def test_attack_requires_stable_prototype():
     with pytest.raises(fleet.AlreadyUnstable):
         find_attack(S((2, 2, 2), {(0, 0, 1)}), 1)
+
+
+def test_attack_checks_stability_on_its_own_grid(monkeypatch):
+    def no_call(*args, **kwargs):
+        raise AssertionError("find_attack called check_stability")
+
+    monkeypatch.setattr(world, "check_stability", no_call)
+    monkeypatch.setattr(fleet, "check_stability", no_call, raising=False)
+    assert find_attack(S((3, 1, 3), {(0, 0, 0), (0, 0, 1)}), 1).collapse_fraction == 1.0
+    with pytest.raises(fleet.AlreadyUnstable, match="^2 cells already unsupported$"):
+        find_attack(S((4, 4, 4), {(0, 0, 0), (0, 0, 2), (3, 3, 1)}), 1)
 
 
 def test_attack_validity():

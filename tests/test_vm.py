@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -262,11 +263,13 @@ def test_placement_budget():
                    vm.ExecutionLimits(max_placements=5))
 
 
-def test_call_depth_limit():
+def test_call_depth_limit(monkeypatch):
     p = vm.parse("DEF a { PLACE } DEF b { CALL a } DEF c { CALL b } CALL c")
-    vm.execute(p, (2, 2, 2), vm.ExecutionLimits(max_call_depth=3))
+    monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 3)
+    vm.execute(p, (2, 2, 2))
+    monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 2)
     with pytest.raises(vm.DepthExceeded):
-        vm.execute(p, (2, 2, 2), vm.ExecutionLimits(max_call_depth=2))
+        vm.execute(p, (2, 2, 2))
 
 
 def test_limits_validation():
@@ -349,13 +352,15 @@ def test_rebinding_a_name_rebinds_its_callers():
 
 
 @pytest.mark.parametrize("b_body", ["CALL a", "REPEAT 2 { CALL a }"])
-def test_depth_limit_holds_when_a_summary_is_reused_deeper(b_body):
+def test_depth_limit_holds_when_a_summary_is_reused_deeper(b_body, monkeypatch):
     # b is summarised under the first CALL b at depth 1, then reused at
     # depth 2 under c, where its own CALL a reaches depth 3
     p = vm.parse(f"DEF a {{ PLACE }} DEF b {{ {b_body} }} DEF c {{ CALL b }} CALL b CALL c")
-    vm.execute(p, (1, 1, 1), vm.ExecutionLimits(max_call_depth=3))
+    monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 3)
+    vm.execute(p, (1, 1, 1))
+    monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 2)
     with pytest.raises(vm.DepthExceeded):
-        vm.execute(p, (1, 1, 1), vm.ExecutionLimits(max_call_depth=2))
+        vm.execute(p, (1, 1, 1))
 
 
 class _FaultLog(vm._Executor):
@@ -434,32 +439,33 @@ _any_def = st.builds(vm.Def, st.sampled_from(_NAMES),
 
 @st.composite
 def _any_case(draw):
-    """A small world, limits, and a program of leading DEFs, a move to the
-    world's centre, then instructions and DEFs mixed: names may be
-    unbound, rebound, or call themselves."""
+    """A small world, limits, a call depth cap, and a program of leading
+    DEFs, a move to the world's centre, then instructions and DEFs
+    mixed: names may be unbound, rebound, or call themselves."""
     dims = draw(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)))
-    limits = vm.ExecutionLimits(max_placements=draw(st.integers(1, 300)),
-                                max_call_depth=draw(st.integers(1, 4)))
+    limits = vm.ExecutionLimits(max_placements=draw(st.integers(1, 300)))
+    depth = draw(st.integers(1, 4))
     centre = tuple(vm.Move(axis, n // 2) for axis, n in zip("XYZ", dims) if n > 1)
     tail = st.lists(st.one_of(_any_instr(2), _any_call, _any_def), min_size=1, max_size=6)
     program = vm.Program(tuple(draw(st.lists(_any_def, max_size=3))) + centre
                          + tuple(draw(tail)))
-    return program, dims, limits
+    return program, dims, limits, depth
 
 
 @given(_any_case())
 @settings(max_examples=600, deadline=None)
 def test_summary_engine_matches_walker(case):
-    program, dims, limits = case
-    faults, built = _faults(program, dims, limits)
+    program, dims, limits, depth = case
 
     def walk():
         ex = vm._Executor(dims, limits, jitter=None)
         ex.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
         return VoxelStructure(dims, frozenset(ex.cells))
 
-    walker = _outcome(walk)
-    engine = _outcome(lambda: vm.execute(program, dims, limits))
+    with mock.patch.object(vm, "MAX_CALL_DEPTH", depth):
+        faults, built = _faults(program, dims, limits)
+        walker = _outcome(walk)
+        engine = _outcome(lambda: vm.execute(program, dims, limits))
     if not faults:
         assert walker == engine == built
     else:

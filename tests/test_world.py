@@ -1,7 +1,11 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domus import world
 from domus.world import (
@@ -123,6 +127,65 @@ def test_enclosed_volume_translation_invariant():
     a = S((9, 9, 9), {(x + 1, y + 1, z + 1) for (x, y, z) in shell})
     b = S((9, 9, 9), {(x + 4, y + 3, z + 2) for (x, y, z) in shell})
     assert enclosed_volume(a) == enclosed_volume(b) == 1
+
+
+def _whole_box_enclosed(s):
+    """Plain BFS over every cell of the world box from its boundary faces."""
+    nx, ny, nz = s.dims
+    empty = {c for c in itertools.product(range(nx), range(ny), range(nz))
+             if c not in s.occupied}
+    seen = {(x, y, z) for (x, y, z) in empty
+            if 0 in (x, y, z) or x == nx - 1 or y == ny - 1 or z == nz - 1}
+    frontier = list(seen)
+    while frontier:
+        x, y, z = frontier.pop()
+        for c in ((x + 1, y, z), (x - 1, y, z), (x, y + 1, z),
+                  (x, y - 1, z), (x, y, z + 1), (x, y, z - 1)):
+            if c in empty and c not in seen:
+                seen.add(c)
+                frontier.append(c)
+    return len(empty) - len(seen)
+
+
+@st.composite
+def _pocketed(draw):
+    """Random cells at a random density, then a hollow box carved in with
+    one wall cell opened toward a chosen face of the world; the box is
+    often flush with that face, so the pocket opens onto the boundary."""
+    dims = draw(st.tuples(*(st.integers(1, 7),) * 3))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.floats(0.0, 1.0))
+    cells = {c for c in itertools.product(*map(range, dims)) if rng.random() < density}
+    if min(dims) >= 3 and draw(st.booleans()):
+        axis, side = draw(st.integers(0, 2)), draw(st.sampled_from((-1, 1)))
+        size = [draw(st.integers(3, n)) for n in dims]
+        lo = [draw(st.integers(0, n - k)) for n, k in zip(dims, size)]
+        if draw(st.booleans()):
+            lo[axis] = 0 if side < 0 else dims[axis] - size[axis]
+        hi = [a + k - 1 for a, k in zip(lo, size)]
+        for c in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            inside = all(a < v < b for v, a, b in zip(c, lo, hi))
+            (cells.discard if inside else cells.add)(c)
+        hole = [(a + b) // 2 for a, b in zip(lo, hi)]
+        hole[axis] = lo[axis] if side < 0 else hi[axis]
+        if draw(st.booleans()):
+            cells.discard(tuple(hole))
+    return S(dims, cells)
+
+
+@given(_pocketed())
+@settings(max_examples=400, deadline=None)
+def test_enclosed_volume_matches_whole_box_flood(s):
+    assert enclosed_volume(s) == _whole_box_enclosed(s)
+
+
+def test_enclosed_volume_floods_only_the_occupied_box():
+    huge = (1000, 1000, 1000)
+    shell = {(x, y, z) for x in range(3) for y in range(3) for z in range(3)} - {(1, 1, 1)}
+    start = time.process_time()
+    assert enclosed_volume(S(huge, {(500, 500, 500)})) == 0
+    assert enclosed_volume(S(huge, {(x + 500, y + 9, z) for (x, y, z) in shell})) == 1
+    assert time.process_time() - start < 1.0
 
 
 # --- constraints ---
