@@ -11,6 +11,7 @@ D*N + r; lower means the structure is cheaper to perceive.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from . import synthesis
@@ -86,9 +87,18 @@ def cover(s: VoxelStructure, dictionary: PatternDictionary) -> Cover:
     every cell of which is occupied) that covers the most cells not yet
     covered; ties go to the lowest (pattern index, anchor z, y, x).
     Placements may overlap. Stops when nothing new can be covered.
+
+    The rounds run as lazy greedy (Minoux 1978): a heap keyed on
+    (-gain, idx, z, y, x) holds each candidate's gain as of its last
+    scoring. Gains only shrink as cells are covered, so every stored
+    gain is an upper bound. A popped candidate whose gain is still its
+    stored gain beats every candidate below it on the true key, and so
+    is the pick a full rescan would make; one that lost gain goes back
+    with its new key. The picks and their order are the full rescan's.
     """
     occ = s.occupied
-    candidates: list[tuple[int, Placement, frozenset[Cell]]] = []
+    candidates: list[tuple[Placement, frozenset[Cell]]] = []
+    heap: list[tuple[int, int, int, int, int, int]] = []
     for idx, pat in enumerate(dictionary.patterns):
         anchors = None
         for off in pat.cells:
@@ -98,23 +108,23 @@ def cover(s: VoxelStructure, dictionary: PatternDictionary) -> Cover:
                 break
         for a in anchors or ():
             cells = frozenset((a[0] + o[0], a[1] + o[1], a[2] + o[2]) for o in pat.cells)
-            candidates.append((idx, Placement(pat.name, a), cells))
+            heap.append((-len(cells), idx, a[2], a[1], a[0], len(candidates)))
+            candidates.append((Placement(pat.name, a), cells))
+    heapq.heapify(heap)
 
     chosen: list[Placement] = []
     covered: set[Cell] = set()
-    while True:
-        best = None
-        for idx, pl, cells in candidates:
-            gain = len(cells - covered)
-            if gain == 0:
-                continue
-            key = (-gain, idx, pl.anchor[2], pl.anchor[1], pl.anchor[0])
-            if best is None or key < best[0]:
-                best = (key, pl, cells)
-        if best is None:
-            break
-        chosen.append(best[1])
-        covered |= best[2]
+    while heap:
+        key = heapq.heappop(heap)
+        pl, cells = candidates[key[-1]]
+        gain = len(cells - covered)
+        if gain == 0:
+            continue
+        if gain < -key[0]:
+            heapq.heappush(heap, (-gain,) + key[1:])
+            continue
+        chosen.append(pl)
+        covered |= cells
     return Cover(
         placements=tuple(chosen),
         covered=frozenset(covered),

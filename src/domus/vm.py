@@ -127,8 +127,23 @@ class Move:
 
 @dataclass(frozen=True)
 class Repeat:
+    """A loop. Its hash, the one the dataclass would compute, is taken
+    once and kept: synthesis hashes each Repeat at every position it
+    holds in a layout, and the dataclass hash would walk the whole body
+    each time."""
+
     count: int
     body: tuple["Instruction", ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.count, self.body)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: the kept hash is only valid in this process
+        return Repeat, (self.count, self.body)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
+import hashlib
+import io
 import random
+import time
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from domus import synthesis
+from domus import cli, synthesis, vm
 from domus.aesthetics import (
     BeautyScore,
     Pattern,
@@ -15,7 +21,7 @@ from domus.aesthetics import (
 )
 from domus.world import FormatError
 
-from conftest import S, random_structure
+from conftest import CORPUS, S, random_structure
 
 BRICK = Pattern("brick", frozenset({(0, 0, 0), (1, 0, 0)}))
 DICT1 = PatternDictionary((BRICK,))
@@ -86,6 +92,103 @@ def test_cover_covers_union_of_stamps():
         s = S((12, 12, 6), cells)
         c = cover(s, DICT1)
         assert c.residual == frozenset()
+
+
+# the `beauty` JSON of each corpus program at the criterion-8 dims with
+# corpus/brick.pat: byte length and sha256 of stdout, which lists every
+# placement in order and every residual cell
+CORPUS_BEAUTY = {
+    "row3.cvm": ((4, 1, 1), 289,
+                 "9d12aed160e48304343884eaebcdf8928981edb515681fb98c1c26425b25170f"),
+    "slab4.cvm": ((8, 8, 4), 873,
+                  "b371a6e8c735294e3a37622e72fdcc34650cd976dd1dab16d16de01a8e0ca1e7"),
+    "pillar.cvm": ((4, 4, 10), 407,
+                   "81b4074cbe35d39e9eee8ee1f3b2928df8d35ec22410d6791e52336362e3195c"),
+    "bridge.cvm": ((8, 1, 8), 701,
+                   "20e758ae937d1920554311a5a5a27ff9d2c8371fd4a7d738e2aa317fef84909f"),
+    "sierpinski2.cvm": ((9, 9, 1), 3517,
+                        "cfba2f32b591ba9e6cff09ac0186ea52cf5b0cf05f56fe6971d1647061049d4d"),
+    "sierpinski3.cvm": ((27, 27, 1), 26455,
+                        "ea80cbf5c60aa6d7d34f029d02c4edd0844e890b86c24e0ce131dd6ae6b0a5c3"),
+    "sierpinski4.cvm": ((81, 81, 1), 207186,
+                        "e7ca138cf4cc9f083ba3da81a8e8cad82323e34f70041d8ad03850ffc97bd558"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_BEAUTY))
+def test_corpus_beauty_is_pinned(name):
+    dims, length, digest = CORPUS_BEAUTY[name]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.run(["beauty", str(CORPUS / name), "--dims", *map(str, dims),
+                        "--dict", str(CORPUS / "brick.pat")])
+    out = buf.getvalue().encode()
+    assert (code, len(out), hashlib.sha256(out).hexdigest()) == (0, length, digest)
+
+
+def _rescan_cover(s, dictionary):
+    """The full-rescan greedy: every round scores every candidate."""
+    candidates = []
+    for idx, pat in enumerate(dictionary.patterns):
+        anchors = {(c[0] - x, c[1] - y, c[2] - z) for c in s.occupied for (x, y, z) in pat.cells}
+        for a in anchors:
+            cells = frozenset((a[0] + x, a[1] + y, a[2] + z) for (x, y, z) in pat.cells)
+            if cells <= s.occupied:
+                candidates.append((idx, a, pat.name, cells))
+    chosen, covered = [], set()
+    while True:
+        best = None
+        for idx, a, name, cells in candidates:
+            gain = len(cells - covered)
+            if gain == 0:
+                continue
+            key = (-gain, idx, a[2], a[1], a[0])
+            if best is None or key < best[0]:
+                best = (key, name, a, cells)
+        if best is None:
+            break
+        chosen.append((best[1], best[2]))
+        covered |= best[3]
+    return chosen, frozenset(covered), frozenset(s.occupied - covered)
+
+
+_offsets = st.frozensets(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+                         min_size=1, max_size=4)
+
+
+@st.composite
+def _cover_cases(draw):
+    dims = (draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    box = [(x, y, z) for z in range(dims[2]) for y in range(dims[1]) for x in range(dims[0])]
+    occupied = draw(st.frozensets(st.sampled_from(box), max_size=len(box)))
+    shapes = draw(st.lists(_offsets, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        shapes.insert(draw(st.integers(0, len(shapes))), frozenset({(0, 0, 0)}))
+    if draw(st.booleans()):
+        # the same cells under another name
+        shapes.insert(draw(st.integers(0, len(shapes))), draw(st.sampled_from(shapes)))
+    shapes = shapes[:4]
+    patterns = tuple(Pattern(f"p{i}", cells) for i, cells in enumerate(shapes))
+    return S(dims, occupied), PatternDictionary(patterns)
+
+
+@given(_cover_cases())
+@settings(max_examples=300, deadline=None)
+def test_cover_matches_full_rescan(case):
+    s, d = case
+    c = cover(s, d)
+    chosen, covered, residual = _rescan_cover(s, d)
+    assert [(pl.pattern, pl.anchor) for pl in c.placements] == chosen
+    assert (c.covered, c.residual) == (covered, residual)
+
+
+def test_cover_of_the_depth_4_carpet_is_fast():
+    s = vm.execute(vm.parse((CORPUS / "sierpinski4.cvm").read_text()), (81, 81, 1))
+    d = load_patterns((CORPUS / "brick.pat").read_text())
+    start = time.process_time()
+    c = cover(s, d)
+    assert time.process_time() - start < 0.5
+    assert len(c.placements) == 1996
 
 
 # --- description length ---

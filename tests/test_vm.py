@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from unittest import mock
 
 import pytest
@@ -19,6 +20,18 @@ def test_parse_single_place():
 def test_parse_repeat():
     p = vm.parse("REPEAT 3 { PLACE MOVE X 1 }")
     assert p.instructions == (vm.Repeat(3, (vm.Place(), vm.Move("X", 1))),)
+
+
+def test_repeat_keeps_the_dataclass_hash():
+    body = (vm.Place(), vm.Repeat(2, (vm.Move("X", 1),)))
+    r = vm.Repeat(3, body)
+    assert hash(r) == hash((3, body))
+    assert r == vm.Repeat(3, body) and r != vm.Repeat(4, body)
+    # a pickle rebuilds the hash: string hashes differ between processes
+    data = pickle.dumps(r)
+    assert b"_hash" not in data
+    back = pickle.loads(data)
+    assert back == r and hash(back) == hash(r)
 
 
 def test_parse_def_and_call():
