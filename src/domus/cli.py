@@ -88,7 +88,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_complexity(args) -> int:
     s = _load_structure(args.file, tuple(args.dims))
-    bound = synthesis.synthesize_min(s)
+    bound = synthesis.synthesize_min(s, limits=_limits())
     payload = {
         "length": bound.length,
         "method": bound.method,

@@ -7,7 +7,10 @@ program for whatever the pattern dictionary cannot explain) with the
 weighted constraint penalties. Both terms are bytes-equivalent, so they
 add. A seeded simulated annealer edits the program directly; every
 dictionary pattern is precompiled into a DEF stamp so a single edit can
-drop a whole primitive into the design.
+drop a whole primitive into the design. The dictionary, constraints and
+dims are fixed for a search, so the score depends only on the structure
+a candidate builds: each search executes every candidate, but scores
+each distinct structure once.
 """
 
 from __future__ import annotations
@@ -105,6 +108,11 @@ def objective(program: vm.Program, dictionary: PatternDictionary,
         built = vm.execute(program, dims, limits)
     except DomusError:
         return math.inf
+    return _structure_score(built, dictionary, cs)
+
+
+def _structure_score(built: VoxelStructure, dictionary: PatternDictionary,
+                     cs: ConstraintSet) -> float:
     return beauty_score(built, dictionary).r + eval_constraints(built, cs).total
 
 
@@ -242,14 +250,24 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
     rng = random.Random(seed)
     editor = _Editor(rng, params.dims, [d.name for d in prelude])
 
+    # the score of each structure built so far in this search
+    scores: dict[frozenset, float] = {}
+
     def assemble(tail: list[vm.Instruction]) -> vm.Program:
         return vm.Program(prelude + tuple(tail))
 
-    def score(tail: list[vm.Instruction]) -> float:
-        return objective(assemble(tail), dictionary, cs, params.dims, limits)
+    def score(program: vm.Program) -> float:
+        try:
+            built = vm.execute(program, params.dims, limits)
+        except DomusError:
+            return math.inf
+        j = scores.get(built.occupied)
+        if j is None:
+            j = scores[built.occupied] = _structure_score(built, dictionary, cs)
+        return j
 
     current: list[vm.Instruction] = []
-    current_j = score(current)
+    current_j = score(assemble(current))
     best_tail = list(current)
     best_j = current_j
 
@@ -264,7 +282,7 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
             # an edit may nest blocks deeper than vm.parse reads back
             if (vm.program_length(candidate) <= params.max_program_bytes
                     and vm.block_depth(candidate.instructions) <= vm.MAX_BLOCK_DEPTH):
-                prop_j = objective(candidate, dictionary, cs, params.dims, limits)
+                prop_j = score(candidate)
                 delta = prop_j - current_j
                 if delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp)):
                     accepted = True

@@ -204,6 +204,30 @@ def _block_classes(ids: list[int]) -> Iterator[tuple[int, np.ndarray]]:
 # --- pass: loop folding ---
 
 
+def _prefix_lengths(flat: list, ids: list[int]) -> list[int]:
+    """pre[p] is the summed canonical length of flat[:p], a separator
+    counting 0. A block of b instructions at p holds no separator, so
+    vm.body_length of it is pre[p + b] - pre[p] + b - 1: its
+    instructions and the LFs between them. Equal instructions share an
+    id, so each distinct one is measured once."""
+    own = [0] * len(flat)
+    pre = [0]
+    total = 0
+    for p, ins in enumerate(flat):
+        if ins is not None:
+            q = ids[p]
+            own[p] = vm.body_length((ins,)) if q == p else own[q]
+            total += own[p]
+        pre.append(total)
+    return pre
+
+
+def _wrapper_length(empty: vm.Instruction) -> int:
+    """What a REPEAT or DEF adds around a nonempty body: its empty form
+    and one more LF."""
+    return vm.body_length((empty,)) + 1
+
+
 def _best_fold(flat: list, ids: list[int]):
     """Best (block_len, reps, start) fold in the flat layout, or None.
 
@@ -213,6 +237,7 @@ def _best_fold(flat: list, ids: list[int]):
     fold stays inside one sequence.
     """
     m = len(flat)
+    pre = None  # prefix lengths, made at the first repeat
     best = None  # key: (b, r, -p) maximized
     for b, cls in _block_classes(ids):
         if 2 * b > m:
@@ -220,6 +245,8 @@ def _best_fold(flat: list, ids: list[int]):
         cand = np.nonzero(cls[: m - 2 * b + 1] == cls[b: m - b + 1])[0]
         if cand.size == 0:
             continue
+        if pre is None:
+            pre = _prefix_lengths(flat, ids)
         cls = cls.tolist()
         dominated = bytearray(m)
         for p in cand.tolist():
@@ -231,10 +258,9 @@ def _best_fold(flat: list, ids: list[int]):
                 r += 1
                 j += b
                 dominated[j] = 1
-            block = tuple(flat[p: p + b])
+            lb = pre[p + b] - pre[p] + b - 1
             # r copies and their r - 1 separators, against one REPEAT
-            lb = vm.body_length(block)
-            savings = r * lb + r - 1 - vm.body_length((vm.Repeat(r, block),))
+            savings = r * lb + r - 1 - (_wrapper_length(vm.Repeat(r, ())) + lb)
             if savings <= 0:
                 continue
             key = (b, r, -p)
@@ -308,6 +334,7 @@ def _best_extraction(flat: list, ids: list[int], name: str):
     instructions replaces each occurrence, so blocks with nonzero net
     cursor displacement stay eligible.
     """
+    pre = None  # prefix lengths, made at the first repeat
     best = None  # minimized key: (-savings, first_pos, b)
     for b, cls in _block_classes(ids):
         counts = np.bincount(cls)
@@ -316,8 +343,6 @@ def _best_extraction(flat: list, ids: list[int], name: str):
         for p, c in zip(pos.tolist(), cls[pos].tolist()):
             groups.setdefault(c, []).append(p)
         for plist in groups.values():
-            first = plist[0]
-            block = tuple(flat[first: first + b])
             occ: list[int] = []
             last_end = -1
             for p in plist:
@@ -326,19 +351,29 @@ def _best_extraction(flat: list, ids: list[int], name: str):
                     last_end = p + b
             if len(occ) < 2:
                 continue
-            lb = vm.body_length(block)
-            repl = _repl_instructions(name, _net_displacement(block))
-            # the DEF costs its text and the separator before it
-            def_cost = vm.body_length((vm.Def(name, block),)) + 1
-            savings = len(occ) * (lb - vm.body_length(repl)) - def_cost
+            if pre is None:
+                pre = _prefix_lengths(flat, ids)
+                # the DEF costs its text and the separator before it
+                def_overhead = _wrapper_length(vm.Def(name, ())) + 1
+                call_length = vm.body_length((vm.Call(name),))
+            first = plist[0]
+            lb = pre[first + b] - pre[first] + b - 1
+            # a bare CALL is the shortest replacement, so this bounds the
+            # savings from above before the displacement is reckoned
+            bound = len(occ) * (lb - call_length) - def_overhead - lb
+            if bound <= 0 or (best is not None and bound < -best[0][0]):
+                continue
+            repl = _repl_instructions(name, _net_displacement(flat[first: first + b]))
+            savings = len(occ) * (lb - vm.body_length(repl)) - def_overhead - lb
             if savings <= 0:
                 continue
             key = (-savings, first, b)
             if best is None or key < best[0]:
-                best = (key, block, occ)
+                best = (key, occ)
     if best is None:
         return None
-    return best[1], best[2]
+    (_, first, b), occ = best
+    return tuple(flat[first: first + b]), occ
 
 
 def _contains_call(ins: vm.Instruction, name: str) -> bool:
@@ -395,13 +430,15 @@ def _extract_defs(program: vm.Program,
 
 
 def synthesize_min(s: VoxelStructure,
-                   cell_limit: int = DEFAULT_CELL_LIMIT) -> ComplexityBound:
+                   cell_limit: int = DEFAULT_CELL_LIMIT,
+                   limits: vm.ExecutionLimits | None = None) -> ComplexityBound:
     """Best upper bound the compression pipeline can certify.
 
     Passes run in a fixed order (literal, cuboids, loop folding,
     subroutine extraction); each is kept only when it strictly shortens
     the canonical serialization, so the result never exceeds the literal
-    program. The witness is re-executed before returning.
+    program. The witness is re-executed under the limits before
+    returning.
     """
     if len(s.occupied) > cell_limit:
         raise vm.BudgetExceeded(
@@ -419,7 +456,7 @@ def synthesize_min(s: VoxelStructure,
         if cand_len < best_len:
             best, best_len, method = candidate, cand_len, "compressed"
 
-    rebuilt = vm.execute(best, s.dims)
+    rebuilt = vm.execute(best, s.dims, limits)
     if rebuilt != s:
         raise WitnessMismatch("synthesis produced a witness that does not rebuild its input")
     return ComplexityBound(program=best, length=best_len, method=method)
@@ -427,7 +464,11 @@ def synthesize_min(s: VoxelStructure,
 
 def relative_complexity(a: VoxelStructure, b: VoxelStructure) -> int:
     """Signed byte difference between the two synthesized bounds. Any
-    fixed interpreter overhead shared by both witnesses cancels."""
+    fixed interpreter overhead shared by both witnesses cancels.
+
+    No command calls it. It stays public because it is the paper's
+    relative measure: a bound is only defined up to the constant cost
+    of the interpreter, and the difference of two bounds is not."""
     return synthesize_min(a).length - synthesize_min(b).length
 
 
@@ -480,11 +521,11 @@ class _Enumerator:
                           for dy in range(1, self.ny + 1) for dz in range(1, self.nz + 1)]
         self.call_opts = {name: [_costed(vm.Call(name, sc)) for sc in range(1, maxd + 1)]
                           for name in _NAMES}
-        # a REPEAT or DEF around a nonempty body costs its empty form,
-        # the body and one more LF
-        self.rep_opts = [(cnt, vm.body_length((vm.Repeat(cnt, ()),)) + 1)
+        # a REPEAT or DEF around a nonempty body costs the body and
+        # its wrapper
+        self.rep_opts = [(cnt, _wrapper_length(vm.Repeat(cnt, ())))
                          for cnt in range(2, maxd + 1)]
-        self.def_opts = [(name, vm.body_length((vm.Def(name, ()),)) + 1) for name in _NAMES]
+        self.def_opts = [(name, _wrapper_length(vm.Def(name, ()))) for name in _NAMES]
 
     def _tick(self):
         self.nodes += 1

@@ -178,6 +178,15 @@ def test_env_placement_budget(tmp_path, capsys, monkeypatch):
     assert "placements" in err
 
 
+def test_env_placement_budget_reaches_witness_verification(tmp_path, capsys, monkeypatch):
+    row = tmp_path / "row.vox.txt"
+    row.write_text("DIMS 3 1 1\nLAYER 0\n###\n")
+    monkeypatch.setenv("DOMUS_MAX_PLACEMENTS", "1")
+    code, out, err = run(capsys, "complexity", row)
+    assert code == 3 and out == ""
+    assert err.startswith("domus: error:") and "placements" in err
+
+
 def test_optimize_searches_within_the_placement_budget(tmp_path, capsys, monkeypatch):
     # the dictionary's one stamp encloses a cell, which the constraint pays
     # for, but it takes more placements than the budget allows

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from domus import designer, vm
-from domus.aesthetics import Pattern, PatternDictionary
+from domus.aesthetics import Pattern, PatternDictionary, beauty_score
 from domus.designer import SearchParams, compile_stamp, objective, optimize, stamp_prelude
 from domus.world import ConstraintSet, EnclosedVolumeAtLeast, MaterialAtMost, Stability
 
@@ -109,24 +109,61 @@ def test_islands_independent_of_worker_count():
     assert a_trace == b_trace
 
 
+CORPUS_CS = ConstraintSet((Stability(weight=10.0), MaterialAtMost(2, weight=2.0)))
+# the empty design scores 50 here, and so do stable designs that brick
+# stamps cover exactly: the search scores stable non-empty structures
+SHELTER_CS = ConstraintSet((EnclosedVolumeAtLeast(1, weight=50.0), Stability(weight=10.0)))
+
 # sha256 of serialize(best) + trace.to_csv(); they move whenever the
 # editor's RNG stream or the island seeding changes
 GOLDEN_SEARCHES = [
-    (dict(), 1, "04904592ac9ad8e1871648d495261296a7a94bac8cc9c7e22c9f8123a81f671b"),
-    (dict(iterations=120, islands=3), 1,
+    (CORPUS_CS, dict(), 1, "04904592ac9ad8e1871648d495261296a7a94bac8cc9c7e22c9f8123a81f671b"),
+    (CORPUS_CS, dict(iterations=120, islands=3), 1,
      "a245f5a8c981d8e59d692ebe72b0970e41dd2a240893538c8f80658203c93354"),
-    (dict(iterations=120, islands=3), 2,
+    (CORPUS_CS, dict(iterations=120, islands=3), 2,
      "a245f5a8c981d8e59d692ebe72b0970e41dd2a240893538c8f80658203c93354"),
+    (SHELTER_CS, dict(), 1, "93bfb234a49a1500c49f6aac4a82c85b0be3caad02fea74dde79d7907d17ff30"),
 ]
 
 
-@pytest.mark.parametrize("kw, workers, digest", GOLDEN_SEARCHES,
-                         ids=["single", "islands3-w1", "islands3-w2"])
-def test_search_is_pinned(kw, workers, digest):
-    cs = ConstraintSet((Stability(weight=10.0), MaterialAtMost(2, weight=2.0)))
+@pytest.mark.parametrize("cs, kw, workers, digest", GOLDEN_SEARCHES,
+                         ids=["single", "islands3-w1", "islands3-w2", "shelter"])
+def test_search_is_pinned(cs, kw, workers, digest):
     best, trace = optimize(DICT1, cs, _params(**kw), workers=workers)
     got = hashlib.sha256((vm.serialize(best) + trace.to_csv()).encode()).hexdigest()
     assert got == digest
+
+
+@pytest.mark.parametrize("cs", [CORPUS_CS, SHELTER_CS], ids=["corpus", "shelter"])
+def test_trace_scores_each_candidate_by_the_objective(monkeypatch, cs):
+    proposals = []
+    propose = designer._Editor.propose
+
+    def recording(self, tail):
+        proposals.append(propose(self, tail))
+        return proposals[-1]
+
+    monkeypatch.setattr(designer._Editor, "propose", recording)
+    params = _params(iterations=200)
+    _, trace = optimize(DICT1, cs, params)
+    prelude = stamp_prelude(DICT1)
+    structures = []
+    residual = False
+    for record, proposal in zip(trace.records, proposals, strict=True):
+        if proposal is None:
+            continue
+        candidate = vm.Program(prelude + tuple(proposal))
+        if (vm.program_length(candidate) > params.max_program_bytes
+                or vm.block_depth(candidate.instructions) > vm.MAX_BLOCK_DEPTH):
+            continue
+        assert record.objective == objective(candidate, DICT1, cs, params.dims)
+        if record.objective < math.inf:
+            built = vm.execute(candidate, params.dims)
+            structures.append(built.occupied)
+            residual = residual or beauty_score(built, DICT1).r > 0
+    # distinct structures, some scored more than once, some with a residual
+    assert 1 < len(set(structures)) < len(structures)
+    assert residual
 
 
 def test_islands_pick_the_lowest_final_best_then_the_lowest_index(monkeypatch):

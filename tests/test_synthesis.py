@@ -226,6 +226,96 @@ def test_rewrite_keeps_untouched_sequences():
     assert synthesis._rewrite(instrs, {}) is instrs
 
 
+_NAMES = st.sampled_from(["a", "b", "ab"])
+_LEAF = st.one_of(
+    st.just(vm.Place()),
+    st.builds(vm.Move, st.sampled_from("XYZ"), st.integers(-12, 12).filter(bool)),
+    st.builds(vm.Fill, st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    st.builds(vm.Call, _NAMES, st.integers(1, 12)),
+)
+_NESTED = st.recursive(_LEAF, lambda inner: st.builds(
+    vm.Repeat, st.integers(2, 12), st.lists(inner, min_size=1, max_size=4).map(tuple)),
+    max_leaves=12)
+_TOP = st.one_of(_NESTED, st.builds(
+    vm.Def, _NAMES, st.lists(_NESTED, min_size=1, max_size=4).map(tuple)))
+
+
+@given(st.lists(_TOP, min_size=1, max_size=8).map(tuple), st.integers(2, 12), _NAMES)
+@settings(max_examples=200, deadline=None)
+def test_prefix_sums_price_every_block(instrs, count, name):
+    flat = synthesis._layout(instrs)
+    pre = synthesis._prefix_lengths(flat, synthesis._instruction_ids(flat))
+    repeat = synthesis._wrapper_length(vm.Repeat(count, ()))
+    define = synthesis._wrapper_length(vm.Def(name, ()))
+    for p in range(len(flat)):
+        q = p
+        while q < len(flat) and flat[q] is not None:
+            q += 1
+            block = tuple(flat[p:q])
+            length = pre[q] - pre[p] + (q - p) - 1
+            assert length == vm.body_length(block)
+            assert repeat + length == vm.body_length((vm.Repeat(count, block),))
+            assert define + length == vm.body_length((vm.Def(name, block),))
+
+
+def _priced_fold(flat, ids):
+    # reference for _best_fold: each block priced by vm.body_length of its tuple
+    m, best = len(flat), None
+    for b, cls in synthesis._block_classes(ids):
+        if 2 * b > m:
+            break
+        cls = cls.tolist()
+        dominated = bytearray(m)
+        for p in range(m - 2 * b + 1):
+            if cls[p] != cls[p + b] or dominated[p]:
+                continue
+            r, j = 1, p
+            while j + 2 * b <= m and cls[j + b] == cls[p]:
+                r, j = r + 1, j + b
+                dominated[j] = 1
+            block = tuple(flat[p: p + b])
+            savings = (r * vm.body_length(block) + r - 1
+                       - vm.body_length((vm.Repeat(r, block),)))
+            if savings > 0 and (best is None or (b, r, -p) > best[0]):
+                best = ((b, r, -p), (b, r, p))
+    return best[1] if best else None
+
+
+def _priced_extraction(flat, ids, name):
+    # reference for _best_extraction: each block priced by vm.body_length of its tuple
+    best = None
+    for b, cls in synthesis._block_classes(ids):
+        groups = {}
+        for p, c in enumerate(cls.tolist()):
+            groups.setdefault(c, []).append(p)
+        for plist in groups.values():
+            occ, last_end = [], -1
+            for p in plist:
+                if p >= last_end:
+                    occ.append(p)
+                    last_end = p + b
+            if len(occ) < 2:
+                continue
+            block = tuple(flat[plist[0]: plist[0] + b])
+            repl = synthesis._repl_instructions(name, synthesis._net_displacement(block))
+            savings = (len(occ) * (vm.body_length(block) - vm.body_length(repl))
+                       - vm.body_length((vm.Def(name, block),)) - 1)
+            key = (-savings, plist[0], b)
+            if savings > 0 and (best is None or key < best[0]):
+                best = (key, block, occ)
+    return best[1:] if best else None
+
+
+def test_prefix_priced_passes_pick_what_tuple_pricing_picks():
+    rng = random.Random(11)
+    for _ in range(1500):
+        instrs = (vm.Def("a", _nested_block(rng, 1, False)),) + _nested_block(rng, 0, True)
+        flat = synthesis._layout(instrs)
+        ids = synthesis._instruction_ids(flat)
+        assert synthesis._best_fold(flat, ids) == _priced_fold(flat, ids)
+        assert synthesis._best_extraction(flat, ids, "b") == _priced_extraction(flat, ids, "b")
+
+
 # --- the passes on nested programs ---
 
 def _nested_block(rng, depth, calls):
