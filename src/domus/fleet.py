@@ -78,26 +78,31 @@ def build_fleet(program: vm.Program, n: int, model: BuilderModel,
     """Build n structures from one program under the given builder model.
 
     Robot fleets execute once and share the immutable result. Human
-    fleets rerun the program per member with a jitter stream seeded by
-    (seed, member index); jittered placements that leave the world are
-    dropped, not errors.
+    fleets are one walk of the program (vm.execute_jittered) with a
+    jitter stream per member, seeded by (seed, member index), so member
+    i is what a build of its own would give; jittered placements that
+    leave the world are dropped, not errors. The walk's step budget is
+    spent once per fleet, and a fault is raised once for the fleet.
     """
     if n < 1:
         raise ValueError("fleet size must be >= 1")
     if isinstance(model, RobotBuilder):
         prototype = vm.execute(program, dims, limits)
         return [prototype] * n
-    members = []
-    for i in range(n):
-        rng = random.Random(_member_seed(model.seed, i))
+    jitters = [_jitter(random.Random(_member_seed(model.seed, i)), model.jitter_prob)
+               for i in range(n)]
+    return vm.execute_jittered(program, dims, limits, jitters)
 
-        def jitter():
-            if rng.random() < model.jitter_prob:
-                return _OFFSETS[rng.randrange(len(_OFFSETS))]
-            return None
 
-        members.append(vm.execute(program, dims, limits, jitter=jitter))
-    return members
+def _jitter(rng: random.Random, p: float) -> vm.JitterFn:
+    """One member's jitter hook, drawing from its own stream."""
+
+    def jitter():
+        if rng.random() < p:
+            return _OFFSETS[rng.randrange(len(_OFFSETS))]
+        return None
+
+    return jitter
 
 
 @dataclass(frozen=True)
@@ -120,13 +125,20 @@ def collapse_fraction(s: VoxelStructure, removed: frozenset[Cell],
     Removing cells only takes support away, so the cells that newly
     lose it number the change in the unsupported count, which
     _AttackGrid counts in the removed cells' windows, plus the removed
-    cells that were unsupported already.
+    cells that were unsupported already. Only cells whose columns lie
+    within 2m of a removed cell (m = max_overhang) can change status or
+    decide the status of one that does, so the grid holds only the
+    cells in the box of those columns, the slice that delta recounts.
     """
     gone = tuple(removed & s.occupied)
     remaining = len(s.occupied) - len(gone)
     if not gone or not remaining:
         return 0.0
-    grid = _AttackGrid(s.occupied, max_overhang)
+    reach = 2 * max_overhang
+    x0, x1 = min(c[0] for c in gone) - reach, max(c[0] for c in gone) + reach
+    y0, y1 = min(c[1] for c in gone) - reach, max(c[1] for c in gone) + reach
+    grid = _AttackGrid([c for c in s.occupied if x0 <= c[0] <= x1 and y0 <= c[1] <= y1],
+                       max_overhang)
     ox, oy, _ = grid.lo
     was = sum(bool(grid.unsupported[x - ox, y - oy, z]) for x, y, z in gone)
     return (grid.delta(gone) + was) / remaining

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomusError
 from .world import VoxelStructure
@@ -64,6 +64,7 @@ __all__ = [
     "program_length",
     "block_depth",
     "execute",
+    "execute_jittered",
 ]
 
 
@@ -188,8 +189,9 @@ MAX_BLOCK_DEPTH = 100
 # CALLs nest at most this deep when a program runs.
 MAX_CALL_DEPTH = 32
 
-# Bounds the time of a jittered build, which runs every REPEAT iteration
-# and CALL body one by one: about a second of walking. The largest corpus
+# Bounds the time of a jittered walk, which runs every REPEAT iteration
+# and CALL body one by one: about a second of walking, spent once for a
+# whole human fleet, since its members share one walk. The largest corpus
 # program takes 585 steps, and a 64^3 world filled one PLACE at a time
 # about 266,000. A deterministic build never takes steps one by one; its
 # time is bounded by the program size and the world volume instead.
@@ -433,18 +435,19 @@ def _block_depth(body: tuple[Instruction, ...], inner: dict[str, int]) -> int:
 
 
 JitterFn = Callable[[], Optional[tuple[int, int, int]]]
+BoxFn = Callable[[tuple[int, int, int], int, int, int], None]
 
 
 class _Executor:
     """The sequential walker: runs every instruction in order, each
-    REPEAT iteration and CALL body anew. Only jittered builds need it."""
+    REPEAT iteration and CALL body anew, and hands each PLACE and FILL
+    to box as its anchor and extent (a PLACE is a 1 x 1 x 1 box), once
+    its placements are charged. Only jittered builds need it, and one
+    walk serves a whole fleet (see _LockstepBox)."""
 
-    def __init__(self, dims: tuple[int, int, int], limits: ExecutionLimits,
-                 jitter: Optional[JitterFn]):
-        self.nx, self.ny, self.nz = dims
+    def __init__(self, limits: ExecutionLimits, box: BoxFn):
         self.limits = limits
-        self.jitter = jitter
-        self.cells: set[tuple[int, int, int]] = set()
+        self.box = box
         self.placements = 0
         self.steps = 0
 
@@ -460,51 +463,18 @@ class _Executor:
         if self.steps > MAX_STEPS:
             raise BudgetExceeded(f"more than {MAX_STEPS} steps")
 
-    def _in_bounds(self, x: int, y: int, z: int) -> bool:
-        return 0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz
-
-    def _anchor(self, cur: tuple[int, int, int]) -> tuple[int, int, int]:
-        if self.jitter is not None:
-            off = self.jitter()
-            if off is not None:
-                return (cur[0] + off[0], cur[1] + off[1], cur[2] + off[2])
-        return cur
-
-    def _place(self, cur: tuple[int, int, int]):
-        self._charge(1)
-        x, y, z = self._anchor(cur)
-        if not self._in_bounds(x, y, z):
-            if self.jitter is not None:
-                return  # human builders drop placements that leave the site
-            raise OutOfBounds(f"PLACE at {(x, y, z)} outside dims {(self.nx, self.ny, self.nz)}")
-        self.cells.add((x, y, z))
-
-    def _fill(self, cur: tuple[int, int, int], dx: int, dy: int, dz: int):
-        self._charge(dx * dy * dz)
-        x0, y0, z0 = self._anchor(cur)
-        if self.jitter is None:
-            if not (self._in_bounds(x0, y0, z0)
-                    and self._in_bounds(x0 + dx - 1, y0 + dy - 1, z0 + dz - 1)):
-                raise OutOfBounds(
-                    f"FILL {(dx, dy, dz)} at {(x0, y0, z0)} outside dims "
-                    f"{(self.nx, self.ny, self.nz)}"
-                )
-        for z in range(z0, z0 + dz):
-            for y in range(y0, y0 + dy):
-                for x in range(x0, x0 + dx):
-                    if self.jitter is not None and not self._in_bounds(x, y, z):
-                        continue
-                    self.cells.add((x, y, z))
-
     def run(self, body: tuple[Instruction, ...], cur: tuple[int, int, int],
             scale: int, depth: int,
             env: dict[str, tuple[Instruction, ...]],
             top: bool = False) -> tuple[int, int, int]:
         for ins in body:
             if isinstance(ins, Place):
-                self._place(cur)
+                self._charge(1)
+                self.box(cur, 1, 1, 1)
             elif isinstance(ins, Fill):
-                self._fill(cur, ins.dx * scale, ins.dy * scale, ins.dz * scale)
+                dx, dy, dz = ins.dx * scale, ins.dy * scale, ins.dz * scale
+                self._charge(dx * dy * dz)
+                self.box(cur, dx, dy, dz)
             elif isinstance(ins, Move):
                 d = ins.n * scale
                 if ins.axis == "X":
@@ -532,6 +502,46 @@ class _Executor:
             else:
                 raise TypeError(f"not an instruction: {ins!r}")
         return cur
+
+
+def _clipped(x: int, y: int, z: int, dx: int, dy: int, dz: int,
+             dims: tuple[int, int, int]):
+    """The cells of the box at (x, y, z) with extent (dx, dy, dz) that
+    lie inside the world."""
+    return product(range(max(x, 0), min(x + dx, dims[0])),
+                   range(max(y, 0), min(y + dy, dims[1])),
+                   range(max(z, 0), min(z + dz, dims[2])))
+
+
+class _LockstepBox:
+    """The box hook of jittered builds: stamps each box the walker hands
+    it into every member's cells, one member at a time in index order.
+
+    Each member consults its own jitter once per box, so every stream
+    sees the same draws in the same order as a walk of its own would
+    make. A displaced box is shifted and clipped to the world; the cells
+    of an undisplaced one are worked out once per box and shared by
+    every member that keeps it. Cells outside the world are dropped,
+    not errors.
+    """
+
+    def __init__(self, dims: tuple[int, int, int], jitters: Sequence[JitterFn]):
+        self.dims = dims
+        self.jitters = jitters
+        self.members: list[set[tuple[int, int, int]]] = [set() for _ in jitters]
+
+    def __call__(self, cur: tuple[int, int, int], dx: int, dy: int, dz: int):
+        x, y, z = cur
+        dims = self.dims
+        shared = None
+        for cells, jitter in zip(self.members, self.jitters):
+            off = jitter()
+            if off is None:
+                if shared is None:
+                    shared = tuple(_clipped(x, y, z, dx, dy, dz, dims))
+                cells.update(shared)
+            else:
+                cells.update(_clipped(x + off[0], y + off[1], z + off[2], dx, dy, dz, dims))
 
 
 class _Summary:
@@ -692,9 +702,11 @@ def execute(program: Program, dims: tuple[int, int, int],
     CALLs nest at most MAX_CALL_DEPTH deep, a module constant like
     MAX_STEPS.
 
-    The two cases run on two engines. With jitter, a sequential walker
-    runs every instruction in order and reports the first fault it
-    meets; it raises BudgetExceeded after MAX_STEPS REPEAT iterations
+    The two cases run on two engines. With jitter, the build is
+    execute_jittered with one hook; a human fleet is one such walk with
+    a hook per member, and spends the step budget once. A sequential
+    walker runs every instruction in order and reports the first fault
+    it meets; it raises BudgetExceeded after MAX_STEPS REPEAT iterations
     and CALL body runs. Without, a summary engine runs each (body,
     scale) once and stamps the result by translation, so nested REPEATs
     and CALLs cost no more than their text. A program with more than
@@ -712,7 +724,26 @@ def execute(program: Program, dims: tuple[int, int, int],
     if limits is None:
         limits = ExecutionLimits()
     if jitter is not None:
-        ex = _Executor(dims, limits, jitter)
-        ex.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
-        return VoxelStructure(dims, frozenset(ex.cells))
+        return execute_jittered(program, dims, limits, (jitter,))[0]
     return VoxelStructure(dims, frozenset(_Summarizer(dims, limits).run(program)))
+
+
+def execute_jittered(program: Program, dims: tuple[int, int, int],
+                     limits: ExecutionLimits | None,
+                     jitters: Sequence[JitterFn]) -> list[VoxelStructure]:
+    """One jittered build per jitter hook, all from one walk of the
+    program: the structure execute(program, dims, limits, jitter=j)
+    builds, for each j in jitters, in order.
+
+    Jitter moves where a PLACE or FILL lands but never the cursor, so
+    every build walks the same instructions and the walker runs once.
+    Each box it meets is stamped into every build in turn, each hook
+    consulted once (see _LockstepBox). The step and placement budgets
+    are spent once for all the builds, and a fault, met where a walk of
+    one build would meet it, is raised once for all of them.
+    """
+    if limits is None:
+        limits = ExecutionLimits()
+    box = _LockstepBox(dims, jitters)
+    _Executor(limits, box).run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+    return [VoxelStructure(dims, frozenset(cells)) for cells in box.members]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -164,7 +165,7 @@ def _dense_grid(cells, pad: int = 0) -> tuple[np.ndarray, Cell]:
     at z=0 so ground contact stays visible and padded by pad empty cells
     on each side in x and y. Returns the grid and the cell its origin
     stands for."""
-    idx = np.array(list(cells), dtype=np.int64)
+    idx = np.fromiter(chain.from_iterable(cells), np.int64, 3 * len(cells)).reshape(-1, 3)
     lo = idx.min(axis=0) - (pad, pad, 0)
     lo[2] = 0
     idx -= lo

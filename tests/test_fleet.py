@@ -1,8 +1,15 @@
+import hashlib
+import io
+import random
+from contextlib import redirect_stdout
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from domus import fleet, vm, world
+from domus import cli, fleet, vm, world
+from domus.errors import DomusError
 from domus.fleet import (
     Attack,
     HumanBuilder,
@@ -12,7 +19,7 @@ from domus.fleet import (
     find_attack,
     transfer_rate,
 )
-from domus.world import unsupported_cells
+from domus.world import VoxelStructure, unsupported_cells
 from conftest import CORPUS, S
 
 BRIDGE_DIMS = (8, 1, 8)
@@ -65,6 +72,231 @@ def test_robot_errors_propagate():
         build_fleet(vm.parse("MOVE X -1 PLACE"), 3, RobotBuilder(), (2, 2, 2))
 
 
+# --- human fleets against a walk per member ---
+
+_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+            if (dx, dy, dz) != (0, 0, 0)]
+
+
+class _MemberWalker:
+    """One human member built on its own: the jittered walker as it ran
+    before a fleet shared one walk. It consults the jitter once per
+    PLACE or FILL and places the box cell by cell, dropping the cells
+    that leave the world."""
+
+    def __init__(self, dims, limits, jitter):
+        self.nx, self.ny, self.nz = dims
+        self.limits = limits
+        self.jitter = jitter
+        self.cells = set()
+        self.placements = 0
+        self.steps = 0
+
+    def _charge(self, n):
+        self.placements += n
+        if self.placements > self.limits.max_placements:
+            raise vm.BudgetExceeded(f"more than {self.limits.max_placements} placements")
+
+    def _step(self):
+        self.steps += 1
+        if self.steps > vm.MAX_STEPS:
+            raise vm.BudgetExceeded(f"more than {vm.MAX_STEPS} steps")
+
+    def _in_bounds(self, x, y, z):
+        return 0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz
+
+    def _anchor(self, cur):
+        off = self.jitter()
+        if off is not None:
+            return (cur[0] + off[0], cur[1] + off[1], cur[2] + off[2])
+        return cur
+
+    def _place(self, cur):
+        self._charge(1)
+        x, y, z = self._anchor(cur)
+        if self._in_bounds(x, y, z):
+            self.cells.add((x, y, z))
+
+    def _fill(self, cur, dx, dy, dz):
+        self._charge(dx * dy * dz)
+        x0, y0, z0 = self._anchor(cur)
+        for z in range(z0, z0 + dz):
+            for y in range(y0, y0 + dy):
+                for x in range(x0, x0 + dx):
+                    if self._in_bounds(x, y, z):
+                        self.cells.add((x, y, z))
+
+    def run(self, body, cur, scale, depth, env, top=False):
+        for ins in body:
+            if isinstance(ins, vm.Place):
+                self._place(cur)
+            elif isinstance(ins, vm.Fill):
+                self._fill(cur, ins.dx * scale, ins.dy * scale, ins.dz * scale)
+            elif isinstance(ins, vm.Move):
+                d = ins.n * scale
+                if ins.axis == "X":
+                    cur = (cur[0] + d, cur[1], cur[2])
+                elif ins.axis == "Y":
+                    cur = (cur[0], cur[1] + d, cur[2])
+                else:
+                    cur = (cur[0], cur[1], cur[2] + d)
+            elif isinstance(ins, vm.Repeat):
+                for _ in range(ins.count):
+                    self._step()
+                    cur = self.run(ins.body, cur, scale, depth, env)
+            elif isinstance(ins, vm.Def):
+                if not top:
+                    raise vm.DslError("DEF is only allowed at top level")
+                env[ins.name] = ins.body
+            elif isinstance(ins, vm.Call):
+                if ins.name not in env:
+                    raise vm.UnknownName(f"CALL {ins.name!r} before its DEF")
+                if depth + 1 > vm.MAX_CALL_DEPTH:
+                    raise vm.DepthExceeded(f"call depth exceeds {vm.MAX_CALL_DEPTH}")
+                self._step()
+                self.run(env[ins.name], cur, scale * ins.scale, depth + 1, env)
+        return cur
+
+
+def _fleet_by_member_walks(program, n, model, dims, limits):
+    """build_fleet for a human model, one walk per member, each with
+    its own stream seeded by (seed, member index)."""
+    members = []
+    for i in range(n):
+        rng = random.Random(model.seed * 1_000_003 + i)
+
+        def jitter():
+            if rng.random() < model.jitter_prob:
+                return _OFFSETS[rng.randrange(len(_OFFSETS))]
+            return None
+
+        walker = _MemberWalker(dims, limits, jitter)
+        walker.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+        members.append(VoxelStructure(dims, frozenset(walker.cells)))
+    return members
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DomusError as exc:
+        return type(exc)
+
+
+_NAMES = ("a", "b", "c")
+_calls = st.builds(vm.Call, st.sampled_from(_NAMES), st.integers(1, 3))
+
+
+def _instructions(depth: int):
+    base = st.one_of(
+        st.just(vm.Place()),
+        st.builds(vm.Move, st.sampled_from("XYZ"), st.sampled_from((-3, -1, 1, 2))),
+        st.builds(vm.Fill, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        _calls,
+    )
+    if depth == 0:
+        return base
+    body = st.lists(_instructions(depth - 1), min_size=1, max_size=4).map(tuple)
+    return st.one_of(base, st.builds(vm.Repeat, st.integers(0, 3), body))
+
+
+_defs = st.builds(vm.Def, st.sampled_from(_NAMES),
+                  st.lists(st.one_of(_instructions(2), _calls), min_size=1,
+                           max_size=4).map(tuple))
+
+
+@st.composite
+def _human_fleet_cases(draw):
+    """A small world and a program of DEFs, scaled CALLs, REPEATs, FILLs
+    and MOVEs that leave it, under small budgets and caps: names may be
+    unbound or call themselves, so every fault can occur."""
+    dims = draw(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)))
+    program = vm.Program(tuple(draw(st.lists(st.one_of(_instructions(2), _defs),
+                                             min_size=1, max_size=7))))
+    limits = vm.ExecutionLimits(max_placements=draw(st.integers(1, 400)))
+    model = HumanBuilder(draw(st.sampled_from((0.0, 0.3, 1.0))), draw(st.integers(0, 10**6)))
+    caps = draw(st.integers(1, 4)), draw(st.integers(1, 200))
+    return program, draw(st.integers(1, 4)), model, dims, limits, caps
+
+
+_BIG = vm.ExecutionLimits(max_placements=10**6)
+
+
+@given(_human_fleet_cases())
+@settings(max_examples=400, deadline=None)
+# a placement that every jitter pushes outside the world
+@example((vm.parse("PLACE"), 3, HumanBuilder(1.0, 5), (1, 1, 1), _BIG, (4, 100)))
+# FILLs clipped at the far edge and at the origin
+@example((vm.parse("MOVE X 2 FILL 3 2 2 MOVE X -3 MOVE Y -1 FILL 2 3 1"), 4,
+          HumanBuilder(0.3, 2), (3, 3, 3), _BIG, (4, 100)))
+# a scaled CALL inside a REPEAT
+@example((vm.parse("DEF a { FILL 1 1 1 MOVE X 1 } REPEAT 2 { CALL a 2 MOVE Y 1 }"), 4,
+          HumanBuilder(0.3, 3), (5, 3, 2), _BIG, (4, 100)))
+# faults: the step budget, the placement budget, an unbound name, the depth cap
+@example((vm.parse("REPEAT 3 { PLACE }"), 2, HumanBuilder(0.3, 4), (2, 2, 2), _BIG, (4, 2)))
+@example((vm.parse("FILL 2 2 2"), 2, HumanBuilder(0.3, 4), (2, 2, 2),
+          vm.ExecutionLimits(max_placements=7), (4, 100)))
+@example((vm.Program((vm.Place(), vm.Call("zz"))), 2, HumanBuilder(0.3, 4), (2, 2, 2),
+          _BIG, (4, 100)))
+@example((vm.parse("DEF a { PLACE } DEF b { CALL a } CALL b"), 2, HumanBuilder(0.3, 4),
+          (2, 2, 2), _BIG, (1, 100)))
+def test_human_fleet_matches_a_walk_per_member(case):
+    program, n, model, dims, limits, (depth, steps) = case
+    with mock.patch.object(vm, "MAX_CALL_DEPTH", depth), \
+            mock.patch.object(vm, "MAX_STEPS", steps):
+        got = _outcome(lambda: build_fleet(program, n, model, dims, limits))
+        want = _outcome(lambda: _fleet_by_member_walks(program, n, model, dims, limits))
+    assert got == want
+
+
+def test_human_fleet_is_one_walk(monkeypatch):
+    # 3 iterations and 3 calls walked once for the whole fleet
+    steps = []
+    real = vm._Executor._step
+    monkeypatch.setattr(vm._Executor, "_step", lambda self: steps.append(1) or real(self))
+    members = build_fleet(vm.parse("DEF a { PLACE } REPEAT 3 { CALL a }"), 50,
+                          HumanBuilder(0.5, 1), (2, 2, 2))
+    assert len(members) == 50 and len(steps) == 6
+
+
+def test_human_fleet_step_budget_stops_a_deep_nest():
+    # one cell under 22 nested REPEATs: 2**23 - 2 steps, met once per fleet
+    nest = vm.parse("PLACE " + "REPEAT 2 { " * 22 + "MOVE X 1 MOVE X -1" + " }" * 22)
+    with pytest.raises(vm.BudgetExceeded, match="steps"):
+        build_fleet(nest, 100, HumanBuilder(0.2, 1), (2, 1, 1))
+
+
+# sha256 of the `attack --builder human --p 0.2 --seed 1 --fleet 20`
+# JSON of each corpus program at the criterion-8 dims, recorded when
+# every member walked the program on its own
+CORPUS_HUMAN_ATTACKS = {
+    "row3.cvm": ((4, 1, 1),
+                 "9037683a34ea023cd02a605c3ce8df1f0969e8173162c580742bca7e9be8c95d"),
+    "slab4.cvm": ((8, 8, 4),
+                  "f1a6d53ce458618cdb656b4f7f6127c8a7b4a8097fc5a7747352a39b7aecdab5"),
+    "pillar.cvm": ((4, 4, 10),
+                   "ebb40b6b3b7fcd06f945e0f18093b7d7327752cff09efe3e70c2e3b5d7ecc4d0"),
+    "bridge.cvm": ((8, 1, 8),
+                   "dd45538fc6d51355177a6b28f739e7ca1362b3bed3ff6286187722b4f3b78816"),
+    "sierpinski2.cvm": ((9, 9, 1),
+                        "293be3f134fe104f11036a31f278e9aedf55216e07300ae34f648d00b0a6f981"),
+    "sierpinski3.cvm": ((27, 27, 1),
+                        "293be3f134fe104f11036a31f278e9aedf55216e07300ae34f648d00b0a6f981"),
+    "sierpinski4.cvm": ((81, 81, 1),
+                        "293be3f134fe104f11036a31f278e9aedf55216e07300ae34f648d00b0a6f981"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_HUMAN_ATTACKS))
+def test_corpus_human_attacks_are_pinned(name):
+    dims, digest = CORPUS_HUMAN_ATTACKS[name]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.run(["attack", str(CORPUS / name), "--dims", *map(str, dims),
+                        "--builder", "human", "--p", "0.2", "--seed", "1", "--fleet", "20"])
+    assert (code, hashlib.sha256(buf.getvalue().encode()).hexdigest()) == (0, digest)
+
+
 # --- collapse and attacks ---
 
 def test_collapse_vacuous_when_everything_removed():
@@ -84,7 +316,54 @@ def _removals(draw):
     return S((nx, ny, nz), cells), frozenset(held | absent)
 
 
-@given(_removals(), st.integers(0, 3))
+def _towers_beams_and_cells(draw, nx, ny, nz) -> set:
+    """Towers, beams and loose cells on an nx x ny x nz site."""
+    xs, ys, zs = st.integers(0, nx - 1), st.integers(0, ny - 1), st.integers(0, nz - 1)
+    cells = {(x, y, z)
+             for (x, y, h) in draw(st.lists(st.tuples(xs, ys, zs), max_size=8))
+             for z in range(h + 1)}
+    for (x, y, z, along_x, n) in draw(st.lists(
+            st.tuples(xs, ys, zs, st.booleans(), st.integers(1, 7)), max_size=4)):
+        cells |= {(x + i, y, z) if along_x else (x, y + i, z)
+                  for i in range(n) if (x + i < nx if along_x else y + i < ny)}
+    cells |= draw(st.sets(st.tuples(xs, ys, zs), max_size=20))
+    return cells
+
+
+@st.composite
+def _wide_removals(draw):
+    """Bridges (two towers joined by a beam on top), towers, beams and
+    loose cells on a site up to 16 wide, wider than the removed cells'
+    windows, and a removal of bridge bases, ground cells and at most one
+    other cell, which may name cells the structure does not hold. A
+    bridge whose towers stand between m and 2m apart holds beam cells
+    next to a removed base through the far tower, which only a window
+    of 2m sees."""
+    nx, ny, nz = draw(st.integers(1, 16)), draw(st.integers(1, 16)), draw(st.integers(1, 5))
+    cells = _towers_beams_and_cells(draw, nx, ny, nz)
+    bases = []
+    for _ in range(draw(st.integers(0, 3))):
+        along_x = draw(st.booleans())
+        span = nx if along_x else ny
+        if span < 2 or nz < 2:
+            break
+        d = draw(st.integers(1, min(7, span - 1)))
+        dx, dy = (d, 0) if along_x else (0, d)
+        x, y = draw(st.integers(0, nx - 1 - dx)), draw(st.integers(0, ny - 1 - dy))
+        z = draw(st.integers(1, nz - 1))
+        cells |= {(x + i * dx // d, y + i * dy // d, z) for i in range(d + 1)}
+        cells |= {(x + t * dx, y + t * dy, h) for t in (0, 1) for h in range(z)}
+        bases.append((x, y, 0))
+    held = draw(st.sets(st.sampled_from(bases), min_size=1, max_size=2)) if bases else set()
+    ground = sorted(c for c in cells if c[2] == 0)
+    held |= draw(st.sets(st.sampled_from(ground), max_size=1)) if ground else set()
+    held |= draw(st.sets(st.sampled_from(sorted(cells)), max_size=1)) if cells else set()
+    site = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1), st.integers(0, nz - 1))
+    absent = draw(st.sets(site, max_size=2))
+    return S((nx, ny, nz), cells), frozenset(held | absent)
+
+
+@given(st.one_of(_removals(), _wide_removals()), st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
 def test_collapse_fraction_matches_full_recount(case, m):
     s, removed = case
@@ -92,6 +371,28 @@ def test_collapse_fraction_matches_full_recount(case, m):
     expected = (len(set(unsupported_cells(rest, m)) - set(unsupported_cells(s.occupied, m)))
                 / len(rest)) if rest else 0.0
     assert collapse_fraction(s, removed, max_overhang=m) == expected
+
+
+def _full_recount(s, removed, m) -> float:
+    rest = s.occupied - removed
+    return (len(set(unsupported_cells(rest, m)) - set(unsupported_cells(s.occupied, m)))
+            / len(rest)) if rest else 0.0
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_collapse_fraction_around_the_window_edge(m):
+    # a bridge whose near base is removed: beam cells within m of both
+    # towers stay up through the far one, which stands outside a window
+    # of m around the removed base exactly when it is more than m away
+    for d in range(1, 2 * m + 3):
+        for along_x in (True, False):
+            far = (d, 0) if along_x else (0, d)
+            cells = {(i, 0, 2) if along_x else (0, i, 2) for i in range(d + 1)}
+            cells |= {(x, y, z) for x, y in ((0, 0), far) for z in range(2)}
+            s = S((d + 1, 1, 3) if along_x else (1, d + 1, 3), cells)
+            removed = frozenset({(0, 0, 0)})
+            assert (collapse_fraction(s, removed, max_overhang=m)
+                    == _full_recount(s, removed, m)), (m, d, along_x)
 
 
 def test_attack_single_ground_cell():
@@ -199,15 +500,7 @@ def _stable_structures(draw):
     stable part, so that bridges between towers are common."""
     m = draw(st.integers(0, 3))
     nx, ny, nz = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 5))
-    xs, ys, zs = st.integers(0, nx - 1), st.integers(0, ny - 1), st.integers(0, nz - 1)
-    cells = {(x, y, z)
-             for (x, y, h) in draw(st.lists(st.tuples(xs, ys, zs), max_size=8))
-             for z in range(h + 1)}
-    for (x, y, z, along_x, n) in draw(st.lists(
-            st.tuples(xs, ys, zs, st.booleans(), st.integers(1, 7)), max_size=4)):
-        cells |= {(x + i, y, z) if along_x else (x, y + i, z)
-                  for i in range(n) if (x + i < nx if along_x else y + i < ny)}
-    cells |= draw(st.sets(st.tuples(xs, ys, zs), max_size=20))
+    cells = _towers_beams_and_cells(draw, nx, ny, nz)
     cells -= set(unsupported_cells(cells, m))
     return S((nx, ny, nz), cells), m
 

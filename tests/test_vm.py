@@ -351,8 +351,7 @@ def test_fault_precedence():
             (wide_then_unbound, vm.OutOfBounds, vm.OutOfBounds),
             (oob_then_budget, vm.OutOfBounds, vm.BudgetExceeded)):
         with pytest.raises(walker_fault):
-            vm._Executor((2, 2, 2), limits, jitter=None).run(
-                program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+            _strict_walk(program, (2, 2, 2), limits)
         with pytest.raises(engine_fault):
             vm.execute(program, (2, 2, 2), limits)
 
@@ -376,11 +375,39 @@ def test_depth_limit_holds_when_a_summary_is_reused_deeper(b_body, monkeypatch):
         vm.execute(p, (1, 1, 1))
 
 
+def _in_world(cur, dx, dy, dz, dims) -> bool:
+    return all(0 <= c and c + d <= n for c, d, n in zip(cur, (dx, dy, dz), dims))
+
+
+def _box_cells(cur, dx, dy, dz):
+    x, y, z = cur
+    return itertools.product(range(x, x + dx), range(y, y + dy), range(z, z + dz))
+
+
+def _strict_walk(program, dims, limits) -> VoxelStructure:
+    """The walker with no jitter: a box that leaves the world raises
+    OutOfBounds where the walker meets it."""
+    cells = set()
+
+    def box(cur, dx, dy, dz):
+        if not _in_world(cur, dx, dy, dz, dims):
+            raise vm.OutOfBounds(f"box {(dx, dy, dz)} at {cur} outside dims {dims}")
+        cells.update(_box_cells(cur, dx, dy, dz))
+
+    vm._Executor(limits, box).run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+    return VoxelStructure(dims, frozenset(cells))
+
+
 class _FaultLog(vm._Executor):
     """The walker with BudgetExceeded and OutOfBounds recorded, not raised,
     so that it runs on to the first fault of the program text."""
 
     out_of_bounds = False
+
+    def __init__(self, dims, limits):
+        super().__init__(limits, self._box)
+        self.dims = dims
+        self.cells = set()
 
     def _step(self):
         self.steps += 1
@@ -390,23 +417,17 @@ class _FaultLog(vm._Executor):
     def _charge(self, n):
         self.placements += n
 
-    def _place(self, cur):
-        self._fill(cur, 1, 1, 1)
-
-    def _fill(self, cur, dx, dy, dz):
-        self._charge(dx * dy * dz)
-        x, y, z = cur
-        if not (self._in_bounds(x, y, z) and self._in_bounds(x + dx - 1, y + dy - 1, z + dz - 1)):
+    def _box(self, cur, dx, dy, dz):
+        if not _in_world(cur, dx, dy, dz, self.dims):
             self.out_of_bounds = True
         elif self.placements <= self.limits.max_placements:
-            self.cells.update(itertools.product(range(x, x + dx), range(y, y + dy),
-                                                range(z, z + dz)))
+            self.cells.update(_box_cells(cur, dx, dy, dz))
 
 
 def _faults(program, dims, limits):
     """The program's faults, and the structure it builds when there are
     none."""
-    log = _FaultLog(dims, limits, jitter=None)
+    log = _FaultLog(dims, limits)
     faults = []
     try:
         log.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
@@ -470,14 +491,9 @@ def _any_case(draw):
 def test_summary_engine_matches_walker(case):
     program, dims, limits, depth = case
 
-    def walk():
-        ex = vm._Executor(dims, limits, jitter=None)
-        ex.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
-        return VoxelStructure(dims, frozenset(ex.cells))
-
     with mock.patch.object(vm, "MAX_CALL_DEPTH", depth):
         faults, built = _faults(program, dims, limits)
-        walker = _outcome(walk)
+        walker = _outcome(lambda: _strict_walk(program, dims, limits))
         engine = _outcome(lambda: vm.execute(program, dims, limits))
     if not faults:
         assert walker == engine == built
