@@ -6,9 +6,11 @@ witness program whose execution reproduces the structure exactly. The
 pipeline in synthesize_min compresses the trivial cell-by-cell program
 through three passes (cuboid decomposition, loop folding, subroutine
 extraction), each accepted only when it strictly shrinks the canonical
-byte length. For desk-scale worlds, exhaustive_min enumerates every
-canonical program up to a byte budget and realizes the true minimum,
-which anchors the pipeline in tests.
+byte length. For desk-scale worlds, exhaustive_table is the oracle: one
+enumeration of every canonical program up to a byte budget gives each
+structure they build its true minimum, which anchors the pipeline in
+tests. One structure's minimum is exhaustive_table(s.dims,
+max_len).get(s.occupied), None when nothing within max_len builds it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "WitnessMismatch",
     "literal_program",
     "synthesize_min",
-    "exhaustive_min",
     "exhaustive_table",
     "relative_complexity",
 ]
@@ -430,7 +431,6 @@ def _extract_defs(program: vm.Program,
 
 
 def synthesize_min(s: VoxelStructure,
-                   cell_limit: int = DEFAULT_CELL_LIMIT,
                    limits: vm.ExecutionLimits | None = None) -> ComplexityBound:
     """Best upper bound the compression pipeline can certify.
 
@@ -438,11 +438,11 @@ def synthesize_min(s: VoxelStructure,
     subroutine extraction); each is kept only when it strictly shortens
     the canonical serialization, so the result never exceeds the literal
     program. The witness is re-executed under the limits before
-    returning.
+    returning; more than DEFAULT_CELL_LIMIT cells raise BudgetExceeded.
     """
-    if len(s.occupied) > cell_limit:
+    if len(s.occupied) > DEFAULT_CELL_LIMIT:
         raise vm.BudgetExceeded(
-            f"structure has {len(s.occupied)} cells, limit {cell_limit}"
+            f"structure has {len(s.occupied)} cells, limit {DEFAULT_CELL_LIMIT}"
         )
     best = literal_program(s)
     best_len = vm.program_length(best)
@@ -502,12 +502,11 @@ class _Enumerator:
     """
 
     def __init__(self, dims: tuple[int, int, int], max_len: int,
-                 node_budget: int, target_mask: Optional[int]):
+                 node_budget: int):
         self.nx, self.ny, self.nz = dims
         maxd = max(dims)
         self.max_len = max_len
         self.node_budget = node_budget
-        self.target = target_mask
         self.nodes = 0
         # mask -> (length, canonical text, program) of its best producer
         self.table: dict[int, tuple[int, str, vm.Program]] = {}
@@ -646,8 +645,6 @@ class _Enumerator:
         raise AssertionError(ins)
 
     def _record(self, mask: int, used: int, seq: list, call_counts: dict[str, int]):
-        if self.target is not None and mask != self.target:
-            return
         if any(c < 2 for c in call_counts.values()):
             return
         prev = self.table.get(mask)
@@ -660,8 +657,6 @@ class _Enumerator:
 
     def run(self):
         self.table[0] = (0, "", vm.Program())
-        if self.target == 0:
-            return
         self._dfs([], 0, 0, (0, 0, 0), 0, {}, {})
 
     def _dfs(self, seq: list, used: int, mask: int, cur, placed: int,
@@ -671,7 +666,6 @@ class _Enumerator:
         self._tick()
         sep = 1 if seq else 0
         room = self.max_len - used - sep
-        target = self.target
         last = seq[-1] if seq else None
 
         def attach(ins, cost, m2, c2, p2):
@@ -692,7 +686,7 @@ class _Enumerator:
             x, y, z = cur
             if 0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz:
                 b = self._bit(x, y, z)
-                if not (mask & b) and (target is None or (target & b)):
+                if not (mask & b):
                     attach(place, place_len, mask | b, cur, placed + 1)
 
         # MOVE
@@ -714,8 +708,6 @@ class _Enumerator:
             fm = self._fill_mask(cur[0], cur[1], cur[2], ins.dx, ins.dy, ins.dz)
             if fm is None or not (fm & ~mask):
                 continue
-            if target is not None and (fm & ~target):
-                continue
             attach(ins, cost, mask | fm, cur, placed + ins.dx * ins.dy * ins.dz)
 
         # REPEAT
@@ -729,8 +721,6 @@ class _Enumerator:
                     continue
                 m2, c2, p2 = r
                 if m2 == mask and c2 == cur:
-                    continue
-                if target is not None and (m2 & ~target):
                     continue
                 attach(ins, overhead + length, m2, c2, p2)
 
@@ -759,17 +749,7 @@ class _Enumerator:
                 m2, c2, p2 = r
                 if m2 == mask:
                     continue
-                if target is not None and (m2 & ~target):
-                    continue
                 attach(ins, cost, m2, c2, p2)
-
-
-def _mask_of(s: VoxelStructure) -> int:
-    nx, ny, _ = s.dims
-    m = 0
-    for (x, y, z) in s.occupied:
-        m |= 1 << (x + nx * (y + ny * z))
-    return m
 
 
 def _cells_of(mask: int, dims: tuple[int, int, int]) -> frozenset[Cell]:
@@ -784,32 +764,19 @@ def _cells_of(mask: int, dims: tuple[int, int, int]) -> frozenset[Cell]:
     return frozenset(cells)
 
 
-def exhaustive_min(s: VoxelStructure, max_len: int,
-                   node_budget: int = 50_000_000) -> Optional[ComplexityBound]:
-    """True minimum over every canonical program of at most max_len bytes.
-
-    Returns None when no program within the budget produces the
-    structure; among equal-length witnesses the lexicographically
-    smallest canonical text wins. Integer literals are bounded by the
-    world dimensions, which loses no producible structure at this scale.
-    Raises EnumerationBudgetExceeded when the search space outgrows
-    node_budget.
-    """
-    enum = _Enumerator(s.dims, max_len, node_budget, _mask_of(s))
-    enum.run()
-    hit = enum.table.get(_mask_of(s))
-    if hit is None:
-        return None
-    length, _, program = hit
-    return ComplexityBound(program=program, length=length, method="exhaustive")
-
-
 def exhaustive_table(dims: tuple[int, int, int], max_len: int,
                      node_budget: int = 50_000_000
                      ) -> dict[frozenset[Cell], ComplexityBound]:
-    """One shared enumeration answering exhaustive_min for every
-    structure producible within max_len bytes in this world."""
-    enum = _Enumerator(dims, max_len, node_budget, None)
+    """True minimum of every structure that a canonical program of at
+    most max_len bytes builds in this world, from one enumeration; a
+    structure missing from it has no such program.
+
+    Among equal-length witnesses the lexicographically smallest text
+    wins. Integer literals are bounded by the world dimensions, which
+    loses no producible structure at this scale. Raises
+    EnumerationBudgetExceeded past node_budget search nodes.
+    """
+    enum = _Enumerator(dims, max_len, node_budget)
     enum.run()
     out = {}
     for mask, (length, _, program) in enum.table.items():

@@ -169,11 +169,6 @@ class Program:
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
 
-    @property
-    def defs(self) -> dict[str, tuple[Instruction, ...]]:
-        """Name to body map, derived from the top-level DEF instructions."""
-        return {ins.name: ins.body for ins in self.instructions if isinstance(ins, Def)}
-
 
 @dataclass(frozen=True)
 class ExecutionLimits:
@@ -689,42 +684,28 @@ class _Summarizer:
 
 
 def execute(program: Program, dims: tuple[int, int, int],
-            limits: ExecutionLimits | None = None,
-            jitter: Optional[JitterFn] = None) -> VoxelStructure:
+            limits: ExecutionLimits | None = None) -> VoxelStructure:
     """Run a program on an empty world and return the built structure.
 
-    Deterministic for jitter=None: the cursor starts at (0, 0, 0), may
-    wander outside the box freely, and any placement outside the box
-    aborts with OutOfBounds. The jitter hook exists for the randomized
-    builder model: when set, it is consulted once per PLACE/FILL, may
-    displace the placement anchor, and out-of-bounds cells are silently
-    skipped instead of raising. limits sets the placement budget only;
-    CALLs nest at most MAX_CALL_DEPTH deep, a module constant like
-    MAX_STEPS.
+    The cursor starts at (0, 0, 0) and may wander outside the box
+    freely; a placement outside it aborts with OutOfBounds. limits sets
+    the placement budget; CALLs nest at most MAX_CALL_DEPTH deep. For
+    jittered builds see execute_jittered.
 
-    The two cases run on two engines. With jitter, the build is
-    execute_jittered with one hook; a human fleet is one such walk with
-    a hook per member, and spends the step budget once. A sequential
-    walker runs every instruction in order and reports the first fault
-    it meets; it raises BudgetExceeded after MAX_STEPS REPEAT iterations
-    and CALL body runs. Without, a summary engine runs each (body,
-    scale) once and stamps the result by translation, so nested REPEATs
-    and CALLs cost no more than their text. A program with more than
-    one fault reports, on the deterministic engine, the first fault the
-    engine proves. Faults of the program text (a DEF below top level, a
-    CALL to an unbound name, CALL nesting past MAX_CALL_DEPTH) are
-    proved where the walker meets them; BudgetExceeded at the end of
-    the first block whose placements pass max_placements; OutOfBounds
-    at a FILL or REPEAT too wide for the world, at the end of a block
-    with more cells than the world, or else once all cells are built.
-    So an out-of-bounds PLACE before a CALL to an unbound name reports
-    UnknownName, and a FILL wider than the world before it reports
-    OutOfBounds.
+    A summary engine runs each (body, scale) once and stamps the result
+    by translation, so nested REPEATs and CALLs cost no more than their
+    text. Of several faults, the first the engine proves is raised.
+    Faults of the program text (a DEF below top level, a CALL to an
+    unbound name, CALL nesting past MAX_CALL_DEPTH) are proved in
+    program order; BudgetExceeded at the end of the first block whose
+    placements pass max_placements; OutOfBounds at a FILL or REPEAT too
+    wide for the world, at the end of a block with more cells than the
+    world, or else once all cells are built. So an out-of-bounds PLACE
+    before a CALL to an unbound name reports UnknownName, and a FILL
+    wider than the world before it reports OutOfBounds.
     """
     if limits is None:
         limits = ExecutionLimits()
-    if jitter is not None:
-        return execute_jittered(program, dims, limits, (jitter,))[0]
     return VoxelStructure(dims, frozenset(_Summarizer(dims, limits).run(program)))
 
 
@@ -732,15 +713,14 @@ def execute_jittered(program: Program, dims: tuple[int, int, int],
                      limits: ExecutionLimits | None,
                      jitters: Sequence[JitterFn]) -> list[VoxelStructure]:
     """One jittered build per jitter hook, all from one walk of the
-    program: the structure execute(program, dims, limits, jitter=j)
-    builds, for each j in jitters, in order.
+    program, in the order of jitters.
 
-    Jitter moves where a PLACE or FILL lands but never the cursor, so
-    every build walks the same instructions and the walker runs once.
-    Each box it meets is stamped into every build in turn, each hook
-    consulted once (see _LockstepBox). The step and placement budgets
-    are spent once for all the builds, and a fault, met where a walk of
-    one build would meet it, is raised once for all of them.
+    Each hook is consulted once per PLACE or FILL and may displace where
+    it lands; cells outside the world are dropped, not errors. Jitter
+    never moves the cursor, so one walk serves every build (see
+    _LockstepBox). The walker reports the first fault it meets, once for
+    all builds, and spends the placement budget and MAX_STEPS (REPEAT
+    iterations and CALL body runs) once for all of them.
     """
     if limits is None:
         limits = ExecutionLimits()

@@ -400,45 +400,57 @@ def _mutate(data: bytes, edits) -> bytes:
     return data
 
 
+# the commands that read each kind of input file
+_READERS = {".cvm": ["build", "complexity", "natural", "attack", "beauty"],
+            ".vox.txt": ["render", "complexity", "natural", "beauty"],
+            ".pat": ["beauty", "optimize"],
+            ".json": ["optimize"]}
+
+
 @st.composite
 def _hostile_cases(draw):
-    """A command over one corpus input with a few byte and token edits, or
-    over layer text written from scratch."""
-    role = draw(st.sampled_from(["program", "layers", "scratch", "pat", "constraints"]))
+    """A command over one corpus input with a few byte and token edits,
+    over layer text written from scratch, or over random bytes written as
+    a file of any kind the command reads."""
+    role = draw(st.sampled_from(["program", "layers", "scratch", "pat", "constraints",
+                                 "bytes"]))
     if role == "program":
         name = draw(st.sampled_from(_FUZZ_PROGRAMS))
         source, suffix = (CORPUS / name).read_bytes(), ".cvm"
-        command = draw(st.sampled_from(["build", "complexity", "natural", "attack", "beauty"]))
+        command = draw(st.sampled_from(_READERS[".cvm"]))
     elif role == "layers":
         source, suffix = draw(st.sampled_from(_FUZZ_LAYERS)).encode(), ".vox.txt"
         command = draw(st.sampled_from(["complexity", "natural", "beauty"]))
     elif role == "scratch":
         source, suffix = draw(_scratch_layers()), ".vox.txt"
-        command = draw(st.sampled_from(["render", "complexity", "natural", "beauty"]))
+        command = draw(st.sampled_from(_READERS[".vox.txt"]))
     elif role == "pat":
         source, suffix = (CORPUS / "brick.pat").read_bytes(), ".pat"
-        command = draw(st.sampled_from(["beauty", "optimize"]))
-    else:
+        command = draw(st.sampled_from(_READERS[".pat"]))
+    elif role == "constraints":
         source, suffix = (CORPUS / "constraints.json").read_bytes(), ".json"
         command = "optimize"
+    else:
+        source, suffix = draw(st.binary()), draw(st.sampled_from(sorted(_READERS)))
+        command = draw(st.sampled_from(_READERS[suffix]))
     # 9^3 holds every corpus program but pillar and the larger carpets
     dims = draw(st.one_of(st.just((9, 9, 9)),
                           st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))))
-    data = source if role == "scratch" else _mutate(source, draw(_edits))
-    return role, suffix, data, command, dims
+    data = source if role in ("scratch", "bytes") else _mutate(source, draw(_edits))
+    return suffix, data, command, dims
 
 
-def _hostile_argv(role, path, command, dims, tmp):
+def _hostile_argv(suffix, path, command, dims, tmp):
     dims = ["--dims", *map(str, dims)]
     if command == "optimize":
-        pat = path if role == "pat" else CORPUS / "brick.pat"
-        cons = path if role == "constraints" else CORPUS / "constraints.json"
+        pat = path if suffix == ".pat" else CORPUS / "brick.pat"
+        cons = path if suffix == ".json" else CORPUS / "constraints.json"
         return ["optimize", "--dict", pat, "--constraints", cons, *dims,
                 "--iters", "5", "--out-dir", tmp / "design"]
-    target = CORPUS / "bridge.cvm" if role == "pat" else path
+    target = CORPUS / "bridge.cvm" if suffix == ".pat" else path
     argv = [command, target, *dims]
     if command == "beauty":
-        argv += ["--dict", path if role == "pat" else CORPUS / "brick.pat"]
+        argv += ["--dict", path if suffix == ".pat" else CORPUS / "brick.pat"]
     if command == "attack":
         argv += ["--builder", "human", "--fleet", "3", "--seed", "1"]
     return argv
@@ -447,12 +459,12 @@ def _hostile_argv(role, path, command, dims, tmp):
 @given(_hostile_cases())
 @settings(max_examples=1500, deadline=None)
 def test_hostile_inputs_end_in_a_documented_exit_code(case):
-    role, suffix, data, command, dims = case
+    suffix, data, command, dims = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path = tmp / f"input{suffix}"
         path.write_bytes(data)
-        argv = [str(a) for a in _hostile_argv(role, path, command, dims, tmp)]
+        argv = [str(a) for a in _hostile_argv(suffix, path, command, dims, tmp)]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.run(argv)

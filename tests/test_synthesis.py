@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from domus import DomusError, synthesis, vm
 from domus.synthesis import (
-    exhaustive_min,
     exhaustive_table,
     literal_program,
     relative_complexity,
@@ -55,7 +54,7 @@ def test_synthesize_single_cell_matches_oracle():
     s = S((3, 3, 3), {(0, 0, 0)})
     bound = synthesize_min(s)
     assert (bound.length, vm.serialize(bound.program)) == (5, "PLACE")
-    oracle = exhaustive_min(s, 5)
+    oracle = _oracle(s, 5)
     assert oracle is not None and oracle.length == bound.length
 
 
@@ -112,10 +111,11 @@ def test_synthesize_deterministic():
         assert vm.serialize(a.program) == vm.serialize(b.program)
 
 
-def test_cell_limit():
+def test_cell_limit(monkeypatch):
+    monkeypatch.setattr(synthesis, "DEFAULT_CELL_LIMIT", 2)
     s = S((4, 1, 1), {(0, 0, 0), (1, 0, 0), (2, 0, 0)})
     with pytest.raises(vm.BudgetExceeded):
-        synthesize_min(s, cell_limit=2)
+        synthesize_min(s)
 
 
 def test_witness_that_misses_its_input_is_a_domain_error(monkeypatch):
@@ -388,48 +388,48 @@ def test_relative_complexity_examples():
 
 # --- exhaustive oracle ---
 
+def _oracle(s, max_len, **kw):
+    """The true minimum of one structure, looked up in the table."""
+    return exhaustive_table(s.dims, max_len, **kw).get(s.occupied)
+
+
 def test_exhaustive_single_cell():
-    r = exhaustive_min(S((3, 3, 3), {(0, 0, 0)}), 5)
+    r = _oracle(S((3, 3, 3), {(0, 0, 0)}), 5)
     assert r is not None
     assert (r.length, vm.serialize(r.program), r.method) == (5, "PLACE", "exhaustive")
 
 
 def test_exhaustive_unreachable_within_budget():
-    assert exhaustive_min(S((3, 3, 3), {(0, 0, 1)}), 5) is None
+    assert _oracle(S((3, 3, 3), {(0, 0, 1)}), 5) is None
 
 
 def test_exhaustive_row():
-    r = exhaustive_min(S((4, 1, 1), {(0, 0, 0), (1, 0, 0), (2, 0, 0)}), 12)
+    r = _oracle(S((4, 1, 1), {(0, 0, 0), (1, 0, 0), (2, 0, 0)}), 12)
     assert r is not None and r.length == 10
 
 
 def test_exhaustive_empty_structure():
-    r = exhaustive_min(S((3, 3, 3), set()), 5)
+    r = _oracle(S((3, 3, 3), set()), 5)
     assert r is not None and r.length == 0
 
 
 def test_exhaustive_result_is_lexicographically_smallest():
     # the off-axis single cell admits several equal-length witnesses;
     # the X-first move order is the smallest text
-    r = exhaustive_min(S((3, 3, 3), {(1, 1, 0)}), 25)
+    r = _oracle(S((3, 3, 3), {(1, 1, 0)}), 25)
     assert r is not None
     assert vm.serialize(r.program) == "MOVE X 1\nMOVE Y 1\nPLACE"
 
 
 def test_exhaustive_node_budget():
     with pytest.raises(synthesis.EnumerationBudgetExceeded):
-        exhaustive_min(S((3, 3, 3), {(0, 0, 0), (2, 2, 2)}), 40, node_budget=50)
+        _oracle(S((3, 3, 3), {(0, 0, 0), (2, 2, 2)}), 40, node_budget=50)
 
 
-def test_exhaustive_table_agrees_with_single_queries():
-    table = exhaustive_table((3, 1, 1), 25)
-    for cells, bound in table.items():
-        s = S((3, 1, 1), cells)
-        assert vm.execute(bound.program, (3, 1, 1)) == s
-        single = exhaustive_min(s, 25)
-        assert single is not None
-        assert single.length == bound.length
-        assert vm.serialize(single.program) == vm.serialize(bound.program)
+def test_exhaustive_table_witnesses_rebuild():
+    for dims, max_len in (((3, 1, 1), 25), ((3, 3, 1), 30)):
+        for cells, bound in exhaustive_table(dims, max_len).items():
+            assert vm.execute(bound.program, dims) == S(dims, cells)
 
 
 def test_exhaustive_never_beaten_by_pipeline():

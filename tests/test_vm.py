@@ -37,7 +37,6 @@ def test_repeat_keeps_the_dataclass_hash():
 def test_parse_def_and_call():
     p = vm.parse("DEF a { PLACE } CALL a 3")
     assert p.instructions == (vm.Def("a", (vm.Place(),)), vm.Call("a", 3))
-    assert p.defs == {"a": (vm.Place(),)}
 
 
 def test_parse_call_default_scale():
@@ -301,7 +300,7 @@ def test_stamp_neutrality():
 
 def test_jitter_skips_out_of_bounds():
     # jitter pushes the single placement off the grid: dropped, no error
-    s = vm.execute(vm.parse("PLACE"), (1, 1, 1), jitter=lambda: (-1, 0, 0))
+    s = vm.execute_jittered(vm.parse("PLACE"), (1, 1, 1), None, [lambda: (-1, 0, 0)])[0]
     assert s.occupied == frozenset()
 
 
@@ -327,16 +326,16 @@ def test_deep_zero_placement_nest_builds_its_one_cell():
 def test_walker_step_budget_stops_a_jittered_deep_nest():
     # 2**23 - 2 steps, about 6 s of walking without the budget
     with pytest.raises(vm.BudgetExceeded, match="steps"):
-        vm.execute(_zero_placement_nest(22), (2, 1, 1), jitter=lambda: None)
+        vm.execute_jittered(_zero_placement_nest(22), (2, 1, 1), None, [lambda: None])[0]
 
 
 def test_walker_step_budget_counts_iterations_and_calls(monkeypatch):
     p = vm.parse("DEF a { PLACE } REPEAT 3 { CALL a }")  # 3 iterations + 3 calls
     monkeypatch.setattr(vm, "MAX_STEPS", 6)
-    vm.execute(p, (2, 2, 2), jitter=lambda: None)
+    vm.execute_jittered(p, (2, 2, 2), None, [lambda: None])[0]
     monkeypatch.setattr(vm, "MAX_STEPS", 5)
     with pytest.raises(vm.BudgetExceeded):
-        vm.execute(p, (2, 2, 2), jitter=lambda: None)
+        vm.execute_jittered(p, (2, 2, 2), None, [lambda: None])[0]
 
 
 def test_fault_precedence():
