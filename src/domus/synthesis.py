@@ -320,11 +320,7 @@ def _next_name(used: set[str]) -> str:
 
 
 def _repl_instructions(name: str, disp: tuple[int, int, int]) -> tuple:
-    out: list[vm.Instruction] = [vm.Call(name)]
-    for axis, d in zip("XYZ", disp):
-        if d != 0:
-            out.append(vm.Move(axis, d))
-    return tuple(out)
+    return (vm.Call(name), *_moves_between((0, 0, 0), disp))
 
 
 def _best_extraction(flat: list, ids: list[int], name: str):
@@ -475,6 +471,8 @@ def relative_complexity(a: VoxelStructure, b: VoxelStructure) -> int:
 # --- exhaustive enumeration at desk scale ---
 
 _ENUM_PLACEMENT_BUDGET = 10_000
+# search nodes one exhaustive_table may visit; read at call time
+ENUM_NODE_BUDGET = 50_000_000
 _NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -496,21 +494,38 @@ class _Enumerator:
     (inlining is always at least as short at these literal sizes).
     Subroutine names are canonical (a, b, ... in definition order).
 
+    One menu, _options, lists every instruction that may follow the last
+    one within the bytes left: PLACE, MOVEs, FILLs, REPEATs around the
+    bodies that fit, then CALLs of the names bound so far. The search and
+    the body enumeration (_bodies) both walk it. Both are memoised:
+    _bodies per (budget, names bound, whether a body may end in a MOVE),
+    _options per (room, kind of the last instruction, names bound), so
+    the REPEAT options are built once, not at every search node. Every
+    option's effect comes from one executor, _exec, and the search skips
+    an option that fails there or changes neither mask nor cursor; only
+    DEF, which binds a name and builds nothing, has its own branch.
+
+    _exec charges every PLACE and FILL, top-level or repeated, against
+    _ENUM_PLACEMENT_BUDGET, and an instruction that takes the count past
+    it fails: no witness places more cells than that, repetitions
+    included. Every search node and every body extension counts against
+    ENUM_NODE_BUDGET; past it, EnumerationBudgetExceeded.
+
     Programs are built of vm instructions. Their execution here, on the
     bitmask, is a second interpreter kept apart from vm.execute, so that
     the table is an independent reference for the synthesis pipeline.
     """
 
-    def __init__(self, dims: tuple[int, int, int], max_len: int,
-                 node_budget: int):
+    def __init__(self, dims: tuple[int, int, int], max_len: int):
         self.nx, self.ny, self.nz = dims
         maxd = max(dims)
         self.max_len = max_len
-        self.node_budget = node_budget
+        self.node_budget = ENUM_NODE_BUDGET
         self.nodes = 0
         # mask -> (length, canonical text, program) of its best producer
         self.table: dict[int, tuple[int, str, vm.Program]] = {}
         self._body_memo: dict = {}
+        self._option_memo: dict = {}
 
         # each option with its canonical length
         self.place = _costed(vm.Place())
@@ -549,6 +564,30 @@ class _Enumerator:
                     m |= 1 << (x + base)
         return m
 
+    def _options(self, room: int, last, ndefs: int) -> list:
+        """Every (instruction, length) that may follow last within room
+        bytes while ndefs names are bound."""
+        kind = type(last)
+        # no PLACE after PLACE, and a move run keeps X < Y < Z; "" and
+        # "PLACE" sort before every axis
+        after = "PLACE" if kind is vm.Place else (last.axis if kind is vm.Move else "")
+        key = (room, after, ndefs)
+        hit = self._option_memo.get(key)
+        if hit is not None:
+            return hit
+        place_len = self.place[1]
+        out = [self.place] if room >= place_len and after != "PLACE" else []
+        out += [o for o in self.move_opts if o[1] <= room and o[0].axis > after]
+        out += [o for o in self.fill_opts if o[1] <= room]
+        for cnt, overhead in self.rep_opts:
+            if room >= overhead + place_len:
+                out += [(vm.Repeat(cnt, body), overhead + length)
+                        for body, length in self._bodies(room - overhead, ndefs, True)]
+        for name in _NAMES[:ndefs]:
+            out += [o for o in self.call_opts[name] if o[1] <= room]
+        self._option_memo[key] = out
+        return out
+
     def _bodies(self, budget: int, ndefs: int, trailing_move_ok: bool) -> list:
         """All nonempty instruction sequences with canonical length <=
         budget, as (body, length) pairs.
@@ -562,36 +601,16 @@ class _Enumerator:
             return hit
         out: list[tuple[tuple[vm.Instruction, ...], int]] = []
         seq: list[vm.Instruction] = []
-        place, place_len = self.place
-
-        def take(ins, length: int, record: bool = True):
-            seq.append(ins)
-            if record:
-                out.append((tuple(seq), length))
-            extend(length, ins)
-            seq.pop()
 
         def extend(used: int, last):
             self._tick()
             at = used + (1 if seq else 0)
-            room = budget - at
-            if room >= place_len and type(last) is not vm.Place:
-                take(place, at + place_len)
-            for ins, cost in self.move_opts:
-                if cost <= room and not (type(last) is vm.Move and ins.axis <= last.axis):
-                    take(ins, at + cost, trailing_move_ok)
-            for ins, cost in self.fill_opts:
-                if cost <= room:
-                    take(ins, at + cost)
-            for cnt, overhead in self.rep_opts:
-                if room < overhead + place_len:
-                    continue
-                for body, length in self._bodies(room - overhead, ndefs, True):
-                    take(vm.Repeat(cnt, body), at + overhead + length)
-            for name in _NAMES[:ndefs]:
-                for ins, cost in self.call_opts[name]:
-                    if cost <= room:
-                        take(ins, at + cost)
+            for ins, cost in self._options(budget - at, last, ndefs):
+                seq.append(ins)
+                if trailing_move_ok or type(ins) is not vm.Move:
+                    out.append((tuple(seq), at + cost))
+                extend(at + cost, ins)
+                seq.pop()
 
         extend(0, None)
         self._body_memo[key] = out
@@ -664,92 +683,38 @@ class _Enumerator:
         """defs maps each DEF name in seq to its body, call_counts to
         the number of top-level CALLs of it."""
         self._tick()
-        sep = 1 if seq else 0
-        room = self.max_len - used - sep
-        last = seq[-1] if seq else None
-
-        def attach(ins, cost, m2, c2, p2):
-            seq.append(ins)
+        at = used + (1 if seq else 0)
+        room = self.max_len - at
+        for ins, cost in self._options(room, seq[-1] if seq else None, len(defs)):
+            r = self._exec(ins, mask, cur, defs, 1, placed)
+            # a MOVE always moves the cursor; PLACE, FILL and CALL must add
+            # a cell, and a REPEAT add a cell or move the cursor
+            if r is None or (r[0] == mask and r[1] == cur):
+                continue
             kind = type(ins)
+            seq.append(ins)
             if kind is vm.Call:
                 call_counts[ins.name] += 1
             if kind is not vm.Move:
-                self._record(m2, used + sep + cost, seq, call_counts)
-            self._dfs(seq, used + sep + cost, m2, c2, p2, defs, call_counts)
+                self._record(r[0], at + cost, seq, call_counts)
+            self._dfs(seq, at + cost, *r, defs, call_counts)
             if kind is vm.Call:
                 call_counts[ins.name] -= 1
             seq.pop()
 
-        # PLACE
-        place, place_len = self.place
-        if room >= place_len and type(last) is not vm.Place:
-            x, y, z = cur
-            if 0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz:
-                b = self._bit(x, y, z)
-                if not (mask & b):
-                    attach(place, place_len, mask | b, cur, placed + 1)
-
-        # MOVE
-        for ins, cost in self.move_opts:
-            if cost > room:
-                continue
-            if type(last) is vm.Move and ins.axis <= last.axis:
-                continue
-            x, y, z = cur
-            n = ins.n
-            c2 = (x + n, y, z) if ins.axis == "X" else (
-                (x, y + n, z) if ins.axis == "Y" else (x, y, z + n))
-            attach(ins, cost, mask, c2, placed)
-
-        # FILL
-        for ins, cost in self.fill_opts:
-            if cost > room:
-                continue
-            fm = self._fill_mask(cur[0], cur[1], cur[2], ins.dx, ins.dy, ins.dz)
-            if fm is None or not (fm & ~mask):
-                continue
-            attach(ins, cost, mask | fm, cur, placed + ins.dx * ins.dy * ins.dz)
-
-        # REPEAT
-        for cnt, overhead in self.rep_opts:
-            if room < overhead + place_len:
-                continue
-            for body, length in self._bodies(room - overhead, len(defs), True):
-                ins = vm.Repeat(cnt, body)
-                r = self._exec(ins, mask, cur, defs, 1, placed)
-                if r is None:
-                    continue
-                m2, c2, p2 = r
-                if m2 == mask and c2 == cur:
-                    continue
-                attach(ins, overhead + length, m2, c2, p2)
-
         # DEF (top level, canonical 1-char names)
         if len(defs) < len(_NAMES):
             name, overhead = self.def_opts[len(defs)]
-            if room >= overhead + place_len:
+            if room >= overhead + self.place[1]:
                 for body, length in self._bodies(room - overhead, len(defs), False):
                     seq.append(vm.Def(name, body))
                     defs[name] = body
                     call_counts[name] = 0
-                    self._dfs(seq, used + sep + overhead + length, mask, cur, placed,
+                    self._dfs(seq, at + overhead + length, mask, cur, placed,
                               defs, call_counts)
                     del call_counts[name]
                     del defs[name]
                     seq.pop()
-
-        # CALL
-        for name in defs:
-            for ins, cost in self.call_opts[name]:
-                if cost > room:
-                    continue
-                r = self._exec(ins, mask, cur, defs, 1, placed)
-                if r is None:
-                    continue
-                m2, c2, p2 = r
-                if m2 == mask:
-                    continue
-                attach(ins, cost, m2, c2, p2)
 
 
 def _cells_of(mask: int, dims: tuple[int, int, int]) -> frozenset[Cell]:
@@ -764,8 +729,7 @@ def _cells_of(mask: int, dims: tuple[int, int, int]) -> frozenset[Cell]:
     return frozenset(cells)
 
 
-def exhaustive_table(dims: tuple[int, int, int], max_len: int,
-                     node_budget: int = 50_000_000
+def exhaustive_table(dims: tuple[int, int, int], max_len: int
                      ) -> dict[frozenset[Cell], ComplexityBound]:
     """True minimum of every structure that a canonical program of at
     most max_len bytes builds in this world, from one enumeration; a
@@ -774,9 +738,9 @@ def exhaustive_table(dims: tuple[int, int, int], max_len: int,
     Among equal-length witnesses the lexicographically smallest text
     wins. Integer literals are bounded by the world dimensions, which
     loses no producible structure at this scale. Raises
-    EnumerationBudgetExceeded past node_budget search nodes.
+    EnumerationBudgetExceeded past ENUM_NODE_BUDGET search nodes.
     """
-    enum = _Enumerator(dims, max_len, node_budget)
+    enum = _Enumerator(dims, max_len)
     enum.run()
     out = {}
     for mask, (length, _, program) in enum.table.items():

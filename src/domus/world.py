@@ -66,10 +66,6 @@ class VoxelStructure:
             if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
                 raise ValueError(f"cell {(x, y, z)} outside dims {self.dims}")
 
-    @property
-    def count(self) -> int:
-        return len(self.occupied)
-
     def bounding_box(self) -> tuple[Cell, Cell] | None:
         """(min corner, max corner), inclusive, or None when empty."""
         if not self.occupied:

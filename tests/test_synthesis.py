@@ -388,9 +388,9 @@ def test_relative_complexity_examples():
 
 # --- exhaustive oracle ---
 
-def _oracle(s, max_len, **kw):
+def _oracle(s, max_len):
     """The true minimum of one structure, looked up in the table."""
-    return exhaustive_table(s.dims, max_len, **kw).get(s.occupied)
+    return exhaustive_table(s.dims, max_len).get(s.occupied)
 
 
 def test_exhaustive_single_cell():
@@ -421,9 +421,38 @@ def test_exhaustive_result_is_lexicographically_smallest():
     assert vm.serialize(r.program) == "MOVE X 1\nMOVE Y 1\nPLACE"
 
 
-def test_exhaustive_node_budget():
+def test_exhaustive_node_budget(monkeypatch):
+    monkeypatch.setattr(synthesis, "ENUM_NODE_BUDGET", 50)
     with pytest.raises(synthesis.EnumerationBudgetExceeded):
-        _oracle(S((3, 3, 3), {(0, 0, 0), (2, 2, 2)}), 40, node_budget=50)
+        _oracle(S((3, 3, 3), {(0, 0, 0), (2, 2, 2)}), 40)
+
+
+# dims, max_len: entries, search nodes, sha256 of the sorted
+# (cells, length, witness text) triples
+EXHAUSTIVE_TABLES = {
+    ((3, 1, 1), 25): (8, 371,
+                      "65a1cfffd7a33e6b0b73006da11f09d409445645274832b99d12f247866203bd"),
+    ((3, 3, 1), 30): (102, 3148,
+                      "d28496c099791ce468dafc45c8e2bdf5e36307e53e5cb52dd27f97245abd1943"),
+    ((2, 2, 2), 35): (84, 4154,
+                      "9ef8d73416beddd4425052425f959b4d46135e3298f49f33f403b4fa0861e0a7"),
+    ((3, 3, 3), 30): (1591, 13355,
+                      "3284f1ad665abe43c8f07cb61ecb8103d523f73ac3ae8b077512a4685d9e685d"),
+}
+
+
+@pytest.mark.parametrize("dims, max_len", sorted(EXHAUSTIVE_TABLES))
+def test_exhaustive_tables_are_pinned(monkeypatch, dims, max_len):
+    # the table builds within exactly its node count, and not one node less
+    entries, nodes, digest = EXHAUSTIVE_TABLES[dims, max_len]
+    monkeypatch.setattr(synthesis, "ENUM_NODE_BUDGET", nodes)
+    table = exhaustive_table(dims, max_len)
+    triples = sorted((tuple(sorted(cells)), b.length, vm.serialize(b.program))
+                     for cells, b in table.items())
+    assert (len(table), hashlib.sha256(repr(triples).encode()).hexdigest()) == (entries, digest)
+    monkeypatch.setattr(synthesis, "ENUM_NODE_BUDGET", nodes - 1)
+    with pytest.raises(synthesis.EnumerationBudgetExceeded):
+        exhaustive_table(dims, max_len)
 
 
 def test_exhaustive_table_witnesses_rebuild():
