@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: build, render, complexity, beauty, natural, optimize,
-attack. Reports are deterministic JSON (or plain text with
---format text) so that pipelines diff cleanly. Exit codes: 0 success,
-1 negative domain verdict (a structure judged Artificial), 2 usage
-error, 3 execution or analysis error. DOMUS_MAX_PLACEMENTS overrides
-the placement budget.
+attack, each taking only the options it reads. Reports are
+deterministic JSON (or plain text with --format text) so that pipelines
+diff cleanly; build and render write layered text, and only optimize
+and attack take --seed. Worlds above MAX_RENDER_CELLS are not rendered.
+Exit codes: 0 success, 1 negative domain verdict (a structure judged
+Artificial), 2 usage error, 3 execution or analysis error.
+DOMUS_MAX_PLACEMENTS overrides the placement budget.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .errors import DomusError
 from .world import ConstraintSet, VoxelStructure, load_constraints
 
 __all__ = ["run", "render", "main"]
+
+# the most cells build, render and optimize write out as layered text:
+# 256^3, a 16 MB file
+MAX_RENDER_CELLS = 1 << 24
 
 
 def _limits() -> vm.ExecutionLimits:
@@ -58,6 +64,15 @@ def render(s: VoxelStructure) -> str:
     return s.to_layer_text()
 
 
+def _check_render_size(args):
+    """Rendering costs time and memory in the world's cell count, so a
+    world too large to render is refused before anything is read."""
+    nx, ny, nz = args.dims
+    if nx * ny * nz > MAX_RENDER_CELLS:
+        args.parser.error(f"argument --dims: a {nx}x{ny}x{nz} world has more than "
+                          f"{MAX_RENDER_CELLS} cells to render")
+
+
 def _write(args, text: str):
     """The one writer of every command's output: the --out file, or
     else stdout."""
@@ -76,12 +91,15 @@ def _emit(args, payload: dict, text_lines: list[str]):
 
 
 def _cmd_build(args) -> int:
+    _check_render_size(args)
     program = vm.parse(_read(args.file))
     _write(args, render(vm.execute(program, tuple(args.dims), _limits())) + "\n")
     return 0
 
 
 def _cmd_render(args) -> int:
+    if args.file.endswith(".cvm"):  # a structure file's world is its own
+        _check_render_size(args)
     _write(args, render(_load_structure(args.file, tuple(args.dims))) + "\n")
     return 0
 
@@ -149,6 +167,7 @@ def _cmd_natural(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    _check_render_size(args)
     dictionary = aesthetics.load_patterns(_read(args.dict))
     cs: ConstraintSet = load_constraints(_read(args.constraints))
     params = designer.SearchParams(
@@ -162,8 +181,7 @@ def _cmd_optimize(args) -> int:
     )
     limits = _limits()
     try:
-        best, trace = designer.optimize(dictionary, cs, params, workers=args.workers,
-                                        limits=limits)
+        best, trace = designer.optimize(dictionary, cs, params, limits=limits)
     except ValueError as exc:  # raised before the search: a cap below the prelude
         args.parser.error(f"argument --max-bytes: {exc}")
     out_dir = Path(args.out_dir)
@@ -257,9 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dims", type=_positive_int, nargs=3, default=[64, 64, 64],
                         metavar=("NX", "NY", "NZ"), help="world size (default 64 64 64)")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", "-o", default=None, help="write output to this file")
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("json", "text"), default="json")
 
     p = argparse.ArgumentParser(prog="domus",
                                 description="construction VM and analysis toolkit")
@@ -267,42 +285,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build", parents=[common], help="run a .cvm program")
     sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_build)
+    sp.set_defaults(fn=_cmd_build, parser=sp)
 
     sp = sub.add_parser("render", parents=[common], help="print a structure as layered text")
     sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_render)
+    sp.set_defaults(fn=_cmd_render, parser=sp)
 
-    sp = sub.add_parser("complexity", parents=[common], help="shortest-program bound")
+    sp = sub.add_parser("complexity", parents=[common, report], help="shortest-program bound")
     sp.add_argument("file")
     sp.set_defaults(fn=_cmd_complexity)
 
-    sp = sub.add_parser("beauty", parents=[common], help="pattern-dictionary beauty score")
+    sp = sub.add_parser("beauty", parents=[common, report], help="pattern-dictionary beauty score")
     sp.add_argument("file")
     sp.add_argument("--dict", required=True, help="pattern dictionary (.pat)")
     sp.set_defaults(fn=_cmd_beauty)
 
-    sp = sub.add_parser("natural", parents=[common], help="regularity and fractal report")
+    sp = sub.add_parser("natural", parents=[common, report], help="regularity and fractal report")
     sp.add_argument("file")
     sp.add_argument("--threshold", type=_finite_float, default=0.5)
     sp.set_defaults(fn=_cmd_natural)
 
-    sp = sub.add_parser("optimize", parents=[common], help="anneal a design")
+    sp = sub.add_parser("optimize", parents=[common, report], help="anneal a design")
     sp.add_argument("--dict", required=True)
     sp.add_argument("--constraints", required=True)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--iters", type=_positive_int, default=1000)
     sp.add_argument("--temperature", type=_positive_float, default=8.0)
     sp.add_argument("--cooling", type=_open_fraction, default=0.999)
     sp.add_argument("--max-bytes", type=int, default=4096)
     sp.add_argument("--islands", type=_positive_int, default=1)
-    sp.add_argument("--workers", type=_positive_int, default=1,
-                    help="accepted for compatibility; islands run one after "
-                         "another, so it changes nothing")
     sp.add_argument("--out-dir", default="design_out")
     sp.set_defaults(fn=_cmd_optimize, parser=sp)
 
-    sp = sub.add_parser("attack", parents=[common], help="fleet attack transfer")
+    sp = sub.add_parser("attack", parents=[common, report], help="fleet attack transfer")
     sp.add_argument("file", help="program (.cvm)")
+    sp.add_argument("--seed", type=int, default=0, help="human jitter seed")
     sp.add_argument("--fleet", type=_positive_int, default=50)
     sp.add_argument("--builder", choices=("robot", "human"), default="robot")
     sp.add_argument("--p", type=_probability, default=0.2, help="human jitter probability")

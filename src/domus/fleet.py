@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+# find_attack searches every singleton and pair up to this many cells
+EXHAUSTIVE_CELL_LIMIT = 500
+
+
 class AlreadyUnstable(DomusError):
     """Attack search needs a stable prototype."""
 
@@ -182,13 +186,13 @@ class _AttackGrid:
         self.unsupported = _unsupported_mask(self.occ, self.m)
 
 
-def find_attack(s: VoxelStructure, k: int, max_overhang: int = 2,
-                exhaustive_cell_limit: int = 500) -> Attack:
+def find_attack(s: VoxelStructure, k: int, max_overhang: int = 2) -> Attack:
     """Best removal of at most k cells, by collapse fraction.
 
     Exhaustive over singletons and pairs when k <= 2 and the structure
-    is small; otherwise greedy, iterating the best single removal. Ties
-    keep the first removal in sorted-cell order.
+    has at most EXHAUSTIVE_CELL_LIMIT cells; otherwise greedy, iterating
+    the best single removal. Ties keep the first removal in sorted-cell
+    order.
 
     Each candidate is scored locally on one dense grid (see
     _AttackGrid): the collapse count is the current unsupported count
@@ -223,7 +227,7 @@ def find_attack(s: VoxelStructure, k: int, max_overhang: int = 2,
             best_frac = fr
             best_set = frozenset(removal)
 
-    if k <= 2 and n <= exhaustive_cell_limit:
+    if k <= 2 and n <= EXHAUSTIVE_CELL_LIMIT:
         # the prototype is stable, so every count starts from zero
         single = [grid.delta((a,)) for a in cells]
         for a, count in zip(cells, single):

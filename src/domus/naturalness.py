@@ -7,8 +7,8 @@ Their mean is the regularity index; naturalness is its complement.
 Self-similarity is measured separately with a box-counting dimension
 estimate, reported with the quality of its log-log fit.
 
-The exact formulas and the 0.5 label threshold are calibrations chosen
-for testability; every knob is exposed as a parameter.
+The exact formulas, the 0.5 default label threshold and the smallest
+flat patch (MIN_PATCH faces) are calibrations chosen for testability.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ def straightness_score(s: VoxelStructure) -> float:
     return 1.0 if best is None else best
 
 
+# the fewest coplanar faces that count as a flat patch
+MIN_PATCH = 4
+
 _FACE_DIRS = (
     (1, 0, 0), (-1, 0, 0),
     (0, 1, 0), (0, -1, 0),
@@ -85,9 +88,9 @@ _FACE_DIRS = (
 )
 
 
-def planarity_score(s: VoxelStructure, min_patch: int = 4) -> float:
+def planarity_score(s: VoxelStructure) -> float:
     """Fraction of exposed faces lying in coplanar patches of at least
-    min_patch faces.
+    MIN_PATCH faces.
 
     A face is exposed when its neighbor cell is empty or beyond the
     world box. Faces join a patch when they share orientation and plane
@@ -126,7 +129,7 @@ def planarity_score(s: VoxelStructure, min_patch: int = 4) -> float:
                 if nb in faces and nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-        if patch >= min_patch:
+        if patch >= MIN_PATCH:
             flat_area += patch
     return flat_area / len(faces)
 
@@ -224,8 +227,7 @@ class NaturalnessReport:
     label: str  # "Natural" | "Artificial"
 
 
-def naturalness_report(s: VoxelStructure, threshold: float = 0.5,
-                       min_patch: int = 4) -> NaturalnessReport:
+def naturalness_report(s: VoxelStructure, threshold: float = 0.5) -> NaturalnessReport:
     """Assemble all metrics; label is Natural when naturalness >= threshold.
 
     The fractal fields are None when the structure is too small for a
@@ -233,7 +235,7 @@ def naturalness_report(s: VoxelStructure, threshold: float = 0.5,
     """
     _require_nonempty(s)
     st = straightness_score(s)
-    pl = planarity_score(s, min_patch=min_patch)
+    pl = planarity_score(s)
     sy = symmetry_score(s)
     try:
         dim, r2 = box_counting_dimension(s)

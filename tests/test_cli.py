@@ -2,6 +2,7 @@ import io
 import json
 import re
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -245,7 +246,6 @@ def test_call_chain_nested_too_deep_is_an_error(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [
     ["--iters", "0"],
     ["--islands", "0"],
-    ["--workers", "0"],
     ["--temperature", "0"],
     ["--temperature", "-1"],
     ["--temperature", "inf"],
@@ -280,6 +280,95 @@ def test_zero_dims_are_usage_errors(capsys, command):
     code, out, err = run(capsys, *command, "--dims", 0, 1, 1)
     assert code == 2 and out == ""
     assert "argument --dims" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("build", "--seed", "1"),
+    ("render", "--seed", "1"),
+    ("complexity", "--seed", "1"),
+    ("beauty", "--seed", "1"),
+    ("natural", "--seed", "1"),
+    ("build", "--format", "text"),
+    ("render", "--format", "text"),
+    ("optimize", "--workers", "2"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path, capsys, command,
+                                                           option, value):
+    inputs = {
+        "beauty": [CORPUS / "row3.cvm", "--dict", CORPUS / "brick.pat"],
+        "optimize": ["--dict", CORPUS / "brick.pat", "--constraints", CORPUS / "constraints.json",
+                     "--out-dir", tmp_path / "design"],
+    }.get(command, [CORPUS / "row3.cvm"])
+    out_file = tmp_path / "out"
+    code, out, err = run(capsys, command, *inputs, "--dims", 4, 1, 1, "-o", out_file,
+                         option, value)
+    assert code == 2 and out == ""
+    assert not out_file.exists() and not (tmp_path / "design").exists()
+    assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["build", CORPUS / "row3.cvm"],
+    ["render", CORPUS / "row3.cvm"],
+    ["optimize", "--dict", CORPUS / "brick.pat", "--constraints", CORPUS / "constraints.json"],
+], ids=lambda c: c[0])
+def test_worlds_too_large_to_render_are_usage_errors(tmp_path, capsys, command):
+    out_dir = tmp_path / "design"
+    argv = [*command, "--dims", 100000, 100000, 100000]
+    if command[0] == "optimize":
+        argv += ["--out-dir", out_dir]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert "argument --dims" in err and "Traceback" not in err
+
+
+def test_render_cap_leaves_64_cubed_and_structure_files_alone(tmp_path, capsys):
+    out_file = tmp_path / "row.vox.txt"
+    code, _, _ = run(capsys, "build", CORPUS / "row3.cvm", "--dims", 64, 64, 64, "-o", out_file)
+    assert code == 0
+    assert out_file.read_text().startswith("DIMS 64 64 64\nLAYER 0\n###.")
+    # a structure file's world is its own, whatever --dims says
+    code, out, _ = run(capsys, "render", out_file, "--dims", 100000, 100000, 100000)
+    assert code == 0 and out == out_file.read_text()
+
+
+_TEXT_REPORTS = {
+    "complexity": (["complexity", CORPUS / "row3.cvm", "--dims", 4, 1, 1], 0,
+                   "length: 10\nmethod: compressed\ncells: 3\nprogram:\nFILL 3 1 1\n"),
+    "beauty": (["beauty", CORPUS / "row3.cvm", "--dict", CORPUS / "brick.pat"], 0,
+               "D: 35\nN: 1\nr: 0\nscore: 35\nplacements: 2\nresidual cells: 0\n"),
+    "natural": (["natural", CORPUS / "sierpinski3.cvm", "--dims", 27, 27, 1], 1,
+                "straightness: 1.0\n"
+                "planarity: 0.7684210526315789\n"
+                "symmetry: 1.0\n"
+                "fractal_dimension: 1.8158547674089713\n"
+                "fit_r2: 0.9987330100697825\n"
+                "regularity_index: 0.9228070175438597\n"
+                "naturalness: 0.07719298245614026\n"
+                "label: Artificial\n"),
+    "optimize": (["optimize", "--dict", CORPUS / "brick.pat", "--constraints",
+                  CORPUS / "constraints.json", "--dims", 4, 4, 4, "--iters", 30,
+                  "--out-dir", "{out_dir}"], 0,
+                 "objective: 0.0\nwrote {out_dir}/best.cvm\n"),
+    "attack": (["attack", CORPUS / "bridge.cvm", "--dims", 8, 1, 8, "--builder", "human",
+                "--seed", 1, "--fleet", 3], 0,
+               "attack: [(0, 0, 0), (5, 0, 0)]\n"
+               "prototype collapse: 1.0\n"
+               "fleet: 3 members, 2 distinct\n"
+               "transfer rate: 1.0\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TEXT_REPORTS))
+def test_text_reports_are_pinned(tmp_path, capsys, command):
+    argv, expected_code, expected = _TEXT_REPORTS[command]
+    out_dir = str(tmp_path / "design")
+    argv = [str(a).format(out_dir=out_dir) for a in argv]
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == expected_code
+    assert out == expected.format(out_dir=out_dir)
 
 
 @pytest.mark.parametrize("weight", ["-1.0", "NaN"])

@@ -443,11 +443,12 @@ def test_attack_budget_invariant():
         Attack(frozenset({(0, 0, 0), (1, 0, 0)}), 1, 0.5)
 
 
-def test_greedy_path_on_larger_structures():
+def test_greedy_path_on_larger_structures(monkeypatch):
+    monkeypatch.setattr(fleet, "EXHAUSTIVE_CELL_LIMIT", 10)
     cells = {(x, 0, 0) for x in range(30)}
     cells |= {(0, 0, z) for z in range(1, 4)}
     s = S((30, 1, 4), cells)
-    atk = find_attack(s, 3, exhaustive_cell_limit=10)
+    atk = find_attack(s, 3)
     assert len(atk.removed_cells) <= 3
     assert atk.collapse_fraction >= 0.0
 
@@ -509,16 +510,16 @@ def _stable_structures(draw):
 @settings(max_examples=250, deadline=None)
 def test_exhaustive_attack_matches_full_recount(structure, k):
     s, m = structure
-    assert (find_attack(s, k, max_overhang=m, exhaustive_cell_limit=500)
-            == _reference_attack(s, k, m, 500))
+    with mock.patch.object(fleet, "EXHAUSTIVE_CELL_LIMIT", 500):
+        assert find_attack(s, k, max_overhang=m) == _reference_attack(s, k, m, 500)
 
 
 @given(_stable_structures(), st.integers(1, 3))
 @settings(max_examples=250, deadline=None)
 def test_greedy_attack_matches_full_recount(structure, k):
     s, m = structure
-    assert (find_attack(s, k, max_overhang=m, exhaustive_cell_limit=0)
-            == _reference_attack(s, k, m, 0))
+    with mock.patch.object(fleet, "EXHAUSTIVE_CELL_LIMIT", 0):
+        assert find_attack(s, k, max_overhang=m) == _reference_attack(s, k, m, 0)
 
 
 @pytest.mark.parametrize("m", range(4))

@@ -41,14 +41,16 @@ def test_planarity_single_cell():
     assert nat.planarity_score(S((3, 3, 3), {(1, 1, 1)})) == 0.0
 
 
-def test_planarity_slab():
+def test_planarity_slab(monkeypatch):
+    monkeypatch.setattr(nat, "MIN_PATCH", 4)
     s = S((4, 4, 1), {(x, y, 0) for x in range(4) for y in range(4)})
-    assert nat.planarity_score(s, min_patch=4) == 1.0
+    assert nat.planarity_score(s) == 1.0
 
 
-def test_planarity_min_patch_cutoff():
+def test_planarity_min_patch_cutoff(monkeypatch):
+    monkeypatch.setattr(nat, "MIN_PATCH", 1)
     s = S((3, 3, 3), {(1, 1, 1)})
-    assert nat.planarity_score(s, min_patch=1) == 1.0
+    assert nat.planarity_score(s) == 1.0
 
 
 # --- symmetry ---
