@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import numpy as np
-
 from . import vm
 from .errors import DomusError
 from .world import Cell, VoxelStructure
@@ -167,7 +165,7 @@ def _rewrite(instrs: tuple, edits: dict[int, tuple[int, tuple]]) -> tuple:
     return rebuild(instrs, 0)[0]
 
 
-# --- exact classes of equal instruction blocks ---
+# --- blocks that repeat ---
 
 
 def _instruction_ids(flat: list) -> list[int]:
@@ -181,25 +179,52 @@ def _instruction_ids(flat: list) -> list[int]:
     return ids
 
 
-def _block_classes(ids: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (b, cls) for b = 1, 2, ..., where cls[p] == cls[q] exactly
-    when ids[p:p+b] == ids[q:q+b].
+def _repeated_blocks(ids: list[int]) -> Iterator[tuple[int, list[list[int]]]]:
+    """Yield (b, groups) for b = 1, 2, ..., where each group lists, in
+    order, every start p of one block ids[p:p+b] that occurs twice
+    without overlap. Ids are nonnegative.
 
-    Length b+1 refines length b by renumbering the pairs
-    (cls[p], ids[p+b]), as Karp, Miller & Rosenberg (1972) name equal
-    blocks. The scan stops at the first b where no block repeats: a
-    repeated block of length b+1 has a repeated prefix of length b, so
-    no longer block repeats either.
+    Equal blocks share a group as Karp, Miller & Rosenberg (1972) name
+    them, here by partition refinement (Paige & Tarjan, 1987): length
+    b+1 splits each group by the id that follows its blocks, -1 past
+    the end, and drops a group whose span g[-1] - g[0] is at most b,
+    since two non-overlapping copies of b+1 instructions start at least
+    b+1 apart. Only the blocks that still repeat are touched: a pair is
+    kept or dropped with one comparison, and a group whose blocks all
+    have the same follower carries over as it is. The scan stops at the
+    first b with no group, since a block of b+1 that occurs twice
+    without overlap has a prefix of b that does too.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    m = len(ids)
-    key = ids
-    for b in range(1, m + 1):
-        uniq, cls = np.unique(key, return_inverse=True)
-        if len(uniq) == len(key):
-            return
-        yield b, cls
-        key = cls[:-1] * m + ids[b:]
+    follow = ids + [-1]
+    by_id: dict[int, list[int]] = {}
+    for p, k in enumerate(ids):
+        by_id.setdefault(k, []).append(p)
+    # pairs, most of the groups on large layouts, are refined apart
+    pairs: list[list[int]] = []
+    larger: list[list[int]] = []
+    for g in by_id.values():
+        if len(g) > 1:
+            (pairs if len(g) == 2 else larger).append(g)
+    b = 1
+    while pairs or larger:
+        yield b, pairs + larger
+        pairs = [g for g in pairs if g[1] - g[0] > b and follow[g[0] + b] == follow[g[1] + b]]
+        refined = []
+        for g in larger:
+            if g[-1] - g[0] <= b:
+                continue
+            keys = [follow[p + b] for p in g]
+            if keys.count(keys[0]) == len(keys):
+                refined.append(g)
+                continue
+            split: dict[int, list[int]] = {}
+            for k, p in zip(keys, g):
+                split.setdefault(k, []).append(p)
+            for h in split.values():
+                if h[-1] - h[0] > b:
+                    (pairs if len(h) == 2 else refined).append(h)
+        larger = refined
+        b += 1
 
 
 # --- pass: loop folding ---
@@ -237,36 +262,33 @@ def _best_fold(flat: list, ids: list[int]):
     text qualify. A block that holds a separator never repeats, so every
     fold stays inside one sequence.
     """
-    m = len(flat)
     pre = None  # prefix lengths, made at the first repeat
     best = None  # key: (b, r, -p) maximized
-    for b, cls in _block_classes(ids):
-        if 2 * b > m:
-            break
-        cand = np.nonzero(cls[: m - 2 * b + 1] == cls[b: m - b + 1])[0]
-        if cand.size == 0:
-            continue
-        if pre is None:
-            pre = _prefix_lengths(flat, ids)
-        cls = cls.tolist()
-        dominated = bytearray(m)
-        for p in cand.tolist():
-            if dominated[p]:
+    for b, groups in _repeated_blocks(ids):
+        for g in groups:
+            # a run needs p and p + b in one group; a pair is one check
+            if len(g) == 2 and g[1] - g[0] != b:
                 continue
-            r = 1
-            j = p
-            while j + 2 * b <= m and cls[j + b] == cls[p]:
-                r += 1
-                j += b
-                dominated[j] = 1
-            lb = pre[p + b] - pre[p] + b - 1
-            # r copies and their r - 1 separators, against one REPEAT
-            savings = r * lb + r - 1 - (_wrapper_length(vm.Repeat(r, ())) + lb)
-            if savings <= 0:
-                continue
-            key = (b, r, -p)
-            if best is None or key > best[0]:
-                best = (key, (b, r, p))
+            starts = set(g)
+            heads = starts.intersection([q - b for q in g])
+            for p in sorted(heads):
+                if p - b in starts:
+                    continue  # inside the run of an earlier head
+                r = 2
+                j = p + b
+                while j + b in starts:
+                    r += 1
+                    j += b
+                if pre is None:
+                    pre = _prefix_lengths(flat, ids)
+                lb = pre[p + b] - pre[p] + b - 1
+                # r copies and their r - 1 separators, against one REPEAT
+                savings = r * lb + r - 1 - (_wrapper_length(vm.Repeat(r, ())) + lb)
+                if savings <= 0:
+                    continue
+                key = (b, r, -p)
+                if best is None or key > best[0]:
+                    best = (key, (b, r, p))
     return best[1] if best else None
 
 
@@ -333,21 +355,15 @@ def _best_extraction(flat: list, ids: list[int], name: str):
     """
     pre = None  # prefix lengths, made at the first repeat
     best = None  # minimized key: (-savings, first_pos, b)
-    for b, cls in _block_classes(ids):
-        counts = np.bincount(cls)
-        pos = np.nonzero(counts[cls] >= 2)[0]
-        groups: dict[int, list[int]] = {}
-        for p, c in zip(pos.tolist(), cls[pos].tolist()):
-            groups.setdefault(c, []).append(p)
-        for plist in groups.values():
+    for b, groups in _repeated_blocks(ids):
+        for plist in groups:
+            # the span is at least b, so occ holds two occurrences or more
             occ: list[int] = []
             last_end = -1
             for p in plist:
                 if p >= last_end:
                     occ.append(p)
                     last_end = p + b
-            if len(occ) < 2:
-                continue
             if pre is None:
                 pre = _prefix_lengths(flat, ids)
                 # the DEF costs its text and the separator before it
