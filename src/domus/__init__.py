@@ -8,7 +8,8 @@ optimizer, and fleet-level adversarial transfer experiments.
 """
 
 # world first: it imports numpy, whose import measured about 20 ms
-# slower when first reached through synthesis, vm and world
+# slower (2 vCPUs, Python 3.11) when first reached through synthesis,
+# vm and world
 from . import world
 from . import aesthetics, designer, fleet, naturalness, synthesis, vm
 from .errors import DomusError
