@@ -3,14 +3,15 @@
 True minimal description length is uncomputable in general, so this
 module produces certified upper bounds: every returned bound carries a
 witness program whose execution reproduces the structure exactly. The
-pipeline in synthesize_min compresses the trivial cell-by-cell program
-through three passes (cuboid decomposition, loop folding, subroutine
-extraction), each accepted only when it strictly shrinks the canonical
-byte length. For desk-scale worlds, exhaustive_table is the oracle: one
-enumeration of every canonical program up to a byte budget gives each
-structure they build its true minimum, which anchors the pipeline in
-tests. One structure's minimum is exhaustive_table(s.dims,
-max_len).get(s.occupied), None when nothing within max_len builds it.
+pipeline in synthesize_min is one chain: it starts from the shorter of
+the trivial cell-by-cell program and a listing of greedy cuboids, then
+folds loops and extracts subroutines, each pass making only rewrites
+whose exactly priced savings are positive. For desk-scale worlds,
+exhaustive_table is the oracle: one enumeration of every canonical
+program up to a byte budget gives each structure they build its true
+minimum, which anchors the pipeline in tests. One structure's minimum
+is exhaustive_table(s.dims, max_len).get(s.occupied), None when nothing
+within max_len builds it.
 """
 
 from __future__ import annotations
@@ -65,15 +66,21 @@ def _moves_between(src: Cell, dst: Cell) -> list[vm.Instruction]:
     return out
 
 
-def literal_program(s: VoxelStructure) -> vm.Program:
-    """The trivial witness: visit cells in (z, y, x) order, one PLACE each."""
+def _listing(cuboids) -> vm.Program:
+    """MOVE to each (anchor, (dx, dy, dz)) in turn and build it there: a
+    PLACE for a single cell, else a FILL."""
     out: list[vm.Instruction] = []
     cur: Cell = (0, 0, 0)
-    for cell in sorted(s.occupied, key=_zyx):
-        out.extend(_moves_between(cur, cell))
-        out.append(vm.Place())
-        cur = cell
+    for anchor, dims in cuboids:
+        out.extend(_moves_between(cur, anchor))
+        out.append(vm.Place() if dims == (1, 1, 1) else vm.Fill(*dims))
+        cur = anchor
     return vm.Program(tuple(out))
+
+
+def literal_program(s: VoxelStructure) -> vm.Program:
+    """The trivial witness: visit cells in (z, y, x) order, one PLACE each."""
+    return _listing((cell, (1, 1, 1)) for cell in sorted(s.occupied, key=_zyx))
 
 
 def _cuboid_decomposition(occ: frozenset[Cell]) -> list[tuple[Cell, tuple[int, int, int]]]:
@@ -82,7 +89,7 @@ def _cuboid_decomposition(occ: frozenset[Cell]) -> list[tuple[Cell, tuple[int, i
     Scans cells in (z, y, x) order; each uncovered cell seeds a cuboid
     grown along x, then y, then z while rows and slabs stay occupied.
     Cuboids may overlap previously covered cells; their union is exactly
-    the occupied set.
+    the occupied set. Anchors come out in the same (z, y, x) order.
     """
     remaining = set(occ)
     out = []
@@ -104,21 +111,7 @@ def _cuboid_decomposition(occ: frozenset[Cell]) -> list[tuple[Cell, tuple[int, i
                 for i in range(dx):
                     remaining.discard((x + i, y + j, z + k))
         out.append(((x, y, z), (dx, dy, dz)))
-    out.sort(key=lambda cu: _zyx(cu[0]))
     return out
-
-
-def _cuboid_program(s: VoxelStructure) -> vm.Program:
-    out: list[vm.Instruction] = []
-    cur: Cell = (0, 0, 0)
-    for anchor, (dx, dy, dz) in _cuboid_decomposition(s.occupied):
-        out.extend(_moves_between(cur, anchor))
-        if (dx, dy, dz) == (1, 1, 1):
-            out.append(vm.Place())
-        else:
-            out.append(vm.Fill(dx, dy, dz))
-        cur = anchor
-    return vm.Program(tuple(out))
 
 
 # --- the flat layout of the sequence tree ---
@@ -416,14 +409,12 @@ def _extract_defs(program: vm.Program,
     """Hoist repeated instruction blocks into DEF/CALL while each
     extraction strictly shrinks the canonical text.
 
-    No occurrence lies inside another's span: that block would hold a
-    REPEAT equal to one inside that REPEAT's own body, and a finite tree
-    has none. The realized length is still re-measured, and any
-    non-shrinking step rolled back, only to guard the savings estimate;
-    this also bounds the loop.
+    _best_extraction prices each step exactly, as no occurrence lies
+    inside another's span: that block would hold a REPEAT equal to one
+    inside that REPEAT's own body, and a finite tree has none. So each
+    step shrinks the text by its positive savings, which bounds the loop.
     """
     instrs = program.instructions
-    length = vm.body_length(instrs)
     while True:
         used = {ins.name for ins in instrs if isinstance(ins, vm.Def)}
         name = _next_name(used | reserved_names)
@@ -432,11 +423,7 @@ def _extract_defs(program: vm.Program,
         if found is None:
             return vm.Program(instrs)
         block, occ = found
-        candidate = _apply_extraction(instrs, block, occ, name)
-        cand_len = vm.body_length(candidate)
-        if cand_len >= length:
-            return vm.Program(instrs)
-        instrs, length = candidate, cand_len
+        instrs = _apply_extraction(instrs, block, occ, name)
 
 
 # --- the pipeline ---
@@ -446,32 +433,31 @@ def synthesize_min(s: VoxelStructure,
                    limits: vm.ExecutionLimits | None = None) -> ComplexityBound:
     """Best upper bound the compression pipeline can certify.
 
-    Passes run in a fixed order (literal, cuboids, loop folding,
-    subroutine extraction); each is kept only when it strictly shortens
-    the canonical serialization, so the result never exceeds the literal
-    program. The witness is re-executed under the limits before
-    returning; more than DEFAULT_CELL_LIMIT cells raise BudgetExceeded.
+    One chain: the cuboid listing when it is shorter than the literal
+    program, else the literal one, then loop folding and subroutine
+    extraction, which price each rewrite exactly and make only those
+    that strictly shrink the canonical text. So the witness never
+    exceeds the literal program, and method is "compressed" exactly
+    when it is shorter. The witness is re-executed under the limits
+    before returning; more than DEFAULT_CELL_LIMIT cells raise
+    BudgetExceeded.
     """
     if len(s.occupied) > DEFAULT_CELL_LIMIT:
         raise vm.BudgetExceeded(
             f"structure has {len(s.occupied)} cells, limit {DEFAULT_CELL_LIMIT}"
         )
-    best = literal_program(s)
-    best_len = vm.program_length(best)
-    method = "literal"
-    for candidate_pass in (_cuboid_program, _fold_loops, _extract_defs):
-        if candidate_pass is _cuboid_program:
-            candidate = candidate_pass(s)
-        else:
-            candidate = candidate_pass(best)
-        cand_len = vm.program_length(candidate)
-        if cand_len < best_len:
-            best, best_len, method = candidate, cand_len, "compressed"
+    literal = literal_program(s)
+    literal_len = vm.program_length(literal)
+    cuboids = _listing(_cuboid_decomposition(s.occupied))
+    start = cuboids if vm.program_length(cuboids) < literal_len else literal
+    witness = _extract_defs(_fold_loops(start))
 
-    rebuilt = vm.execute(best, s.dims, limits)
+    rebuilt = vm.execute(witness, s.dims, limits)
     if rebuilt != s:
         raise WitnessMismatch("synthesis produced a witness that does not rebuild its input")
-    return ComplexityBound(program=best, length=best_len, method=method)
+    length = vm.program_length(witness)
+    method = "compressed" if length < literal_len else "literal"
+    return ComplexityBound(program=witness, length=length, method=method)
 
 
 def relative_complexity(a: VoxelStructure, b: VoxelStructure) -> int:

@@ -317,9 +317,11 @@ def load_constraints(text: str) -> ConstraintSet:
 
     Format: array of {"kind": ..., "params": {...}, "weight": w}, w
     finite and >= 0 (default 1). Kinds:
-    Stability (optional param max_overhang), EnclosedVolumeAtLeast
-    (param v_min), MaterialAtMost (param m_max), WithinBox (param box =
-    [x0, y0, z0, x1, y1, z1], inclusive).
+    Stability (optional param max_overhang >= 0, default 2),
+    EnclosedVolumeAtLeast (param v_min >= 0), MaterialAtMost (param
+    m_max >= 0), WithinBox (param box = [x0, y0, z0, x1, y1, z1],
+    inclusive, with x0 <= x1, y0 <= y1 and z0 <= z1). Each param is
+    read with int(); a value outside its range is a FormatError.
     """
     try:
         raw = json.loads(text)
@@ -343,17 +345,24 @@ def load_constraints(text: str) -> ConstraintSet:
             raise FormatError(f"constraint #{i}: params must be a JSON object, got {params!r}")
         try:
             if kind == "Stability":
-                out.append(Stability(weight=weight, max_overhang=int(params.get("max_overhang", 2))))
+                c = Stability(weight=weight, max_overhang=int(params.get("max_overhang", 2)))
+                in_range = c.max_overhang >= 0
             elif kind == "EnclosedVolumeAtLeast":
-                out.append(EnclosedVolumeAtLeast(min_volume=int(params["v_min"]), weight=weight))
+                c = EnclosedVolumeAtLeast(min_volume=int(params["v_min"]), weight=weight)
+                in_range = c.min_volume >= 0
             elif kind == "MaterialAtMost":
-                out.append(MaterialAtMost(max_cells=int(params["m_max"]), weight=weight))
+                c = MaterialAtMost(max_cells=int(params["m_max"]), weight=weight)
+                in_range = c.max_cells >= 0
             elif kind == "WithinBox":
                 box = params["box"]
                 x0, y0, z0, x1, y1, z1 = (int(v) for v in box)
-                out.append(WithinBox(lo=(x0, y0, z0), hi=(x1, y1, z1), weight=weight))
+                c = WithinBox(lo=(x0, y0, z0), hi=(x1, y1, z1), weight=weight)
+                in_range = x0 <= x1 and y0 <= y1 and z0 <= z1
             else:
                 raise FormatError(f"constraint #{i}: unknown kind {kind!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"constraint #{i}: bad params for {kind}: {params!r}") from exc
+        if not in_range:
+            raise FormatError(f"constraint #{i}: params out of range for {kind}: {params!r}")
+        out.append(c)
     return ConstraintSet(tuple(out))

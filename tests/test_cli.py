@@ -387,8 +387,9 @@ def test_bad_constraint_weight_is_an_error(tmp_path, capsys, weight):
 @pytest.mark.parametrize("name, text", [
     ("params.json", '[{"kind": "Stability", "params": null}]'),
     ("overflow.json", '[{"kind": "MaterialAtMost", "params": {"m_max": 1e400}}]'),
+    ("box.json", '[{"kind": "WithinBox", "params": {"box": [3, 0, 0, 1, 3, 3]}}]'),
     ("dims.vox.txt", "DIMS 2 1 -1\n"),
-], ids=["params-null", "int-overflow", "negative-dims"])
+], ids=["params-null", "int-overflow", "inverted-box", "negative-dims"])
 def test_hostile_inputs_are_format_errors(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)

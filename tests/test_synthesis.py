@@ -119,10 +119,17 @@ def test_cell_limit(monkeypatch):
         synthesize_min(s)
 
 
-def test_witness_that_misses_its_input_is_a_domain_error(monkeypatch):
-    # a pass that returns a shorter but wrong program wins the length race,
-    # and the re-execution must catch it
-    monkeypatch.setattr(synthesis, "_extract_defs", lambda program: vm.Program(()))
+@pytest.mark.parametrize("pass_name", ["_fold_loops", "_extract_defs"])
+@pytest.mark.parametrize("wrong", [
+    vm.Program(()),
+    # a row of four, 50 bytes against the 35 of the row of three's literal
+    literal_program(S((4, 1, 1), {(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)})),
+], ids=["shorter", "longer"])
+def test_witness_that_misses_its_input_is_a_domain_error(monkeypatch, pass_name, wrong):
+    # there is no length race to lose: a pass's output becomes the witness
+    # whether it is shorter or longer than the literal program, and the
+    # re-execution must catch a wrong one
+    monkeypatch.setattr(synthesis, pass_name, lambda program: wrong)
     s = S((4, 1, 1), {(0, 0, 0), (1, 0, 0), (2, 0, 0)})
     with pytest.raises(synthesis.WitnessMismatch) as info:
         synthesize_min(s)
@@ -294,7 +301,8 @@ def _equal_blocks_that_repeat(ids):
 
 def _priced_fold(flat, ids):
     # reference for _best_fold: tandem blocks found by comparing tuples of
-    # ids, each priced by vm.body_length of its tuple
+    # ids, each priced by vm.body_length of its tuple; returns the fold
+    # and its savings
     m, best = len(flat), None
     for b, _ in _equal_blocks_that_repeat(ids):
         dominated = bytearray(m)
@@ -309,13 +317,14 @@ def _priced_fold(flat, ids):
             savings = (r * vm.body_length(block) + r - 1
                        - vm.body_length((vm.Repeat(r, block),)))
             if savings > 0 and (best is None or (b, r, -p) > best[0]):
-                best = ((b, r, -p), (b, r, p))
-    return best[1] if best else None
+                best = ((b, r, -p), (b, r, p), savings)
+    return best[1:] if best else (None, 0)
 
 
 def _priced_extraction(flat, ids, name):
     # reference for _best_extraction: equal blocks found by comparing
-    # tuples of ids, each priced by vm.body_length of its tuple
+    # tuples of ids, each priced by vm.body_length of its tuple; returns
+    # the extraction and its savings
     best = None
     for b, groups in _equal_blocks_that_repeat(ids):
         for plist in groups:
@@ -332,18 +341,31 @@ def _priced_extraction(flat, ids, name):
                        - vm.body_length((vm.Def(name, block),)) - 1)
             key = (-savings, plist[0], b)
             if savings > 0 and (best is None or key < best[0]):
-                best = (key, block, occ)
-    return best[1:] if best else None
+                best = (key, (block, occ), savings)
+    return best[1:] if best else (None, 0)
 
 
 def test_prefix_priced_passes_pick_what_tuple_pricing_picks():
+    # and the savings are exact: applying the rewrite shrinks the text by
+    # them, so the passes need not measure what they made
     rng = random.Random(11)
     for _ in range(1500):
         instrs = (vm.Def("a", _nested_block(rng, 1, False)),) + _nested_block(rng, 0, True)
+        length = vm.body_length(instrs)
         flat = synthesis._layout(instrs)
         ids = synthesis._instruction_ids(flat)
-        assert synthesis._best_fold(flat, ids) == _priced_fold(flat, ids)
-        assert synthesis._best_extraction(flat, ids, "b") == _priced_extraction(flat, ids, "b")
+        fold, savings = _priced_fold(flat, ids)
+        assert synthesis._best_fold(flat, ids) == fold
+        if fold is not None:
+            b, r, p = fold
+            folded = synthesis._rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p:p + b])),))})
+            assert vm.body_length(folded) == length - savings
+        for name in ("b", "ab"):
+            found, savings = _priced_extraction(flat, ids, name)
+            assert synthesis._best_extraction(flat, ids, name) == found
+            if found is not None:
+                extracted = synthesis._apply_extraction(instrs, *found, name)
+                assert vm.body_length(extracted) == length - savings
 
 
 # --- the passes on nested programs ---

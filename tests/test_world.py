@@ -282,6 +282,11 @@ def test_constraint_json_loader():
     '[{"kind": "Stability", "params": [2]}]',
     '[{"kind": "MaterialAtMost", "params": {"m_max": 1e400}}]',
     '[{"kind": "Stability", "params": {"max_overhang": -1e400}}]',
+    '[{"kind": "Stability", "params": {"max_overhang": -4}}]',
+    '[{"kind": "EnclosedVolumeAtLeast", "params": {"v_min": -1}}]',
+    '[{"kind": "MaterialAtMost", "params": {"m_max": -3}}]',
+    '[{"kind": "WithinBox", "params": {"box": [0, 0, 0, 7, -1, 7]}}]',
+    '[{"kind": "WithinBox", "params": {"box": [5, 0, 0, 4, 7, 7]}}]',
 ])
 def test_constraint_json_errors(text):
     with pytest.raises(world.FormatError):
