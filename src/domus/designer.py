@@ -98,14 +98,14 @@ def _fmt(x: float) -> str:
 
 
 def objective(program: vm.Program, dictionary: PatternDictionary,
-              cs: ConstraintSet, dims: tuple[int, int, int],
-              limits: vm.ExecutionLimits | None = None) -> float:
+              cs: ConstraintSet, dims: tuple[int, int, int]) -> float:
     """Residual perception cost plus constraint penalties, in bytes.
 
-    Programs that fail to execute under the limits score +inf.
+    The program is built under the default execution limits; one that
+    fails to execute scores +inf.
     """
     try:
-        built = vm.execute(program, dims, limits)
+        built = vm.execute(program, dims)
     except DomusError:
         return math.inf
     return _structure_score(built, dictionary, cs)

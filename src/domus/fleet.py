@@ -34,8 +34,13 @@ __all__ = [
 ]
 
 
-# find_attack searches every singleton and pair up to this many cells
+# find_attack at k = 2 searches every singleton and pair up to this
+# many cells, and greedily above it
 EXHAUSTIVE_CELL_LIMIT = 500
+
+# the support rule's overhang reach in find_attack, collapse_fraction
+# and transfer_rate, so an attack and its transfer use one rule
+MAX_OVERHANG = 2
 
 
 class AlreadyUnstable(DomusError):
@@ -120,8 +125,7 @@ class Attack:
             raise ValueError("attack exceeds its removal budget")
 
 
-def collapse_fraction(s: VoxelStructure, removed: frozenset[Cell],
-                      max_overhang: int = 2) -> float:
+def collapse_fraction(s: VoxelStructure, removed: frozenset[Cell]) -> float:
     """Fraction of surviving cells that newly lose support when the
     given cells are removed. Cells already unsupported before the
     attack do not count; removing everything collapses nothing.
@@ -130,7 +134,7 @@ def collapse_fraction(s: VoxelStructure, removed: frozenset[Cell],
     lose it number the change in the unsupported count, which
     _AttackGrid counts in the removed cells' windows, plus the removed
     cells that were unsupported already. Only cells whose columns lie
-    within 2m of a removed cell (m = max_overhang) can change status or
+    within 2m of a removed cell (m = MAX_OVERHANG) can change status or
     decide the status of one that does, so the grid holds only the
     cells in the box of those columns, the slice that delta recounts.
     """
@@ -138,11 +142,10 @@ def collapse_fraction(s: VoxelStructure, removed: frozenset[Cell],
     remaining = len(s.occupied) - len(gone)
     if not gone or not remaining:
         return 0.0
-    reach = 2 * max_overhang
+    reach = 2 * MAX_OVERHANG
     x0, x1 = min(c[0] for c in gone) - reach, max(c[0] for c in gone) + reach
     y0, y1 = min(c[1] for c in gone) - reach, max(c[1] for c in gone) + reach
-    grid = _AttackGrid([c for c in s.occupied if x0 <= c[0] <= x1 and y0 <= c[1] <= y1],
-                       max_overhang)
+    grid = _AttackGrid([c for c in s.occupied if x0 <= c[0] <= x1 and y0 <= c[1] <= y1])
     ox, oy, _ = grid.lo
     was = sum(bool(grid.unsupported[x - ox, y - oy, z]) for x, y, z in gone)
     return (grid.delta(gone) + was) / remaining
@@ -153,17 +156,20 @@ class _AttackGrid:
 
     Removing cell (x, y, z) changes vertical support only in column
     (x, y) from height z up, and a cell reaches vertical support
-    through at most m = max_overhang in-layer steps, so only cells whose
+    through at most m = MAX_OVERHANG in-layer steps, so only cells whose
     columns lie within m of (x, y) can change status: the inner
     (2m+1)^2 window. Those cells depend on nothing farther than m
     beyond it, so a (4m+1)^2 full-height slice recomputes them exactly.
-    The grid is padded by 2m in x and y, so no slice needs clipping.
+    A cell's delta reads occupancy within 2m of its column and status
+    within m, so clearing c changes only the deltas of cells whose
+    columns lie within 2m of c's. The grid is padded by 2m in x and y,
+    so no slice needs clipping.
     """
 
-    def __init__(self, cells, max_overhang: int):
-        self.m = max_overhang
-        self.occ, self.lo = _dense_grid(cells, pad=2 * max_overhang)
-        self.unsupported = _unsupported_mask(self.occ, max_overhang)
+    def __init__(self, cells):
+        self.m = MAX_OVERHANG
+        self.occ, self.lo = _dense_grid(cells, pad=2 * self.m)
+        self.unsupported = _unsupported_mask(self.occ, self.m)
 
     def delta(self, removal: tuple[Cell, ...]) -> int:
         """Change in the unsupported count when removal is cleared: the
@@ -180,91 +186,80 @@ class _AttackGrid:
         before = self.unsupported[x0 - m:x1 + m + 1, y0 - m:y1 + m + 1]
         return int(np.count_nonzero(after)) - int(np.count_nonzero(before))
 
-    def remove(self, c: Cell):
-        ox, oy, _ = self.lo
-        self.occ[c[0] - ox, c[1] - oy, c[2]] = False
+    def remove(self, c: Cell) -> list[Cell]:
+        """Clear c and return the occupied cells whose delta that can
+        change, those whose columns lie within 2m of c's."""
+        r, (ox, oy, _) = 2 * self.m, self.lo
+        x, y = c[0] - ox, c[1] - oy
+        self.occ[x, y, c[2]] = False
         self.unsupported = _unsupported_mask(self.occ, self.m)
+        return [(int(i) + c[0] - r, int(j) + c[1] - r, int(z))
+                for i, j, z in np.argwhere(self.occ[x - r:x + r + 1, y - r:y + r + 1])]
 
 
-def find_attack(s: VoxelStructure, k: int, max_overhang: int = 2) -> Attack:
+def find_attack(s: VoxelStructure, k: int) -> Attack:
     """Best removal of at most k cells, by collapse fraction.
 
-    Exhaustive over singletons and pairs when k <= 2 and the structure
-    has at most EXHAUSTIVE_CELL_LIMIT cells; otherwise greedy, iterating
-    the best single removal. Ties keep the first removal in sorted-cell
-    order.
-
-    Each candidate is scored locally on one dense grid (see
-    _AttackGrid): the collapse count is the current unsupported count
-    plus the change inside the removed cells' windows. Two cells more
-    than 2m apart in x or y have disjoint windows, so a pair's count is
-    the sum of its singletons'; closer pairs are recounted jointly. The
-    greedy search clears each pick in the grid and carries its count
-    forward. Counts are exact integers, so the result equals a full
-    recount of every candidate.
+    Both searches start from every cell's gain, the change in the
+    unsupported count when that cell alone is removed (_AttackGrid).
+    For k = 2 on at most EXHAUSTIVE_CELL_LIMIT cells the search is
+    exhaustive over singletons, then pairs. Two cells more than 2m
+    apart in x or y have disjoint windows, so a pair's count is the
+    sum of its gains; closer pairs are recounted jointly. Otherwise it
+    is greedy: each step takes the first maximum gain in sorted-cell
+    order, clears that cell in the grid and recounts only the gains
+    the removal can change, those of cells within 2m of it. Ties keep
+    the first removal in sorted-cell order. Counts are exact integers,
+    so the result equals a full recount of every candidate.
     """
     if k < 1:
         raise ValueError("attack budget must be >= 1")
     cells = sorted(s.occupied)
     n = len(cells)
-    best_set: frozenset[Cell] = frozenset()
-    best_frac = -1.0
     if not cells:
-        return Attack(removed_cells=best_set, k=k, collapse_fraction=0.0)
-    grid = _AttackGrid(cells, max_overhang)
+        return Attack(removed_cells=frozenset(), k=k, collapse_fraction=0.0)
+    grid = _AttackGrid(cells)
     # padding changes no occupied cell's support, so this is the
     # prototype's own unsupported count
     unstable = int(np.count_nonzero(grid.unsupported))
     if unstable:
         raise AlreadyUnstable(f"{unstable} cells already unsupported")
+    # the prototype is stable, so each gain is the count its removal collapses
+    gain = {c: grid.delta((c,)) for c in cells}
+    best_set: frozenset[Cell] = frozenset()
+    best_frac = -1.0
 
-    def fraction(count: int, removed: int) -> float:
-        return count / (n - removed) if n > removed else 0.0
-
-    def consider(removal: tuple[Cell, ...], fr: float):
+    def consider(removal: tuple[Cell, ...], count: int):
         nonlocal best_set, best_frac
+        fr = count / (n - len(removal)) if n > len(removal) else 0.0
         if fr > best_frac:
             best_frac = fr
             best_set = frozenset(removal)
 
-    if k <= 2 and n <= EXHAUSTIVE_CELL_LIMIT:
-        # the prototype is stable, so every count starts from zero
-        single = [grid.delta((a,)) for a in cells]
-        for a, count in zip(cells, single):
-            consider((a,), fraction(count, 1))
-        if k >= 2:
-            reach = 2 * max_overhang
-            for i, a in enumerate(cells):
-                for j in range(i + 1, n):
-                    b = cells[j]
-                    if abs(a[0] - b[0]) > reach or abs(a[1] - b[1]) > reach:
-                        count = single[i] + single[j]
-                    else:
-                        count = grid.delta((a, b))
-                    consider((a, b), fraction(count, 2))
+    if k == 2 and n <= EXHAUSTIVE_CELL_LIMIT:
+        for a in cells:
+            consider((a,), gain[a])
+        reach = 2 * grid.m
+        for i, a in enumerate(cells):
+            for b in cells[i + 1:]:
+                if abs(a[0] - b[0]) > reach or abs(a[1] - b[1]) > reach:
+                    consider((a, b), gain[a] + gain[b])
+                else:
+                    consider((a, b), grid.delta((a, b)))
     else:
         removed: list[Cell] = []
-        gone: set[Cell] = set()
-        base = 0
-        for _ in range(k):
-            step_best = None
-            for c in cells:
-                if c in gone:
-                    continue
-                count = base + grid.delta((c,))
-                fr = fraction(count, len(removed) + 1)
-                if step_best is None or fr > step_best[0]:
-                    step_best = (fr, c, count)
-            if step_best is None:
-                break
-            fr, c, base = step_best
+        count = 0
+        while True:
+            c = max(gain, key=gain.get)
+            count += gain.pop(c)
             removed.append(c)
-            gone.add(c)
-            grid.remove(c)
-            consider(tuple(removed), fr)
+            consider(tuple(removed), count)
+            if len(removed) == k or not gain:
+                break
+            for d in grid.remove(c):
+                gain[d] = grid.delta((d,))
 
-    return Attack(removed_cells=best_set, k=k,
-                  collapse_fraction=max(best_frac, 0.0))
+    return Attack(removed_cells=best_set, k=k, collapse_fraction=best_frac)
 
 
 @dataclass(frozen=True)
@@ -275,8 +270,7 @@ class FleetReport:
 
 
 def transfer_rate(attack: Attack, fleet: list[VoxelStructure],
-                  collapse_threshold: float = 0.5,
-                  max_overhang: int = 2) -> FleetReport:
+                  collapse_threshold: float = 0.5) -> FleetReport:
     """Apply one fixed attack to every fleet member.
 
     Removed cells absent from a member are no-ops. A member counts as
@@ -292,7 +286,7 @@ def transfer_rate(attack: Attack, fleet: list[VoxelStructure],
         fr = fractions.get(member.occupied)
         if fr is None:
             fr = fractions[member.occupied] = collapse_fraction(
-                member, attack.removed_cells, max_overhang)
+                member, attack.removed_cells)
         if fr >= collapse_threshold:
             collapsed += 1
     return FleetReport(

@@ -312,16 +312,25 @@ def eval_constraints(s: VoxelStructure, cs: ConstraintSet) -> ConstraintPenaltie
     return ConstraintPenalties(penalties=per, total=sum(per))
 
 
+def _json_number(value, types):
+    """value if it is an instance of types, else TypeError. JSON true
+    and false load as bool, a subclass of int, and are no number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return value
+
+
 def load_constraints(text: str) -> ConstraintSet:
     """Parse the JSON constraint list.
 
-    Format: array of {"kind": ..., "params": {...}, "weight": w}, w
-    finite and >= 0 (default 1). Kinds:
+    Format: array of {"kind": ..., "params": {...}, "weight": w}, w a
+    JSON number, finite and >= 0 (default 1). Kinds:
     Stability (optional param max_overhang >= 0, default 2),
     EnclosedVolumeAtLeast (param v_min >= 0), MaterialAtMost (param
-    m_max >= 0), WithinBox (param box = [x0, y0, z0, x1, y1, z1],
-    inclusive, with x0 <= x1, y0 <= y1 and z0 <= z1). Each param is
-    read with int(); a value outside its range is a FormatError.
+    m_max >= 0), WithinBox (param box = [x0, y0, z0, x1, y1, z1], a
+    list of six, inclusive, with x0 <= x1, y0 <= y1 and z0 <= z1).
+    Each param is a JSON integer (not a boolean); a value of another
+    type or outside its range is a FormatError.
     """
     try:
         raw = json.loads(text)
@@ -334,10 +343,11 @@ def load_constraints(text: str) -> ConstraintSet:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise FormatError(f"constraint #{i} lacks a 'kind'")
         kind = entry["kind"]
+        weight = entry.get("weight", 1.0)
         try:
-            weight = float(entry.get("weight", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"constraint #{i}: bad weight {entry['weight']!r}") from exc
+            weight = float(_json_number(weight, (int, float)))
+        except (TypeError, OverflowError) as exc:
+            raise FormatError(f"constraint #{i}: bad weight {weight!r}") from exc
         if not 0.0 <= weight < math.inf:
             raise FormatError(f"constraint #{i}: weight must be finite and >= 0, got {weight}")
         params = entry.get("params", {})
@@ -345,17 +355,21 @@ def load_constraints(text: str) -> ConstraintSet:
             raise FormatError(f"constraint #{i}: params must be a JSON object, got {params!r}")
         try:
             if kind == "Stability":
-                c = Stability(weight=weight, max_overhang=int(params.get("max_overhang", 2)))
+                c = Stability(weight=weight,
+                              max_overhang=_json_number(params.get("max_overhang", 2), int))
                 in_range = c.max_overhang >= 0
             elif kind == "EnclosedVolumeAtLeast":
-                c = EnclosedVolumeAtLeast(min_volume=int(params["v_min"]), weight=weight)
+                c = EnclosedVolumeAtLeast(min_volume=_json_number(params["v_min"], int),
+                                          weight=weight)
                 in_range = c.min_volume >= 0
             elif kind == "MaterialAtMost":
-                c = MaterialAtMost(max_cells=int(params["m_max"]), weight=weight)
+                c = MaterialAtMost(max_cells=_json_number(params["m_max"], int), weight=weight)
                 in_range = c.max_cells >= 0
             elif kind == "WithinBox":
                 box = params["box"]
-                x0, y0, z0, x1, y1, z1 = (int(v) for v in box)
+                if not isinstance(box, list) or len(box) != 6:
+                    raise TypeError("box must be a list of six integers")
+                x0, y0, z0, x1, y1, z1 = (_json_number(v, int) for v in box)
                 c = WithinBox(lo=(x0, y0, z0), hi=(x1, y1, z1), weight=weight)
                 in_range = x0 <= x1 and y0 <= y1 and z0 <= z1
             else:

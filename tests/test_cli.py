@@ -108,6 +108,31 @@ def test_attack_report(capsys):
     assert report["prototype_collapse"] >= 0.5
 
 
+def test_attack_on_every_cell_of_the_depth_4_carpet_is_fast(capsys):
+    # the greedy search recounts only the gains near each pick, so a
+    # budget of all 4,096 cells takes seconds, not minutes
+    start = time.process_time()
+    code, out, _ = run(capsys, "attack", CORPUS / "sierpinski4.cvm", "--dims", 81, 81, 1,
+                       "--k", 4096, "--fleet", 1)
+    assert time.process_time() - start < 30.0
+    assert code == 0
+    assert len(json.loads(out)["attack_cells"]) >= 1
+
+
+def test_attack_budget_above_the_cell_count_equals_the_cell_count(capsys):
+    def report(k):
+        code, out, _ = run(capsys, "attack", CORPUS / "bridge.cvm", "--dims", 8, 1, 8,
+                           "--builder", "human", "--p", 0.2, "--seed", 1, "--fleet", 20,
+                           "--k", k)
+        assert code == 0
+        return json.loads(out)
+
+    cells = report(14)
+    above = report(1000)
+    assert (cells["k"], above["k"]) == (14, 1000)
+    assert {**above, "k": 14} == cells
+
+
 @pytest.mark.parametrize("bad", [
     ["--k", "0"],
     ["--fleet", "0"],

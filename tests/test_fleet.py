@@ -370,7 +370,8 @@ def test_collapse_fraction_matches_full_recount(case, m):
     rest = s.occupied - removed
     expected = (len(set(unsupported_cells(rest, m)) - set(unsupported_cells(s.occupied, m)))
                 / len(rest)) if rest else 0.0
-    assert collapse_fraction(s, removed, max_overhang=m) == expected
+    with mock.patch.object(fleet, "MAX_OVERHANG", m):
+        assert collapse_fraction(s, removed) == expected
 
 
 def _full_recount(s, removed, m) -> float:
@@ -391,8 +392,9 @@ def test_collapse_fraction_around_the_window_edge(m):
             cells |= {(x, y, z) for x, y in ((0, 0), far) for z in range(2)}
             s = S((d + 1, 1, 3) if along_x else (1, d + 1, 3), cells)
             removed = frozenset({(0, 0, 0)})
-            assert (collapse_fraction(s, removed, max_overhang=m)
-                    == _full_recount(s, removed, m)), (m, d, along_x)
+            with mock.patch.object(fleet, "MAX_OVERHANG", m):
+                assert (collapse_fraction(s, removed)
+                        == _full_recount(s, removed, m)), (m, d, along_x)
 
 
 def test_attack_single_ground_cell():
@@ -496,11 +498,12 @@ def _reference_attack(s, k, max_overhang, exhaustive_cell_limit):
 
 
 @st.composite
-def _stable_structures(draw):
-    """Towers, beams and loose cells on a small site, cut to their
-    stable part, so that bridges between towers are common."""
+def _stable_structures(draw, width=7):
+    """Towers, beams and loose cells on a site up to width wide, cut to
+    their stable part, so that bridges between towers are common."""
     m = draw(st.integers(0, 3))
-    nx, ny, nz = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    nx, ny = draw(st.integers(1, width)), draw(st.integers(1, width))
+    nz = draw(st.integers(1, 5))
     cells = _towers_beams_and_cells(draw, nx, ny, nz)
     cells -= set(unsupported_cells(cells, m))
     return S((nx, ny, nz), cells), m
@@ -510,16 +513,18 @@ def _stable_structures(draw):
 @settings(max_examples=250, deadline=None)
 def test_exhaustive_attack_matches_full_recount(structure, k):
     s, m = structure
-    with mock.patch.object(fleet, "EXHAUSTIVE_CELL_LIMIT", 500):
-        assert find_attack(s, k, max_overhang=m) == _reference_attack(s, k, m, 500)
+    with mock.patch.multiple(fleet, EXHAUSTIVE_CELL_LIMIT=500, MAX_OVERHANG=m):
+        assert find_attack(s, k) == _reference_attack(s, k, m, 500)
 
 
-@given(_stable_structures(), st.integers(1, 3))
+# sites up to 16 wide hold cells outside a pick's 2m window, and up to
+# 8 picks carry gains across several steps
+@given(st.one_of(_stable_structures(), _stable_structures(16)), st.integers(1, 8))
 @settings(max_examples=250, deadline=None)
 def test_greedy_attack_matches_full_recount(structure, k):
     s, m = structure
-    with mock.patch.object(fleet, "EXHAUSTIVE_CELL_LIMIT", 0):
-        assert find_attack(s, k, max_overhang=m) == _reference_attack(s, k, m, 0)
+    with mock.patch.multiple(fleet, EXHAUSTIVE_CELL_LIMIT=0, MAX_OVERHANG=m):
+        assert find_attack(s, k) == _reference_attack(s, k, m, 0)
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -534,8 +539,9 @@ def test_attack_pairs_around_the_window_edge(m):
                 cells |= {(0, 0, z), (d, 0, z) if along_x else (0, d, z)}
             cells -= set(unsupported_cells(cells, m))
             s = S((d + 1, 1, 3) if along_x else (1, d + 1, 3), cells)
-            assert (find_attack(s, 2, max_overhang=m)
-                    == _reference_attack(s, 2, m, 500)), (m, d, along_x)
+            with mock.patch.object(fleet, "MAX_OVERHANG", m):
+                assert (find_attack(s, 2)
+                        == _reference_attack(s, 2, m, 500)), (m, d, along_x)
 
 
 # attack_cells and prototype_collapse of `domus attack --k 2` on the

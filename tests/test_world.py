@@ -287,6 +287,24 @@ def test_constraint_json_loader():
     '[{"kind": "MaterialAtMost", "params": {"m_max": -3}}]',
     '[{"kind": "WithinBox", "params": {"box": [0, 0, 0, 7, -1, 7]}}]',
     '[{"kind": "WithinBox", "params": {"box": [5, 0, 0, 4, 7, 7]}}]',
+    # each param is a JSON integer, each weight a JSON number
+    '[{"kind": "MaterialAtMost", "params": {"m_max": 2.5}}]',
+    '[{"kind": "MaterialAtMost", "params": {"m_max": 2.0}}]',
+    '[{"kind": "EnclosedVolumeAtLeast", "params": {"v_min": true}}]',
+    '[{"kind": "EnclosedVolumeAtLeast", "params": {"v_min": null}}]',
+    '[{"kind": "Stability", "params": {"max_overhang": "3"}}]',
+    '[{"kind": "Stability", "params": {"max_overhang": false}}]',
+    '[{"kind": "WithinBox", "params": {"box": "012345"}}]',
+    '[{"kind": "WithinBox", "params": {"box": [0, 0, 0, 7, 7]}}]',
+    '[{"kind": "WithinBox", "params": {"box": [0, 0, 0, 7, 7, 7, 7]}}]',
+    '[{"kind": "WithinBox", "params": {"box": [0, 0, 0, 7, 7, 7.5]}}]',
+    '[{"kind": "WithinBox", "params": {"box": [0, 0, 0, 7, 7, true]}}]',
+    '[{"kind": "WithinBox", "params": {"box": {"0": 0}}}]',
+    '[{"kind": "Stability", "weight": "2"}]',
+    '[{"kind": "Stability", "weight": true}]',
+    '[{"kind": "Stability", "weight": null}]',
+    '[{"kind": "Stability", "weight": [1]}]',
+    '[{"kind": "Stability", "weight": 1' + "0" * 400 + '}]',
 ])
 def test_constraint_json_errors(text):
     with pytest.raises(world.FormatError):
