@@ -27,7 +27,6 @@ __all__ = [
     "description_length",
     "beauty_score",
     "load_patterns",
-    "dump_patterns",
 ]
 
 
@@ -212,12 +211,3 @@ def load_patterns(text: str) -> PatternDictionary:
         return PatternDictionary(tuple(patterns))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def dump_patterns(dictionary: PatternDictionary) -> str:
-    blocks = []
-    for pat in dictionary.patterns:
-        lines = [f"PATTERN {pat.name}"]
-        lines.extend(f"{x} {y} {z}" for (x, y, z) in sorted(pat.cells, key=lambda c: (c[2], c[1], c[0])))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)

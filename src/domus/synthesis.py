@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import vm
 from .errors import DomusError
@@ -507,10 +507,13 @@ class _Enumerator:
     an option that fails there or changes neither mask nor cursor; only
     DEF, which binds a name and builds nothing, has its own branch.
 
-    _exec charges every PLACE and FILL, top-level or repeated, against
-    _ENUM_PLACEMENT_BUDGET, and an instruction that takes the count past
-    it fails: no witness places more cells than that, repetitions
-    included. Every search node and every body extension counts against
+    _exec places cells in one branch: a PLACE is a 1 x 1 x 1 box and a
+    FILL its extent times the scale. It charges the box's cells, top
+    level or repeated, against _ENUM_PLACEMENT_BUDGET, and fails past it:
+    no witness places more cells than that. It then looks the box up in
+    self.boxes, built once, which maps (anchor, extent) to the bits of
+    every box inside the world; a miss leaves the world and fails too.
+    Every search node and every body extension counts against
     ENUM_NODE_BUDGET; past it, EnumerationBudgetExceeded.
 
     Programs are built of vm instructions. Their execution here, on the
@@ -542,6 +545,14 @@ class _Enumerator:
         self.rep_opts = [(cnt, _wrapper_length(vm.Repeat(cnt, ())))
                          for cnt in range(2, maxd + 1)]
         self.def_opts = [(name, _wrapper_length(vm.Def(name, ()))) for name in _NAMES]
+        # ((x, y, z), (dx, dy, dz)) -> occupancy bits of that box, for
+        # every box that lies inside the world
+        nx, ny = self.nx, self.ny
+        self.boxes: dict[tuple[Cell, tuple[int, int, int]], int] = {}
+        for ext in itertools.product(*(range(1, n + 1) for n in dims)):
+            for anchor in itertools.product(*(range(n - d + 1) for n, d in zip(dims, ext))):
+                cells = itertools.product(*(range(a, a + d) for a, d in zip(anchor, ext)))
+                self.boxes[anchor, ext] = sum(1 << (x + nx * (y + ny * z)) for x, y, z in cells)
 
     def _tick(self):
         self.nodes += 1
@@ -549,22 +560,6 @@ class _Enumerator:
             raise EnumerationBudgetExceeded(
                 f"exhaustive search exceeded {self.node_budget} nodes"
             )
-
-    def _bit(self, x, y, z) -> int:
-        return 1 << (x + self.nx * (y + self.ny * z))
-
-    def _fill_mask(self, cx, cy, cz, dx, dy, dz) -> Optional[int]:
-        if cx < 0 or cy < 0 or cz < 0:
-            return None
-        if cx + dx > self.nx or cy + dy > self.ny or cz + dz > self.nz:
-            return None
-        m = 0
-        for z in range(cz, cz + dz):
-            for y in range(cy, cy + dy):
-                base = self.nx * (y + self.ny * z)
-                for x in range(cx, cx + dx):
-                    m |= 1 << (x + base)
-        return m
 
     def _options(self, room: int, last, ndefs: int) -> list:
         """Every (instruction, length) that may follow last within room
@@ -622,14 +617,16 @@ class _Enumerator:
         """Apply one instruction; returns (mask, cur, placed) or None when
         a placement leaves the world or the budget runs out."""
         kind = type(ins)
-        if kind is vm.Place:
-            x, y, z = cur
-            if not (0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz):
-                return None
-            placed += 1
+        if kind is vm.Place or kind is vm.Fill:
+            ext = ((1, 1, 1) if kind is vm.Place
+                   else (ins.dx * scale, ins.dy * scale, ins.dz * scale))
+            placed += ext[0] * ext[1] * ext[2]
             if placed > _ENUM_PLACEMENT_BUDGET:
                 return None
-            return mask | self._bit(x, y, z), cur, placed
+            box = self.boxes.get((cur, ext))
+            if box is None:
+                return None
+            return mask | box, cur, placed
         if kind is vm.Move:
             d = ins.n * scale
             x, y, z = cur
@@ -638,15 +635,6 @@ class _Enumerator:
             if ins.axis == "Y":
                 return mask, (x, y + d, z), placed
             return mask, (x, y, z + d), placed
-        if kind is vm.Fill:
-            dx, dy, dz = ins.dx * scale, ins.dy * scale, ins.dz * scale
-            placed += dx * dy * dz
-            if placed > _ENUM_PLACEMENT_BUDGET:
-                return None
-            fm = self._fill_mask(cur[0], cur[1], cur[2], dx, dy, dz)
-            if fm is None:
-                return None
-            return mask | fm, cur, placed
         if kind is vm.Repeat:
             for _ in range(ins.count):
                 for sub in ins.body:

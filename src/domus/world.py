@@ -330,7 +330,9 @@ def load_constraints(text: str) -> ConstraintSet:
     m_max >= 0), WithinBox (param box = [x0, y0, z0, x1, y1, z1], a
     list of six, inclusive, with x0 <= x1, y0 <= y1 and z0 <= z1).
     Each param is a JSON integer (not a boolean); a value of another
-    type or outside its range is a FormatError.
+    type or outside its range is a FormatError. So is an entry key other
+    than kind, params and weight, or a param its kind does not read, and
+    the message names the key.
     """
     try:
         raw = json.loads(text)
@@ -342,6 +344,9 @@ def load_constraints(text: str) -> ConstraintSet:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise FormatError(f"constraint #{i} lacks a 'kind'")
+        for key in entry:
+            if key not in ("kind", "params", "weight"):
+                raise FormatError(f"constraint #{i}: unknown key {key!r}")
         kind = entry["kind"]
         weight = entry.get("weight", 1.0)
         try:
@@ -353,20 +358,21 @@ def load_constraints(text: str) -> ConstraintSet:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise FormatError(f"constraint #{i}: params must be a JSON object, got {params!r}")
+        unread = dict(params)  # each branch pops the params its kind reads
         try:
             if kind == "Stability":
                 c = Stability(weight=weight,
-                              max_overhang=_json_number(params.get("max_overhang", 2), int))
+                              max_overhang=_json_number(unread.pop("max_overhang", 2), int))
                 in_range = c.max_overhang >= 0
             elif kind == "EnclosedVolumeAtLeast":
-                c = EnclosedVolumeAtLeast(min_volume=_json_number(params["v_min"], int),
+                c = EnclosedVolumeAtLeast(min_volume=_json_number(unread.pop("v_min"), int),
                                           weight=weight)
                 in_range = c.min_volume >= 0
             elif kind == "MaterialAtMost":
-                c = MaterialAtMost(max_cells=_json_number(params["m_max"], int), weight=weight)
+                c = MaterialAtMost(max_cells=_json_number(unread.pop("m_max"), int), weight=weight)
                 in_range = c.max_cells >= 0
             elif kind == "WithinBox":
-                box = params["box"]
+                box = unread.pop("box")
                 if not isinstance(box, list) or len(box) != 6:
                     raise TypeError("box must be a list of six integers")
                 x0, y0, z0, x1, y1, z1 = (_json_number(v, int) for v in box)
@@ -376,6 +382,8 @@ def load_constraints(text: str) -> ConstraintSet:
                 raise FormatError(f"constraint #{i}: unknown kind {kind!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"constraint #{i}: bad params for {kind}: {params!r}") from exc
+        if unread:
+            raise FormatError(f"constraint #{i}: {kind} reads no param {min(unread)!r}")
         if not in_range:
             raise FormatError(f"constraint #{i}: params out of range for {kind}: {params!r}")
         out.append(c)

@@ -16,7 +16,6 @@ from domus.aesthetics import (
     beauty_score,
     cover,
     description_length,
-    dump_patterns,
     load_patterns,
 )
 from domus.world import FormatError
@@ -262,7 +261,8 @@ def test_pattern_file_roundtrip():
         BRICK,
         Pattern("corner", frozenset({(0, 0, 0), (1, 0, 0), (0, 1, 0)})),
     ))
-    text = dump_patterns(d)
+    # the two patterns written in the block format, z-y-x order
+    text = "PATTERN brick\n0 0 0\n1 0 0\n\nPATTERN corner\n0 0 0\n1 0 0\n0 1 0"
     assert load_patterns(text) == d
 
 

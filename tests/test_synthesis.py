@@ -490,6 +490,8 @@ EXHAUSTIVE_TABLES = {
                       "9ef8d73416beddd4425052425f959b4d46135e3298f49f33f403b4fa0861e0a7"),
     ((3, 3, 3), 30): (1591, 13355,
                       "3284f1ad665abe43c8f07cb61ecb8103d523f73ac3ae8b077512a4685d9e685d"),
+    ((3, 3, 3), 40): (4991, 271125,
+                      "9ea579866790e088199a559cd74f952612c2fcf55b2e7e7272e0051666b8157f"),
 }
 
 
@@ -508,7 +510,7 @@ def test_exhaustive_tables_are_pinned(monkeypatch, dims, max_len):
 
 
 def test_exhaustive_table_witnesses_rebuild():
-    for dims, max_len in (((3, 1, 1), 25), ((3, 3, 1), 30)):
+    for dims, max_len in (((3, 1, 1), 25), ((3, 3, 1), 30), ((2, 2, 2), 35)):
         for cells, bound in exhaustive_table(dims, max_len).items():
             assert vm.execute(bound.program, dims) == S(dims, cells)
 

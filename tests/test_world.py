@@ -305,6 +305,10 @@ def test_constraint_json_loader():
     '[{"kind": "Stability", "weight": null}]',
     '[{"kind": "Stability", "weight": [1]}]',
     '[{"kind": "Stability", "weight": 1' + "0" * 400 + '}]',
+    # a key that nothing reads is an error, not a silent default
+    '[{"kind": "Stability", "params": {"maxoverhang": 0}, "wieght": 50}]',
+    '[{"kind": "MaterialAtMost", "params": {"m_max": 3, "box": [0, 0, 0, 1, 1, 1]}}]',
+    '[{"kind": "Stability", "Params": {"max_overhang": 0}}]',
 ])
 def test_constraint_json_errors(text):
     with pytest.raises(world.FormatError):
