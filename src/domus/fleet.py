@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import vm
 from .errors import DomusError
@@ -41,6 +42,10 @@ EXHAUSTIVE_CELL_LIMIT = 500
 # the support rule's overhang reach in find_attack, collapse_fraction
 # and transfer_rate, so an attack and its transfer use one rule
 MAX_OVERHANG = 2
+
+# window cells that one _AttackGrid.gains batch gathers, about 256 KB
+# per bool temporary, so that memory stays bounded on a tall world
+_GAIN_BATCH_CELLS = 1 << 18
 
 
 class AlreadyUnstable(DomusError):
@@ -160,10 +165,11 @@ class _AttackGrid:
     columns lie within m of (x, y) can change status: the inner
     (2m+1)^2 window. Those cells depend on nothing farther than m
     beyond it, so a (4m+1)^2 full-height slice recomputes them exactly.
-    A cell's delta reads occupancy within 2m of its column and status
-    within m, so clearing c changes only the deltas of cells whose
-    columns lie within 2m of c's. The grid is padded by 2m in x and y,
-    so no slice needs clipping.
+    delta, gains and remove all rest on this. A cell's delta reads
+    occupancy within 2m of its column and status within m, so clearing
+    c changes only the deltas of cells whose columns lie within 2m of
+    c's. The grid is padded by 2m in x and y, so no slice needs
+    clipping.
     """
 
     def __init__(self, cells):
@@ -186,31 +192,59 @@ class _AttackGrid:
         before = self.unsupported[x0 - m:x1 + m + 1, y0 - m:y1 + m + 1]
         return int(np.count_nonzero(after)) - int(np.count_nonzero(before))
 
+    def gains(self, cells: list[Cell]) -> list[int]:
+        """delta((c,)) for each cell c, in a few numpy calls: gather
+        each cell's (4m+1)^2 full-height slice into a stack, clear its
+        centre cell, run the support rule once over the stack and
+        subtract each cell's (2m+1)^2 count before. Batches hold at most
+        _GAIN_BATCH_CELLS slice cells."""
+        m, w = self.m, 4 * self.m + 1
+        # slices[x, y] is the slice whose low corner is column (x, y)
+        slices = np.moveaxis(sliding_window_view(self.occ, (w, w), axis=(0, 1)), 2, -1)
+        was = sliding_window_view(self.unsupported, (2 * m + 1, 2 * m + 1), axis=(0, 1))
+        idx = np.array(cells, dtype=np.intp).reshape(-1, 3) - self.lo
+        per_batch = max(1, _GAIN_BATCH_CELLS // (w * w * self.occ.shape[2]))
+        out: list[int] = []
+        for i in range(0, len(idx), per_batch):
+            xs, ys, zs = idx[i:i + per_batch].T
+            # indexing by arrays copies, so clearing a centre leaves occ as it is
+            part = slices[xs - 2 * m, ys - 2 * m]
+            part[np.arange(len(zs)), 2 * m, 2 * m, zs] = False
+            after = _unsupported_mask(part, m)[:, m:3 * m + 1, m:3 * m + 1]
+            before = was[xs - m, ys - m]
+            out += (np.count_nonzero(after, axis=(1, 2, 3))
+                    - np.count_nonzero(before, axis=(1, 2, 3))).tolist()
+        return out
+
     def remove(self, c: Cell) -> list[Cell]:
-        """Clear c and return the occupied cells whose delta that can
-        change, those whose columns lie within 2m of c's."""
-        r, (ox, oy, _) = 2 * self.m, self.lo
+        """Clear c, recount the status of the cells within m of it from
+        the slice within 2m, and return the occupied cells whose delta
+        that can change, those whose columns lie within 2m of c's."""
+        m, (ox, oy, _) = self.m, self.lo
         x, y = c[0] - ox, c[1] - oy
         self.occ[x, y, c[2]] = False
-        self.unsupported = _unsupported_mask(self.occ, self.m)
-        return [(int(i) + c[0] - r, int(j) + c[1] - r, int(z))
-                for i, j, z in np.argwhere(self.occ[x - r:x + r + 1, y - r:y + r + 1])]
+        part = self.occ[x - 2 * m:x + 2 * m + 1, y - 2 * m:y + 2 * m + 1]
+        self.unsupported[x - m:x + m + 1, y - m:y + m + 1] = (
+            _unsupported_mask(part, m)[m:3 * m + 1, m:3 * m + 1])
+        near = np.argwhere(part) + (c[0] - 2 * m, c[1] - 2 * m, 0)
+        return list(map(tuple, near.tolist()))
 
 
 def find_attack(s: VoxelStructure, k: int) -> Attack:
     """Best removal of at most k cells, by collapse fraction.
 
     Both searches start from every cell's gain, the change in the
-    unsupported count when that cell alone is removed (_AttackGrid).
-    For k = 2 on at most EXHAUSTIVE_CELL_LIMIT cells the search is
-    exhaustive over singletons, then pairs. Two cells more than 2m
-    apart in x or y have disjoint windows, so a pair's count is the
-    sum of its gains; closer pairs are recounted jointly. Otherwise it
-    is greedy: each step takes the first maximum gain in sorted-cell
-    order, clears that cell in the grid and recounts only the gains
-    the removal can change, those of cells within 2m of it. Ties keep
-    the first removal in sorted-cell order. Counts are exact integers,
-    so the result equals a full recount of every candidate.
+    unsupported count when that cell alone is removed, counted for all
+    cells in a few batched numpy calls (_AttackGrid.gains). For k = 2
+    on at most EXHAUSTIVE_CELL_LIMIT cells the search is exhaustive
+    over singletons, then pairs. Two cells more than 2m apart in x or y
+    have disjoint windows, so a pair's count is the sum of its gains;
+    closer pairs are recounted jointly. Otherwise it is greedy: each
+    step takes the first maximum gain in sorted-cell order, clears that
+    cell in the grid and recounts, in one batch, only the gains the
+    removal can change, those of cells within 2m of it. Ties keep the
+    first removal in sorted-cell order. Counts are exact integers, so
+    the result equals a full recount of every candidate.
     """
     if k < 1:
         raise ValueError("attack budget must be >= 1")
@@ -225,7 +259,7 @@ def find_attack(s: VoxelStructure, k: int) -> Attack:
     if unstable:
         raise AlreadyUnstable(f"{unstable} cells already unsupported")
     # the prototype is stable, so each gain is the count its removal collapses
-    gain = {c: grid.delta((c,)) for c in cells}
+    gain = dict(zip(cells, grid.gains(cells)))
     best_set: frozenset[Cell] = frozenset()
     best_frac = -1.0
 
@@ -256,8 +290,9 @@ def find_attack(s: VoxelStructure, k: int) -> Attack:
             consider(tuple(removed), count)
             if len(removed) == k or not gain:
                 break
-            for d in grid.remove(c):
-                gain[d] = grid.delta((d,))
+            near = grid.remove(c)
+            # update keeps the key order, so ties still go to the first cell
+            gain.update(zip(near, grid.gains(near)))
 
     return Attack(removed_cells=best_set, k=k, collapse_fraction=best_frac)
 

@@ -448,8 +448,13 @@ def synthesize_min(s: VoxelStructure,
         )
     literal = literal_program(s)
     literal_len = vm.program_length(literal)
-    cuboids = _listing(_cuboid_decomposition(s.occupied))
-    start = cuboids if vm.program_length(cuboids) < literal_len else literal
+    start = literal
+    cuboids = _cuboid_decomposition(s.occupied)
+    # all one-cell cuboids list the literal program again
+    if any(dims != (1, 1, 1) for _, dims in cuboids):
+        listing = _listing(cuboids)
+        if vm.program_length(listing) < literal_len:
+            start = listing
     witness = _extract_defs(_fold_loops(start))
 
     rebuilt = vm.execute(witness, s.dims, limits)

@@ -134,21 +134,22 @@ class StabilityReport:
 
 
 def _unsupported_mask(occ: np.ndarray, max_overhang: int) -> np.ndarray:
-    """Cells of a dense (x, y, z) occupancy grid that fail the support rule.
+    """Cells of a dense (..., x, y, z) occupancy grid that fail the
+    support rule; leading axes, if any, index a stack of grids.
 
-    The grid's z=0 is the ground. Vertical support is a running AND up
+    Each grid's z=0 is the ground. Vertical support is a running AND up
     each column; the overhang rule is max_overhang rounds of 4-neighbor
     dilation within each layer, masked by occupancy, run on all layers
-    at once. Dilation past its fixpoint changes nothing, so the rounds
-    stop early once a round adds no cell.
+    (and grids) at once. Dilation past its fixpoint changes nothing, so
+    the rounds stop early once a round adds no cell to any grid.
     """
-    seed = np.logical_and.accumulate(occ, axis=2)
+    seed = np.logical_and.accumulate(occ, axis=-1)
     for _ in range(max_overhang):
         grown = seed.copy()
-        grown[1:, :] |= seed[:-1, :]
-        grown[:-1, :] |= seed[1:, :]
-        grown[:, 1:] |= seed[:, :-1]
-        grown[:, :-1] |= seed[:, 1:]
+        grown[..., 1:, :, :] |= seed[..., :-1, :, :]
+        grown[..., :-1, :, :] |= seed[..., 1:, :, :]
+        grown[..., 1:, :] |= seed[..., :-1, :]
+        grown[..., :-1, :] |= seed[..., 1:, :]
         grown &= occ
         if np.array_equal(grown, seed):
             break

@@ -1,11 +1,13 @@
 import hashlib
 import io
+import math
 import random
 from contextlib import redirect_stdout
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from domus import cli, fleet, vm, world
@@ -525,6 +527,65 @@ def test_greedy_attack_matches_full_recount(structure, k):
     s, m = structure
     with mock.patch.multiple(fleet, EXHAUSTIVE_CELL_LIMIT=0, MAX_OVERHANG=m):
         assert find_attack(s, k) == _reference_attack(s, k, m, 0)
+
+
+def _check_gains(grid, standing, picks):
+    """gains equals delta cell by cell on the grid, then again after
+    each pick is removed; remove keeps every cell's status exact."""
+    for pick in (None, *picks):
+        if pick is not None:
+            grid.remove(pick)
+            standing.remove(pick)
+        assert grid.gains(standing) == [grid.delta((c,)) for c in standing]
+        assert np.array_equal(grid.unsupported, world._unsupported_mask(grid.occ, grid.m))
+
+
+@given(st.one_of(_stable_structures(), _stable_structures(16)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gains_match_delta(structure, data):
+    s, m = structure
+    assume(s.occupied)
+    standing = sorted(s.occupied)
+    picks = data.draw(st.lists(st.sampled_from(standing), max_size=4, unique=True))
+    with mock.patch.object(fleet, "MAX_OVERHANG", m):
+        _check_gains(fleet._AttackGrid(standing), standing, picks)
+
+
+@given(st.one_of(_stable_structures(), _stable_structures(16)), st.integers(1, 3),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_gains_match_delta_in_small_batches(structure, per_batch, data):
+    # at most per_batch cells a batch (one when the cap is below a
+    # slice), so most cell counts leave an uneven last batch
+    s, m = structure
+    assume(s.occupied)
+    standing = sorted(s.occupied)
+    picks = data.draw(st.lists(st.sampled_from(standing), max_size=2, unique=True))
+    with mock.patch.object(fleet, "MAX_OVERHANG", m):
+        grid = fleet._AttackGrid(standing)
+    slice_cells = (4 * m + 1) ** 2 * grid.occ.shape[2]
+    cap = data.draw(st.sampled_from((1, per_batch * slice_cells)))
+    with mock.patch.object(fleet, "_GAIN_BATCH_CELLS", cap):
+        _check_gains(grid, standing, picks)
+
+
+def test_gain_table_is_batched():
+    # one mask for the grid, ceil(4096 / per_batch) for the gain table,
+    # then the pick's windowed remove and one batch for its recounts; a
+    # slice of the one-cell-tall carpet holds (4m+1)^2 cells
+    proto = vm.execute(vm.parse((CORPUS / "sierpinski4.cvm").read_text()), (81, 81, 1))
+    per_batch = fleet._GAIN_BATCH_CELLS // (4 * fleet.MAX_OVERHANG + 1) ** 2
+    calls = 0
+
+    def counted(occ, m):
+        nonlocal calls
+        calls += 1
+        return world._unsupported_mask(occ, m)
+
+    with mock.patch.object(fleet, "_unsupported_mask", counted):
+        find_attack(proto, 2)
+    assert len(proto.occupied) == 4096
+    assert calls == 1 + math.ceil(4096 / per_batch) + 2 < 10
 
 
 @pytest.mark.parametrize("m", range(4))

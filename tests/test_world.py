@@ -3,6 +3,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,41 @@ def test_ground_slab_stable_for_any_overhang():
     for overhang in (0, 1, 2, 5):
         cells = {(rng.randrange(8), rng.randrange(8), 0) for _ in range(20)}
         assert check_stability(S((8, 8, 1), cells), overhang).stable
+
+
+@st.composite
+def _grid_stacks(draw):
+    """A stack of 1 to 5 random occupancy grids of one shape."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 6)),
+             draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    bits = draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                         max_size=math.prod(shape)))
+    return np.array(bits, dtype=bool).reshape(shape)
+
+
+@given(_grid_stacks(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_unsupported_mask_of_a_stack_is_each_grids_mask(stack, m):
+    got = world._unsupported_mask(stack, m)
+    for grid, mask in zip(stack, got):
+        assert np.array_equal(mask, world._unsupported_mask(grid, m))
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_unsupported_mask_of_a_stack_whose_grids_settle_apart(m):
+    # a lone column settles after one dilation round; a deck of three
+    # cells off a column's top needs three, so the stack runs on past
+    # the first grid's fixpoint
+    column = np.zeros((4, 1, 2), dtype=bool)
+    column[0, 0, :] = True
+    deck = column.copy()
+    deck[1:, 0, 1] = True
+    stack = np.stack([column, deck])
+    got = world._unsupported_mask(stack, m)
+    assert not got[0].any()
+    assert [bool(got[1][x, 0, 1]) for x in range(1, 4)] == [x > m for x in range(1, 4)]
+    for grid, mask in zip(stack, got):
+        assert np.array_equal(mask, world._unsupported_mask(grid, m))
 
 
 # --- enclosed volume ---
