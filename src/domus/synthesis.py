@@ -477,7 +477,6 @@ def relative_complexity(a: VoxelStructure, b: VoxelStructure) -> int:
 
 # --- exhaustive enumeration at desk scale ---
 
-_ENUM_PLACEMENT_BUDGET = 10_000
 # search nodes one exhaustive_table may visit; read at call time
 ENUM_NODE_BUDGET = 50_000_000
 _NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -514,10 +513,11 @@ class _Enumerator:
 
     _exec places cells in one branch: a PLACE is a 1 x 1 x 1 box and a
     FILL its extent times the scale. It charges the box's cells, top
-    level or repeated, against _ENUM_PLACEMENT_BUDGET, and fails past it:
-    no witness places more cells than that. It then looks the box up in
-    self.boxes, built once, which maps (anchor, extent) to the bits of
-    every box inside the world; a miss leaves the world and fails too.
+    level or repeated, against the max_placements of vm's default
+    ExecutionLimits, and fails past it, so the table holds exactly the
+    programs vm.execute accepts. A box that leaves the world fails too;
+    one inside it sets the bits of dx cells, times the row and layer
+    strides of its dy rows and dz layers, shifted to its anchor.
     Every search node and every body extension counts against
     ENUM_NODE_BUDGET; past it, EnumerationBudgetExceeded.
 
@@ -550,14 +550,11 @@ class _Enumerator:
         self.rep_opts = [(cnt, _wrapper_length(vm.Repeat(cnt, ())))
                          for cnt in range(2, maxd + 1)]
         self.def_opts = [(name, _wrapper_length(vm.Def(name, ()))) for name in _NAMES]
-        # ((x, y, z), (dx, dy, dz)) -> occupancy bits of that box, for
-        # every box that lies inside the world
-        nx, ny = self.nx, self.ny
-        self.boxes: dict[tuple[Cell, tuple[int, int, int]], int] = {}
-        for ext in itertools.product(*(range(1, n + 1) for n in dims)):
-            for anchor in itertools.product(*(range(n - d + 1) for n, d in zip(dims, ext))):
-                cells = itertools.product(*(range(a, a + d) for a, d in zip(anchor, ext)))
-                self.boxes[anchor, ext] = sum(1 << (x + nx * (y + ny * z)) for x, y, z in cells)
+        self.max_placements = vm.ExecutionLimits().max_placements
+        # rows[d] / slabs[d]: bit 0 of d consecutive rows / layers
+        row, slab = self.nx, self.nx * self.ny
+        self.rows = [sum(1 << (row * j) for j in range(d)) for d in range(self.ny + 1)]
+        self.slabs = [sum(1 << (slab * k) for k in range(d)) for d in range(self.nz + 1)]
 
     def _tick(self):
         self.nodes += 1
@@ -623,15 +620,15 @@ class _Enumerator:
         a placement leaves the world or the budget runs out."""
         kind = type(ins)
         if kind is vm.Place or kind is vm.Fill:
-            ext = ((1, 1, 1) if kind is vm.Place
-                   else (ins.dx * scale, ins.dy * scale, ins.dz * scale))
-            placed += ext[0] * ext[1] * ext[2]
-            if placed > _ENUM_PLACEMENT_BUDGET:
+            dx, dy, dz = ((1, 1, 1) if kind is vm.Place
+                          else (ins.dx * scale, ins.dy * scale, ins.dz * scale))
+            placed += dx * dy * dz
+            x, y, z = cur
+            if (placed > self.max_placements or x < 0 or y < 0 or z < 0
+                    or x + dx > self.nx or y + dy > self.ny or z + dz > self.nz):
                 return None
-            box = self.boxes.get((cur, ext))
-            if box is None:
-                return None
-            return mask | box, cur, placed
+            box = ((1 << dx) - 1) * self.rows[dy] * self.slabs[dz]
+            return mask | box << (x + self.nx * (y + self.ny * z)), cur, placed
         if kind is vm.Move:
             d = ins.n * scale
             x, y, z = cur
