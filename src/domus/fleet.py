@@ -135,25 +135,25 @@ def collapse_fraction(s: VoxelStructure, removed: frozenset[Cell]) -> float:
     given cells are removed. Cells already unsupported before the
     attack do not count; removing everything collapses nothing.
 
-    Removing cells only takes support away, so the cells that newly
-    lose it number the change in the unsupported count, which
-    _AttackGrid counts in the removed cells' windows, plus the removed
-    cells that were unsupported already. Only cells whose columns lie
-    within 2m of a removed cell (m = MAX_OVERHANG) can change status or
-    decide the status of one that does, so the grid holds only the
-    cells in the box of those columns, the slice that delta recounts.
+    Only cells whose columns lie within m = MAX_OVERHANG of a removed
+    cell can change status, and their status depends on nothing more
+    than m beyond, so the support rule runs before and after on the box
+    of columns within 2m of the removed cells only.
     """
-    gone = tuple(removed & s.occupied)
+    gone = removed & s.occupied
     remaining = len(s.occupied) - len(gone)
     if not gone or not remaining:
         return 0.0
     reach = 2 * MAX_OVERHANG
     x0, x1 = min(c[0] for c in gone) - reach, max(c[0] for c in gone) + reach
     y0, y1 = min(c[1] for c in gone) - reach, max(c[1] for c in gone) + reach
-    grid = _AttackGrid([c for c in s.occupied if x0 <= c[0] <= x1 and y0 <= c[1] <= y1])
-    ox, oy, _ = grid.lo
-    was = sum(bool(grid.unsupported[x - ox, y - oy, z]) for x, y, z in gone)
-    return (grid.delta(gone) + was) / remaining
+    occ, (ox, oy, _) = _dense_grid(
+        [c for c in s.occupied if x0 <= c[0] <= x1 and y0 <= c[1] <= y1])
+    before = _unsupported_mask(occ, MAX_OVERHANG)
+    for x, y, z in gone:
+        occ[x - ox, y - oy, z] = False
+    after = _unsupported_mask(occ, MAX_OVERHANG)
+    return int(np.count_nonzero(after & ~before)) / remaining
 
 
 class _AttackGrid:
@@ -165,69 +165,62 @@ class _AttackGrid:
     columns lie within m of (x, y) can change status: the inner
     (2m+1)^2 window. Those cells depend on nothing farther than m
     beyond it, so a (4m+1)^2 full-height slice recomputes them exactly.
-    delta, gains and remove all rest on this. A cell's delta reads
-    occupancy within 2m of its column and status within m, so clearing
-    c changes only the deltas of cells whose columns lie within 2m of
-    c's. The grid is padded by 2m in x and y, so no slice needs
-    clipping.
+    gains and remove both rest on this. A cell's gain reads occupancy
+    within 2m of its column and status within m, so clearing c changes
+    only the gains of cells whose columns lie within 2m of c's. The
+    grid is padded by 2m in x and y, so no slice needs clipping.
     """
 
     def __init__(self, cells):
-        self.m = MAX_OVERHANG
-        self.occ, self.lo = _dense_grid(cells, pad=2 * self.m)
-        self.unsupported = _unsupported_mask(self.occ, self.m)
-
-    def delta(self, removal: tuple[Cell, ...]) -> int:
-        """Change in the unsupported count when removal is cleared: the
-        recount over the windows of its cells, less the current count
-        there. Cells outside those windows keep their status."""
-        m, (ox, oy, _) = self.m, self.lo
-        xs = [c[0] - ox for c in removal]
-        ys = [c[1] - oy for c in removal]
-        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-        part = self.occ[x0 - 2 * m:x1 + 2 * m + 1, y0 - 2 * m:y1 + 2 * m + 1].copy()
-        for x, y, (_, _, z) in zip(xs, ys, removal):
-            part[x - x0 + 2 * m, y - y0 + 2 * m, z] = False
-        after = _unsupported_mask(part, m)[m:x1 - x0 + 3 * m + 1, m:y1 - y0 + 3 * m + 1]
-        before = self.unsupported[x0 - m:x1 + m + 1, y0 - m:y1 + m + 1]
-        return int(np.count_nonzero(after)) - int(np.count_nonzero(before))
+        self.m = m = MAX_OVERHANG
+        w = 4 * m + 1
+        self.occ, self.lo = _dense_grid(cells, pad=2 * m)
+        self.unsupported = _unsupported_mask(self.occ, m)
+        # views, so they follow the writes that _set makes;
+        # slices[x, y] is the slice whose low corner is column (x, y)
+        self._slices = np.moveaxis(sliding_window_view(self.occ, (w, w), axis=(0, 1)), 2, -1)
+        self._was = sliding_window_view(self.unsupported, (2 * m + 1, 2 * m + 1), axis=(0, 1))
 
     def gains(self, cells: list[Cell]) -> list[int]:
-        """delta((c,)) for each cell c, in a few numpy calls: gather
-        each cell's (4m+1)^2 full-height slice into a stack, clear its
-        centre cell, run the support rule once over the stack and
-        subtract each cell's (2m+1)^2 count before. Batches hold at most
-        _GAIN_BATCH_CELLS slice cells."""
+        """The change in the unsupported count when each cell alone is
+        cleared, in a few numpy calls: gather each cell's (4m+1)^2
+        full-height slice into a stack, clear its centre cell, run the
+        support rule once over the stack and subtract each cell's
+        (2m+1)^2 count before. Batches hold at most _GAIN_BATCH_CELLS
+        slice cells."""
         m, w = self.m, 4 * self.m + 1
-        # slices[x, y] is the slice whose low corner is column (x, y)
-        slices = np.moveaxis(sliding_window_view(self.occ, (w, w), axis=(0, 1)), 2, -1)
-        was = sliding_window_view(self.unsupported, (2 * m + 1, 2 * m + 1), axis=(0, 1))
         idx = np.array(cells, dtype=np.intp).reshape(-1, 3) - self.lo
         per_batch = max(1, _GAIN_BATCH_CELLS // (w * w * self.occ.shape[2]))
         out: list[int] = []
         for i in range(0, len(idx), per_batch):
             xs, ys, zs = idx[i:i + per_batch].T
             # indexing by arrays copies, so clearing a centre leaves occ as it is
-            part = slices[xs - 2 * m, ys - 2 * m]
+            part = self._slices[xs - 2 * m, ys - 2 * m]
             part[np.arange(len(zs)), 2 * m, 2 * m, zs] = False
             after = _unsupported_mask(part, m)[:, m:3 * m + 1, m:3 * m + 1]
-            before = was[xs - m, ys - m]
+            before = self._was[xs - m, ys - m]
             out += (np.count_nonzero(after, axis=(1, 2, 3))
                     - np.count_nonzero(before, axis=(1, 2, 3))).tolist()
         return out
 
     def remove(self, c: Cell) -> list[Cell]:
-        """Clear c, recount the status of the cells within m of it from
-        the slice within 2m, and return the occupied cells whose delta
-        that can change, those whose columns lie within 2m of c's."""
+        """Clear c and return the occupied cells whose gain that can
+        change, those whose columns lie within 2m of c's, in sorted
+        order."""
+        part = self._set(c, False)
+        near = np.argwhere(part) + (c[0] - 2 * self.m, c[1] - 2 * self.m, 0)
+        return list(map(tuple, near.tolist()))
+
+    def _set(self, c: Cell, occupied: bool) -> np.ndarray:
+        """Set c's occupancy and recount the status of the cells within
+        m of its column from the slice within 2m, which it returns."""
         m, (ox, oy, _) = self.m, self.lo
         x, y = c[0] - ox, c[1] - oy
-        self.occ[x, y, c[2]] = False
+        self.occ[x, y, c[2]] = occupied
         part = self.occ[x - 2 * m:x + 2 * m + 1, y - 2 * m:y + 2 * m + 1]
         self.unsupported[x - m:x + m + 1, y - m:y + m + 1] = (
             _unsupported_mask(part, m)[m:3 * m + 1, m:3 * m + 1])
-        near = np.argwhere(part) + (c[0] - 2 * m, c[1] - 2 * m, 0)
-        return list(map(tuple, near.tolist()))
+        return part
 
 
 def find_attack(s: VoxelStructure, k: int) -> Attack:
@@ -242,13 +235,16 @@ def find_attack(s: VoxelStructure, k: int) -> Attack:
     cells in a few batched numpy calls (_AttackGrid.gains). For k = 2
     on at most EXHAUSTIVE_CELL_LIMIT cells the search is exhaustive
     over singletons, then pairs. Two cells more than 2m apart in x or y
-    have disjoint windows, so a pair's count is the sum of its gains;
-    closer pairs are recounted jointly. Otherwise it is greedy: each
-    step takes the first maximum gain in sorted-cell order, clears that
-    cell in the grid and recounts, in one batch, only the gains the
-    removal can change, those of cells within 2m of it. Ties keep the
-    first removal in sorted-cell order. Counts are exact integers, so
-    the result equals a full recount of every candidate.
+    have disjoint windows, so a pair's count is the sum of its gains.
+    A closer pair (a, b) counts a's gain plus b's once a is gone: the
+    search removes each a in turn (_AttackGrid.remove), counts the
+    gains of the later cells within 2m of it in one batch and puts a
+    back. Otherwise it is greedy: each step takes the first maximum
+    gain in sorted-cell order, removes that cell and recounts, in one
+    batch, only the gains the removal can change, those of cells within
+    2m of it. Ties keep the first removal in sorted-cell order. Counts
+    are exact integers, so the result equals a full recount of every
+    candidate.
     """
     if k < 1:
         raise ValueError("attack budget must be >= 1")
@@ -277,13 +273,13 @@ def find_attack(s: VoxelStructure, k: int) -> Attack:
     if k == 2 and n <= EXHAUSTIVE_CELL_LIMIT:
         for a in cells:
             consider((a,), gain[a])
-        reach = 2 * grid.m
         for i, a in enumerate(cells):
+            later = [b for b in grid.remove(a) if b > a]
+            # b's gain once a is gone, for the partners within 2m of a
+            after_a = dict(zip(later, grid.gains(later)))
+            grid._set(a, True)
             for b in cells[i + 1:]:
-                if abs(a[0] - b[0]) > reach or abs(a[1] - b[1]) > reach:
-                    consider((a, b), gain[a] + gain[b])
-                else:
-                    consider((a, b), grid.delta((a, b)))
+                consider((a, b), gain[a] + after_a.get(b, gain[b]))
     else:
         removed: list[Cell] = []
         count = 0

@@ -710,15 +710,11 @@ class _Enumerator:
 
 
 def _cells_of(mask: int, dims: tuple[int, int, int]) -> frozenset[Cell]:
-    nx, ny, nz = dims
-    cells = set()
-    i = 0
-    while mask:
-        if mask & 1:
-            cells.add((i % nx, (i // nx) % ny, i // (nx * ny)))
-        mask >>= 1
-        i += 1
-    return frozenset(cells)
+    nx, ny, _ = dims
+    # the binary digits from the lowest bit up, without the "0b"; a
+    # frozenset copied from a set gets a smaller table than one grown
+    return frozenset({(i % nx, (i // nx) % ny, i // (nx * ny))
+                      for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"})
 
 
 def exhaustive_table(dims: tuple[int, int, int], max_len: int

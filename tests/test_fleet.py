@@ -530,14 +530,25 @@ def test_greedy_attack_matches_full_recount(structure, k):
 
 
 def _check_gains(grid, standing, picks):
-    """gains equals delta cell by cell on the grid, then again after
-    each pick is removed; remove keeps every cell's status exact."""
+    """gains equals a full recount cell by cell on the grid, then again
+    after each pick is removed; remove keeps every cell's status exact,
+    and removing a pick and putting it back leaves the grid as built."""
+    m = grid.m
+    with mock.patch.object(fleet, "MAX_OVERHANG", m):
+        fresh = fleet._AttackGrid(standing)
+    for pick in picks:
+        grid.remove(pick)
+        grid._set(pick, True)
+        assert np.array_equal(grid.occ, fresh.occ)
+        assert np.array_equal(grid.unsupported, fresh.unsupported)
     for pick in (None, *picks):
         if pick is not None:
             grid.remove(pick)
             standing.remove(pick)
-        assert grid.gains(standing) == [grid.delta((c,)) for c in standing]
-        assert np.array_equal(grid.unsupported, world._unsupported_mask(grid.occ, grid.m))
+        before = len(unsupported_cells(standing, m))
+        assert grid.gains(standing) == [
+            len(unsupported_cells(set(standing) - {c}, m)) - before for c in standing]
+        assert np.array_equal(grid.unsupported, world._unsupported_mask(grid.occ, m))
 
 
 @given(st.one_of(_stable_structures(), _stable_structures(16)), st.data())
@@ -569,12 +580,8 @@ def test_gains_match_delta_in_small_batches(structure, per_batch, data):
         _check_gains(grid, standing, picks)
 
 
-def test_gain_table_is_batched():
-    # one mask for the grid, ceil(4096 / per_batch) for the gain table,
-    # then the pick's windowed remove and one batch for its recounts; a
-    # slice of the one-cell-tall carpet holds (4m+1)^2 cells
-    proto = vm.execute(vm.parse((CORPUS / "sierpinski4.cvm").read_text()), (81, 81, 1))
-    per_batch = fleet._GAIN_BATCH_CELLS // (4 * fleet.MAX_OVERHANG + 1) ** 2
+def _mask_calls(proto, k) -> int:
+    """_unsupported_mask calls that find_attack(proto, k) makes."""
     calls = 0
 
     def counted(occ, m):
@@ -583,9 +590,28 @@ def test_gain_table_is_batched():
         return world._unsupported_mask(occ, m)
 
     with mock.patch.object(fleet, "_unsupported_mask", counted):
-        find_attack(proto, 2)
+        find_attack(proto, k)
+    return calls
+
+
+def test_gain_table_is_batched():
+    # one mask for the grid, ceil(4096 / per_batch) for the gain table,
+    # then the pick's windowed remove and one batch for its recounts; a
+    # slice of the one-cell-tall carpet holds (4m+1)^2 cells
+    proto = vm.execute(vm.parse((CORPUS / "sierpinski4.cvm").read_text()), (81, 81, 1))
+    per_batch = fleet._GAIN_BATCH_CELLS // (4 * fleet.MAX_OVERHANG + 1) ** 2
     assert len(proto.occupied) == 4096
-    assert calls == 1 + math.ceil(4096 / per_batch) + 2 < 10
+    assert _mask_calls(proto, 2) == 1 + math.ceil(4096 / per_batch) + 2 < 10
+
+
+def test_pair_search_recounts_in_batches():
+    # one mask for the grid and one for the gain table, then for each
+    # cell its removal, one batch for the later cells near it, and its
+    # return: at most 3n + 2 masks
+    proto = vm.execute(vm.parse((CORPUS / "sierpinski2.cvm").read_text()), (9, 9, 1))
+    n = len(proto.occupied)
+    assert n == 64
+    assert _mask_calls(proto, 2) <= 3 * n + 2
 
 
 @pytest.mark.parametrize("m", range(4))
