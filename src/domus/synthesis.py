@@ -6,16 +6,21 @@ witness program whose execution reproduces the structure exactly. The
 pipeline in synthesize_min is one chain: it starts from the shorter of
 the trivial cell-by-cell program and a listing of greedy cuboids, then
 folds loops and extracts subroutines, each pass making only rewrites
-whose exactly priced savings are positive. For desk-scale worlds,
-exhaustive_table is the oracle: one enumeration of every canonical
-program up to a byte budget gives each structure they build its true
-minimum, which anchors the pipeline in tests. One structure's minimum
-is exhaustive_table(s.dims, max_len).get(s.occupied), None when nothing
+whose exactly priced savings are positive. The start is numbered once
+for both passes. The fold pass scans the start once and then keeps the
+runs of each sequence across folds, scanning only around the
+instruction each fold puts in; extraction rescans the whole tree after
+each extraction. For desk-scale worlds, exhaustive_table is the oracle:
+one enumeration of every canonical program up to a byte budget gives
+each structure they build its true minimum, which anchors the pipeline
+in tests. One structure's minimum is
+exhaustive_table(s.dims, max_len).get(s.occupied), None when nothing
 within max_len builds it.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -247,56 +252,250 @@ def _wrapper_length(empty: vm.Instruction) -> int:
     return vm.body_length((empty,)) + 1
 
 
-def _best_fold(flat: list, ids: list[int]):
-    """Best (block_len, reps, start) fold in the flat layout, or None.
+def _tandem_runs(ids: list[int]) -> dict[int, list[tuple[int, int]]]:
+    """For each period b, the runs of ids: the maximal intervals [s, e)
+    of at least b positions on which ids[i] == ids[i + b], in order.
 
-    Prefers the longest repeated block, then the most repetitions, then
-    the earliest start; only folds that strictly shrink the canonical
-    text qualify. A block that holds a separator never repeats, so every
-    fold stays inside one sequence.
+    The block ids[p:p+b] equals the next one exactly when [p, p+b) lies
+    in a run of period b, so a run's starts p are the consecutive
+    positions whose group in _repeated_blocks also holds p + b. A run
+    never holds a separator or a DEF, nor reaches one at distance b.
     """
-    pre = None  # prefix lengths, made at the first repeat
-    best = None  # key: (b, r, -p) maximized
+    runs: dict[int, list[tuple[int, int]]] = {}
     for b, groups in _repeated_blocks(ids):
+        starts: list[int] = []
         for g in groups:
-            # a run needs p and p + b in one group; a pair is one check
-            if len(g) == 2 and g[1] - g[0] != b:
-                continue
-            starts = set(g)
-            heads = starts.intersection([q - b for q in g])
-            for p in sorted(heads):
-                if p - b in starts:
-                    continue  # inside the run of an earlier head
-                r = 2
-                j = p + b
-                while j + b in starts:
-                    r += 1
-                    j += b
-                if pre is None:
-                    pre = _prefix_lengths(flat, ids)
+            if len(g) == 2:
+                if g[1] - g[0] == b:
+                    starts.append(g[0])
+            else:
+                starts.extend(set(g).intersection([q - b for q in g]))
+        if not starts:
+            continue
+        starts.sort()
+        out = []
+        s = last = starts[0]
+        for p in starts[1:]:
+            if p != last + 1:
+                out.append((s, last + b))
+                s = p
+            last = p
+        out.append((s, last + b))
+        runs[b] = out
+    return runs
+
+
+def _clip_runs(runs: dict, lo: int, hi: int, to: int) -> dict:
+    """The runs of the slice [lo, hi), moved so that lo lands on to."""
+    out = {}
+    shift = to - lo
+    for b, ivs in runs.items():
+        kept = []
+        for s, e in ivs:
+            s, e = max(s, lo), min(e, hi - b)
+            if e - s >= b:
+                kept.append((s + shift, e + shift))
+        if kept:
+            out[b] = kept
+    return out
+
+
+def _best_run(runs: dict, pre: list[int]):
+    """Best (b, r, p) fold among the runs, or None.
+
+    Prefers the longest block, then the most repetitions, then the
+    earliest start; only folds that strictly shrink the canonical text
+    qualify. A fold starts at a head p of a run [s, e) of period b, one
+    that the copy before it does not extend: p in [s, min(s+b, e-b+1)).
+    It takes the r = 1 + (e - p) // b copies from p, which is fewer the
+    later p starts.
+    """
+    for b in sorted(runs, reverse=True):
+        best = None
+        for s, e in runs[b]:
+            for p in range(s, min(s + b, e - b + 1)):
+                r = 1 + (e - p) // b
+                if best is not None and r <= best[1]:
+                    break
                 lb = pre[p + b] - pre[p] + b - 1
                 # r copies and their r - 1 separators, against one REPEAT
-                savings = r * lb + r - 1 - (_wrapper_length(vm.Repeat(r, ())) + lb)
-                if savings <= 0:
-                    continue
-                key = (b, r, -p)
-                if best is None or key > best[0]:
-                    best = (key, (b, r, p))
-    return best[1] if best else None
+                if (r - 1) * (lb + 1) > _wrapper_length(vm.Repeat(r, ())):
+                    best = (b, r, p)
+                    break
+        if best is not None:
+            return best
+    return None
 
 
-def _fold_loops(program: vm.Program) -> vm.Program:
+class _Sequence:
+    """One sequence of the tree with what the fold pass keeps of it: its
+    instruction ids, prefix lengths as _prefix_lengths counts them, runs
+    as _tandem_runs finds them, the positions of its REPEAT and DEF nodes
+    with a _Sequence for each body, and the best fold of its subtree.
+
+    best is (b, r, route, p): the fold (b, r, p) of the sequence reached
+    by taking, for each i in route, the body of the i-th node of kids.
+    Among equal (b, r) this sequence wins, then its bodies in order,
+    which is the order of positions in _layout.
+    """
+
+    __slots__ = ("seq", "ids", "pre", "runs", "kids", "subs", "best")
+
+    def __init__(self, seq: tuple, ids: list[int], pre: list[int], runs: dict,
+                 kids: list[int], subs: list["_Sequence"]):
+        self.seq, self.ids, self.pre, self.runs = seq, ids, pre, runs
+        self.kids, self.subs = kids, subs
+        own = _best_run(runs, pre)
+        best = None if own is None else (own[0], own[1], (), own[2])
+        for i, sub in enumerate(subs):
+            t = sub.best
+            if t is not None and (best is None or t[:2] > best[:2]):
+                best = (t[0], t[1], (i,) + t[2], t[3])
+        self.best = best
+
+    def part(self, lo: int, hi: int) -> "_Sequence":
+        """The sequence seq[lo:hi]."""
+        pre, kids = self.pre, self.kids
+        i, j = bisect.bisect_left(kids, lo), bisect.bisect_left(kids, hi)
+        return _Sequence(self.seq[lo:hi], self.ids[lo:hi],
+                         [x - pre[lo] for x in pre[lo: hi + 1]],
+                         _clip_runs(self.runs, lo, hi, 0),
+                         [k - lo for k in kids[i:j]], self.subs[i:j])
+
+    def replaced(self, q: int, span: int, ins: vm.Instruction, ins_len: int,
+                 sub: "_Sequence", ins_id: int, seen: bool) -> "_Sequence":
+        """This sequence with seq[q:q+span] replaced by ins, a REPEAT or
+        a DEF of canonical length ins_len whose body is sub; seen is False
+        when no other instruction has its id.
+
+        Runs on either side of the edit are clipped at it and keep their
+        periods. A new run of period b holds q - b or q, since it is at
+        least b long, so ins recurs at distance b; each such run is found
+        by extending from there, and it absorbs the clipped runs it meets.
+        """
+        seq, ids, pre, kids = self.seq, self.ids, self.pre, self.kids
+        new_ids = ids[:q] + [ins_id] + ids[q + span:]
+        delta = pre[q] + ins_len - pre[q + span]
+        runs = _clip_runs(self.runs, 0, q, 0)
+        for b, ivs in _clip_runs(self.runs, q + span, len(seq), q + 1).items():
+            runs.setdefault(b, []).extend(ivs)
+        n = len(new_ids)
+        at = -1
+        while seen:
+            try:
+                at = new_ids.index(ins_id, at + 1)
+            except ValueError:
+                break
+            if at == q:
+                continue
+            b = abs(at - q)
+            s = min(at, q)
+            e = s + 1
+            while s and new_ids[s - 1] == new_ids[s - 1 + b]:
+                s -= 1
+            while e + b < n and new_ids[e] == new_ids[e + b]:
+                e += 1
+            if e - s >= b:
+                ivs = [iv for iv in runs.get(b, ()) if iv[1] <= s or iv[0] >= e]
+                ivs.append((s, e))
+                ivs.sort()
+                runs[b] = ivs
+        i, j = bisect.bisect_left(kids, q), bisect.bisect_left(kids, q + span)
+        return _Sequence(seq[:q] + (ins,) + seq[q + span:], new_ids,
+                         pre[:q + 1] + [x + delta for x in pre[q + span:]], runs,
+                         kids[:i] + [q] + [k + 1 - span for k in kids[j:]],
+                         self.subs[:i] + [sub] + self.subs[j:])
+
+
+class _Folds:
+    """The tree under loop folding, as the _Sequence of its top level,
+    and the ids of the REPEATs in it, which a new REPEAT equal to one of
+    them shares."""
+
+    def __init__(self, instrs: tuple, flat: list, ids: list[int], pre: list[int], runs: dict):
+        self.repeats = {ins: ids[p] for p, ins in enumerate(flat) if type(ins) is vm.Repeat}
+        self.next_id = len(flat)
+
+        def build(seq: tuple, at: int) -> tuple[_Sequence, int]:
+            end = at + len(seq)
+            kids, subs = [], []
+            for k, ins in enumerate(seq):
+                if isinstance(ins, (vm.Repeat, vm.Def)):
+                    sub, end = build(ins.body, end + 1)
+                    kids.append(k)
+                    subs.append(sub)
+            return _Sequence(seq, ids[at: at + len(seq)],
+                             [x - pre[at] for x in pre[at: at + len(seq) + 1]],
+                             _clip_runs(runs, at, at + len(seq), 0), kids, subs), end
+
+        self.root = build(instrs, 0)[0]
+
+    def _id(self, ins: vm.Instruction) -> tuple[int, bool]:
+        """The id of a new REPEAT or DEF, and whether an instruction
+        made before has it too."""
+        if type(ins) is vm.Repeat:
+            known = self.repeats.get(ins)
+            if known is not None:
+                return known, True
+            self.repeats[ins] = self.next_id
+        self.next_id += 1
+        return self.next_id - 1, False
+
+    def fold(self):
+        """Make the best fold of the tree. Only the sequence it folds and
+        the ones that hold it change; the rest keep their _Sequence."""
+        b, r, route, p = self.root.best
+        holders = []
+        node = self.root
+        for i in route:
+            holders.append((node, i))
+            node = node.subs[i]
+        lb = node.pre[p + b] - node.pre[p] + b - 1
+        wrapper = _wrapper_length(vm.Repeat(r, ()))
+        savings = (r - 1) * (lb + 1) - wrapper
+        body = node.part(p, p + b)
+        ins = vm.Repeat(r, body.seq)
+        node = node.replaced(p, b * r, ins, wrapper + lb, body, *self._id(ins))
+        # each holder of a changed body changes in one instruction, which
+        # shrinks by the savings
+        for holder, i in reversed(holders):
+            k = holder.kids[i]
+            old = holder.seq[k]
+            ins = (vm.Repeat(old.count, node.seq) if type(old) is vm.Repeat
+                   else vm.Def(old.name, node.seq))
+            node = holder.replaced(k, 1, ins, holder.pre[k + 1] - holder.pre[k] - savings,
+                                   node, *self._id(ins))
+        self.root = node
+
+
+def _fold_loops(program: vm.Program, ids: list[int] | None = None) -> vm.Program:
     """Fold consecutive repetitions of instruction blocks into REPEAT
     nodes, everywhere in the tree, while each fold strictly shrinks the
-    canonical text."""
+    canonical text. Each fold is the best one in the whole tree, picked
+    as _Sequence.best orders them.
+
+    ids, when given, is _instruction_ids of program's layout. One scan of
+    the layout finds the runs of every sequence; a program that nothing
+    folds comes back as it is. Across folds each sequence keeps its ids,
+    prefix lengths, runs and best fold. A fold replaces instructions in
+    one sequence and one instruction in each sequence that holds it, and
+    only those are updated: their runs away from the edit are clipped and
+    shifted, not rescanned, and only runs through the new instruction
+    are scanned for, by extending from it. The new REPEAT's body takes
+    the runs of the block it was. Every other sequence is left as it is.
+    """
     instrs = program.instructions
-    while True:
-        flat = _layout(instrs)
-        fold = _best_fold(flat, _instruction_ids(flat))
-        if fold is None:
-            return vm.Program(instrs)
-        b, r, p = fold
-        instrs = _rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p: p + b])),))})
+    flat = _layout(instrs)
+    if ids is None:
+        ids = _instruction_ids(flat)
+    runs = _tandem_runs(ids)
+    if not runs:
+        return program
+    folds = _Folds(instrs, flat, ids, _prefix_lengths(flat, ids), runs)
+    while folds.root.best is not None:
+        folds.fold()
+    # nothing folded: the program itself, which ids still number
+    return program if folds.root.seq is instrs else vm.Program(folds.root.seq)
 
 
 # --- pass: subroutine extraction ---
@@ -404,10 +603,11 @@ def _apply_extraction(instrs: tuple, block: tuple, occ: list[int], name: str) ->
     return instrs[:insert_at] + (vm.Def(name, block),) + instrs[insert_at:]
 
 
-def _extract_defs(program: vm.Program,
-                  reserved_names: frozenset[str] = frozenset()) -> vm.Program:
+def _extract_defs(program: vm.Program, reserved_names: frozenset[str] = frozenset(),
+                  ids: list[int] | None = None) -> vm.Program:
     """Hoist repeated instruction blocks into DEF/CALL while each
-    extraction strictly shrinks the canonical text.
+    extraction strictly shrinks the canonical text. ids, when given, is
+    _instruction_ids of program's layout.
 
     _best_extraction prices each step exactly, as no occurrence lies
     inside another's span: that block would hold a REPEAT equal to one
@@ -419,11 +619,12 @@ def _extract_defs(program: vm.Program,
         used = {ins.name for ins in instrs if isinstance(ins, vm.Def)}
         name = _next_name(used | reserved_names)
         flat = _layout(instrs)
-        found = _best_extraction(flat, _instruction_ids(flat), name)
+        found = _best_extraction(flat, _instruction_ids(flat) if ids is None else ids, name)
         if found is None:
             return vm.Program(instrs)
         block, occ = found
         instrs = _apply_extraction(instrs, block, occ, name)
+        ids = None
 
 
 # --- the pipeline ---
@@ -455,7 +656,10 @@ def synthesize_min(s: VoxelStructure,
         listing = _listing(cuboids)
         if vm.program_length(listing) < literal_len:
             start = listing
-    witness = _extract_defs(_fold_loops(start))
+    # one numbering of the start serves both passes when nothing folds
+    ids = _instruction_ids(_layout(start.instructions))
+    folded = _fold_loops(start, ids)
+    witness = _extract_defs(folded, ids=ids if folded is start else None)
 
     rebuilt = vm.execute(witness, s.dims, limits)
     if rebuilt != s:

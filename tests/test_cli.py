@@ -429,7 +429,7 @@ def test_hostile_inputs_are_format_errors(tmp_path, capsys, name, text):
 
 
 def test_witness_mismatch_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(synthesis, "_extract_defs", lambda program: vm.Program(()))
+    monkeypatch.setattr(synthesis, "_extract_defs", lambda program, **_: vm.Program(()))
     code, out, err = run(capsys, "complexity", CORPUS / "row3.cvm", "--dims", 4, 1, 1)
     assert code == 3 and out == ""
     assert err.startswith("domus: error:") and "does not rebuild" in err

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -130,7 +131,7 @@ def test_witness_that_misses_its_input_is_a_domain_error(monkeypatch, pass_name,
     # there is no length race to lose: a pass's output becomes the witness
     # whether it is shorter or longer than the literal program, and the
     # re-execution must catch a wrong one
-    monkeypatch.setattr(synthesis, pass_name, lambda program: wrong)
+    monkeypatch.setattr(synthesis, pass_name, lambda program, *_, **__: wrong)
     s = S((4, 1, 1), {(0, 0, 0), (1, 0, 0), (2, 0, 0)})
     with pytest.raises(synthesis.WitnessMismatch) as info:
         synthesize_min(s)
@@ -346,6 +347,36 @@ def _priced_extraction(flat, ids, name):
     return best[1:] if best else (None, 0)
 
 
+def _layout_position(route, root, p):
+    """Position in _layout of p in the sequence that route leads to from
+    the _Sequence root."""
+    at, node = 0, root
+    for i in route:
+        seq, k = node.seq, node.kids[i]
+        at += len(seq) + 1 + sum(len(synthesis._layout(ins.body)) + 1 for ins in seq[:k]
+                                 if isinstance(ins, (vm.Repeat, vm.Def)))
+        node = node.subs[i]
+    return at + p
+
+
+def _first_fold(instrs):
+    # the first fold of _fold_loops as (b, r, p), p a position of the
+    # layout: the best run of the whole layout, which must be the best
+    # fold of the sequence tree built from it
+    flat = synthesis._layout(instrs)
+    ids = synthesis._instruction_ids(flat)
+    runs = synthesis._tandem_runs(ids)
+    pre = synthesis._prefix_lengths(flat, ids)
+    whole = synthesis._best_run(runs, pre)
+    root = synthesis._Folds(instrs, flat, ids, pre, runs).root
+    if root.best is None:
+        assert whole is None
+        return None
+    b, r, route, p = root.best
+    assert whole == (b, r, _layout_position(route, root, p))
+    return whole
+
+
 def test_prefix_priced_passes_pick_what_tuple_pricing_picks():
     # and the savings are exact: applying the rewrite shrinks the text by
     # them, so the passes need not measure what they made
@@ -356,7 +387,7 @@ def test_prefix_priced_passes_pick_what_tuple_pricing_picks():
         flat = synthesis._layout(instrs)
         ids = synthesis._instruction_ids(flat)
         fold, savings = _priced_fold(flat, ids)
-        assert synthesis._best_fold(flat, ids) == fold
+        assert _first_fold(instrs) == fold
         if fold is not None:
             b, r, p = fold
             folded = synthesis._rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p:p + b])),))})
@@ -401,6 +432,211 @@ def test_passes_on_nested_programs_are_pinned():
         h.update(vm.serialize(synthesis._extract_defs(p)).encode() + b"\0")
     assert h.hexdigest() == (
         "a1260976d125abd1545c20ea34750de83d9dc96da5263eaa4dc1e2fc138ad2b7")
+
+
+# --- incremental folding against the whole-tree rescan ---
+
+def _rescan_best_fold(flat, ids):
+    # the fold pass's pick when it rescanned the whole layout after every
+    # fold: the best (block_len, reps, start), or None
+    pre = None
+    best = None
+    for b, groups in synthesis._repeated_blocks(ids):
+        for g in groups:
+            if len(g) == 2 and g[1] - g[0] != b:
+                continue
+            starts = set(g)
+            heads = starts.intersection([q - b for q in g])
+            for p in sorted(heads):
+                if p - b in starts:
+                    continue
+                r = 2
+                j = p + b
+                while j + b in starts:
+                    r += 1
+                    j += b
+                if pre is None:
+                    pre = synthesis._prefix_lengths(flat, ids)
+                lb = pre[p + b] - pre[p] + b - 1
+                savings = r * lb + r - 1 - (synthesis._wrapper_length(vm.Repeat(r, ())) + lb)
+                if savings <= 0:
+                    continue
+                key = (b, r, -p)
+                if best is None or key > best[0]:
+                    best = (key, (b, r, p))
+    return best[1] if best else None
+
+
+def _rescan_steps(instrs):
+    # the tree before each fold of the rescanning pass, and after the last
+    while True:
+        yield instrs
+        flat = synthesis._layout(instrs)
+        fold = _rescan_best_fold(flat, synthesis._instruction_ids(flat))
+        if fold is None:
+            return
+        b, r, p = fold
+        instrs = synthesis._rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p: p + b])),))})
+
+
+def _assert_kept_state_is_fresh(node):
+    # what each _Sequence keeps across folds is what a scan of it finds
+    seq = node.seq
+    fresh = synthesis._instruction_ids(list(seq))
+    # equal ids exactly where a fresh numbering has them
+    assert len(set(zip(fresh, node.ids))) == len(set(fresh)) == len(set(node.ids))
+    assert node.runs == synthesis._tandem_runs(fresh)
+    assert node.pre == synthesis._prefix_lengths(list(seq), fresh)
+    assert node.kids == [k for k, ins in enumerate(seq) if isinstance(ins, (vm.Repeat, vm.Def))]
+    assert len(node.subs) == len(node.kids)
+    for k, sub in zip(node.kids, node.subs):
+        assert sub.seq is seq[k].body
+        _assert_kept_state_is_fresh(sub)
+
+
+def _incremental_steps(instrs):
+    # the tree before each fold of _Folds, and after the last
+    flat = synthesis._layout(instrs)
+    ids = synthesis._instruction_ids(flat)
+    folds = synthesis._Folds(instrs, flat, ids, synthesis._prefix_lengths(flat, ids),
+                             synthesis._tandem_runs(ids))
+    while True:
+        _assert_kept_state_is_fresh(folds.root)
+        yield folds.root.seq
+        if folds.root.best is None:
+            return
+        folds.fold()
+
+
+def _assert_folds_as_the_rescan(instrs):
+    steps = list(_rescan_steps(instrs))
+    assert list(_incremental_steps(instrs)) == steps
+    assert synthesis._fold_loops(vm.Program(instrs)) == vm.Program(steps[-1])
+    return len(steps) - 1
+
+
+def test_incremental_folding_matches_the_rescan_on_nested_programs():
+    # fold by fold; _nested_block repeats the same REPEAT objects, so some
+    # bodies are held twice
+    rng = random.Random(5150)
+    folds = 0
+    for _ in range(300):
+        folds += _assert_folds_as_the_rescan(
+            (vm.Def("a", _nested_block(rng, 1, False)),) + _nested_block(rng, 0, True))
+    assert folds > 300
+
+
+def test_incremental_folding_matches_the_rescan_on_start_programs():
+    rng = random.Random(6061)
+    folds = 0
+    for _ in range(25):
+        s = random_structure(rng, max_cells=50)
+        folds += _assert_folds_as_the_rescan(literal_program(s).instructions)
+        folds += _assert_folds_as_the_rescan(
+            synthesis._listing(synthesis._cuboid_decomposition(s.occupied)).instructions)
+    assert folds > 25
+
+
+@given(st.lists(_TOP, min_size=1, max_size=8).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_incremental_folding_matches_the_rescan(instrs):
+    _assert_folds_as_the_rescan(instrs)
+
+
+_P, _X, _Y = vm.Place(), vm.Move("X", 1), vm.Move("Y", 1)
+_F = vm.Fill(2, 1, 1)
+
+
+@pytest.mark.parametrize("instrs, folded", [
+    # the new REPEAT equals one before it, and then the two repeat
+    ((vm.Repeat(3, (_P, _X)), _F) + (_P, _X) * 3 + (_F,),
+     "REPEAT 2 {\nREPEAT 3 {\nPLACE\nMOVE X 1\n}\nFILL 2 1 1\n}"),
+    # ... one after it
+    ((_F,) + (_P, _X) * 3 + (_F, vm.Repeat(3, (_P, _X))),
+     "REPEAT 2 {\nFILL 2 1 1\nREPEAT 3 {\nPLACE\nMOVE X 1\n}\n}"),
+    # ... one on each side, so that the runs through it meet
+    ((vm.Repeat(3, (_P, _X)), _F) + (_P, _X) * 3 + (_F, vm.Repeat(3, (_P, _X)), _F),
+     "REPEAT 3 {\nREPEAT 3 {\nPLACE\nMOVE X 1\n}\nFILL 2 1 1\n}"),
+    # a fold inside a DEF body, which then equals no other instruction
+    ((vm.Def("a", (_F,) + (_P, _X) * 3), vm.Call("a"), _Y, vm.Call("a")),
+     "DEF a {\nFILL 2 1 1\nREPEAT 3 {\nPLACE\nMOVE X 1\n}\n}\nCALL a\nMOVE Y 1\nCALL a"),
+    # a fold inside a REPEAT body makes it equal the REPEAT after it,
+    # and then the two fold
+    ((vm.Repeat(2, (_Y,) + (_P, _X) * 3), vm.Repeat(2, (_Y, vm.Repeat(3, (_P, _X))))),
+     "REPEAT 2 {\nREPEAT 2 {\nMOVE Y 1\nREPEAT 3 {\nPLACE\nMOVE X 1\n}\n}\n}"),
+    # a fold three bodies deep
+    ((_F, vm.Repeat(2, (_Y, vm.Repeat(2, (_F, vm.Repeat(2, (_Y,) + (_P, _X) * 3)))))),
+     "FILL 2 1 1\nREPEAT 2 {\nMOVE Y 1\nREPEAT 2 {\nFILL 2 1 1\nREPEAT 2 {\nMOVE Y 1"
+     "\nREPEAT 3 {\nPLACE\nMOVE X 1\n}\n}\n}\n}"),
+])
+def test_incremental_folding_on_crafted_trees(instrs, folded):
+    _assert_folds_as_the_rescan(instrs)
+    assert vm.serialize(synthesis._fold_loops(vm.Program(instrs))) == folded
+
+
+def _numberings(s) -> int:
+    """_instruction_ids calls that synthesize_min(s) makes."""
+    calls = 0
+    number = synthesis._instruction_ids
+
+    def counted(flat):
+        nonlocal calls
+        calls += 1
+        return number(flat)
+
+    with mock.patch.object(synthesis, "_instruction_ids", counted):
+        synthesize_min(s)
+    return calls
+
+
+def test_the_start_program_is_numbered_once():
+    # the start's numbering serves the fold pass and, when nothing
+    # folds, the first extraction scan; each later scan numbers its tree
+    cells = list(itertools.product(range(3), repeat=3))
+    structures = [S((3, 3, 3), c) for k in range(3) for c in itertools.combinations(cells, k)]
+    motif = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0)]
+    structures += [
+        S((16, 1, 4), {(3 * i, 0, z) for i in range(5) for z in range(3)}),
+        S((16, 16, 8), {(x + ox, y + oy, z + oz) for x, y, z in motif for ox, oy, oz in
+                        [(0, 0, 0), (7, 1, 0), (2, 9, 0), (11, 6, 0), (5, 4, 5)]}),
+        vm.execute(vm.parse((CORPUS / "sierpinski3.cvm").read_text()), (27, 27, 1)),
+    ]
+    seen = set()
+    for s in structures:
+        witness = synthesize_min(s).program.instructions
+        flat = synthesis._layout(witness)
+        folded = any(isinstance(ins, vm.Repeat) for ins in flat)
+        defs = sum(isinstance(ins, vm.Def) for ins in witness)
+        assert _numberings(s) == 1 + folded + defs
+        seen.add((folded, defs > 0))
+    assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def _depth_5_carpet() -> str:
+    # sierpinski4 without its last CALL, then nine c4 at pitch 81
+    text = (CORPUS / "sierpinski4.cvm").read_text()
+    assert text.endswith("CALL c4\n")
+    step, row = "MOVE X 81", ["MOVE X -162", "MOVE Y 81"]
+    body = (["CALL c4", step, "CALL c4", step, "CALL c4"] + row
+            + ["CALL c4", "MOVE X 162", "CALL c4"] + row
+            + ["CALL c4", step, "CALL c4", step, "CALL c4"])
+    return text[:-len("CALL c4\n")] + "\n".join(["DEF c5 {", *body, "}", "CALL c5"]) + "\n"
+
+
+def test_depth_5_carpet_witness_is_pinned_and_fast():
+    # 24.9 CPU s while the fold pass rescanned the whole tree after each
+    # of its 471 folds; 1.5-2.0 s on 2 cores since it rescans only where
+    # a fold changed the tree
+    text = _depth_5_carpet()
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (
+        737, "606accf55dff1de3565864a47e948f8674a8fa1cd5caba8c3edc1587438b7702")
+    s = vm.execute(vm.parse(text), (243, 243, 1))
+    assert len(s.occupied) == 32768
+    start = time.process_time()
+    witness = vm.serialize(synthesize_min(s).program)
+    assert time.process_time() - start < 3.0
+    assert (len(witness), hashlib.sha256(witness.encode()).hexdigest()) == (
+        15390, "e167f677e6b2cd7becccb7515cfaf54f94c45388e3d017104b85aba3041e3a72")
 
 
 # --- overhead cancellation ---
