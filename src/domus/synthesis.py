@@ -7,10 +7,12 @@ pipeline in synthesize_min is one chain: it starts from the shorter of
 the trivial cell-by-cell program and a listing of greedy cuboids, then
 folds loops and extracts subroutines, each pass making only rewrites
 whose exactly priced savings are positive. The start is numbered once
-for both passes. The fold pass scans the start once and then keeps the
-runs of each sequence across folds, scanning only around the
-instruction each fold puts in; extraction rescans the whole tree after
-each extraction. For desk-scale worlds, exhaustive_table is the oracle:
+for both passes. Each pass scans its input once and keeps what it found
+across its rewrites: the fold pass the runs of each sequence, scanning
+only around the instruction each fold puts in; extraction every
+repeated block, in a heap keyed by bounds of their savings, looking up
+only the blocks through the instructions each extraction puts in. For
+desk-scale worlds, exhaustive_table is the oracle:
 one enumeration of every canonical program up to a byte budget gives
 each structure they build its true minimum, which anchors the pipeline
 in tests. One structure's minimum is
@@ -21,6 +23,7 @@ within max_len builds it.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -134,35 +137,6 @@ def _layout(instrs: tuple) -> list:
     return flat
 
 
-def _rewrite(instrs: tuple, edits: dict[int, tuple[int, tuple]]) -> tuple:
-    """Rebuild the tree with each edits[p] = (span, repl) replacing the
-    span instructions that start at position p of _layout(instrs).
-
-    Bodies are rebuilt before the sequence that holds them. A sequence
-    that no edit touches comes back as the same object.
-    """
-    def rebuild(seq: tuple, start: int) -> tuple[tuple, int]:
-        out = list(seq)
-        changed = False
-        end = start + len(seq)
-        for i, ins in enumerate(seq):
-            if isinstance(ins, (vm.Repeat, vm.Def)):
-                body, end = rebuild(ins.body, end + 1)
-                if body is not ins.body:
-                    out[i] = (vm.Repeat(ins.count, body) if isinstance(ins, vm.Repeat)
-                              else vm.Def(ins.name, body))
-                    changed = True
-        # right to left, so that each splice leaves the indices before it
-        for k in range(len(seq) - 1, -1, -1):
-            edit = edits.get(start + k)
-            if edit is not None:
-                out[k: k + edit[0]] = edit[1]
-                changed = True
-        return (tuple(out) if changed else seq), end
-
-    return rebuild(instrs, 0)[0]
-
-
 # --- blocks that repeat ---
 
 
@@ -177,7 +151,8 @@ def _instruction_ids(flat: list) -> list[int]:
     return ids
 
 
-def _repeated_blocks(ids: list[int]) -> Iterator[tuple[int, list[list[int]]]]:
+def _repeated_blocks(ids: list[int], squares: dict[int, list[int]] | None = None
+                     ) -> Iterator[tuple[int, list[list[int]]]]:
     """Yield (b, groups) for b = 1, 2, ..., where each group lists, in
     order, every start p of one block ids[p:p+b] that occurs twice
     without overlap. Ids are nonnegative.
@@ -192,6 +167,15 @@ def _repeated_blocks(ids: list[int]) -> Iterator[tuple[int, list[list[int]]]]:
     have the same follower carries over as it is. The scan stops at the
     first b with no group, since a block of b+1 that occurs twice
     without overlap has a prefix of b that does too.
+
+    squares, when given, gets for each b the starts p of its groups with
+    p + b in the same group: the blocks that the next block equals. They
+    are found where the refinement looks anyway. A pair is one only at
+    b = g[1] - g[0], where the span rule drops it; so each pair is filed
+    under that b when it is made, with the length its blocks are known to
+    agree for, and compared from there when b comes. A larger group
+    holds one p only if the block at p + b starts as its blocks do, so
+    only the starts whose follower is the group's first id are looked up.
     """
     follow = ids + [-1]
     by_id: dict[int, list[int]] = {}
@@ -200,18 +184,37 @@ def _repeated_blocks(ids: list[int]) -> Iterator[tuple[int, list[list[int]]]]:
     # pairs, most of the groups on large layouts, are refined apart
     pairs: list[list[int]] = []
     larger: list[list[int]] = []
+    # for squares: pair -> (pair, known) by the b at which it may be one
+    due: dict[int, list[tuple[list[int], int]]] = {}
     for g in by_id.values():
         if len(g) > 1:
-            (pairs if len(g) == 2 else larger).append(g)
+            if len(g) == 2:
+                pairs.append(g)
+                if squares is not None:
+                    due.setdefault(g[1] - g[0], []).append((g, 1))
+            else:
+                larger.append(g)
     b = 1
     while pairs or larger:
         yield b, pairs + larger
+        if squares is not None:
+            for (p, q), known in due.pop(b, ()):
+                if ids[p + known: q] == ids[q + known: q + b]:
+                    squares.setdefault(b, []).append(p)
         pairs = [g for g in pairs if g[1] - g[0] > b and follow[g[0] + b] == follow[g[1] + b]]
         refined = []
         for g in larger:
             if g[-1] - g[0] <= b:
+                # its span is b, so the last block follows the first
+                if squares is not None:
+                    squares.setdefault(b, []).append(g[0])
                 continue
             keys = [follow[p + b] for p in g]
+            if squares is not None and ids[g[0]] in keys:
+                starts = set(g)
+                found = [p for p, k in zip(g, keys) if k == ids[g[0]] and p + b in starts]
+                if found:
+                    squares.setdefault(b, []).extend(found)
             if keys.count(keys[0]) == len(keys):
                 refined.append(g)
                 continue
@@ -220,7 +223,12 @@ def _repeated_blocks(ids: list[int]) -> Iterator[tuple[int, list[list[int]]]]:
                 split.setdefault(k, []).append(p)
             for h in split.values():
                 if h[-1] - h[0] > b:
-                    (pairs if len(h) == 2 else refined).append(h)
+                    if len(h) > 2:
+                        refined.append(h)
+                        continue
+                    pairs.append(h)
+                    if squares is not None:
+                        due.setdefault(h[1] - h[0], []).append((h, b + 1))
         larger = refined
         b += 1
 
@@ -258,20 +266,15 @@ def _tandem_runs(ids: list[int]) -> dict[int, list[tuple[int, int]]]:
 
     The block ids[p:p+b] equals the next one exactly when [p, p+b) lies
     in a run of period b, so a run's starts p are the consecutive
-    positions whose group in _repeated_blocks also holds p + b. A run
-    never holds a separator or a DEF, nor reaches one at distance b.
+    positions whose group in _repeated_blocks also holds p + b, which its
+    squares are. A run never holds a separator or a DEF, nor reaches one
+    at distance b.
     """
+    squares: dict[int, list[int]] = {}
+    for _ in _repeated_blocks(ids, squares):
+        pass
     runs: dict[int, list[tuple[int, int]]] = {}
-    for b, groups in _repeated_blocks(ids):
-        starts: list[int] = []
-        for g in groups:
-            if len(g) == 2:
-                if g[1] - g[0] == b:
-                    starts.append(g[0])
-            else:
-                starts.extend(set(g).intersection([q - b for q in g]))
-        if not starts:
-            continue
+    for b, starts in squares.items():
         starts.sort()
         out = []
         s = last = starts[0]
@@ -504,14 +507,15 @@ def _fold_loops(program: vm.Program, ids: list[int] | None = None) -> vm.Program
 def _net_displacement(instrs) -> tuple[int, int, int]:
     dx = dy = dz = 0
     for ins in instrs:
-        if isinstance(ins, vm.Move):
+        kind = type(ins)
+        if kind is vm.Move:
             if ins.axis == "X":
                 dx += ins.n
             elif ins.axis == "Y":
                 dy += ins.n
             else:
                 dz += ins.n
-        elif isinstance(ins, vm.Repeat):
+        elif kind is vm.Repeat:
             (a, b, c) = _net_displacement(ins.body)
             dx, dy, dz = dx + ins.count * a, dy + ins.count * b, dz + ins.count * c
         # Place/Fill/Call leave the cursor where it was; Def never
@@ -537,50 +541,6 @@ def _repl_instructions(name: str, disp: tuple[int, int, int]) -> tuple:
     return (vm.Call(name), *_moves_between((0, 0, 0), disp))
 
 
-def _best_extraction(flat: list, ids: list[int], name: str):
-    """Best repeated block to hoist into a DEF, or None.
-
-    Returns (block, occurrences) where occurrences are non-overlapping
-    positions in the flat layout. A CALL plus compensating MOVE
-    instructions replaces each occurrence, so blocks with nonzero net
-    cursor displacement stay eligible.
-    """
-    pre = None  # prefix lengths, made at the first repeat
-    best = None  # minimized key: (-savings, first_pos, b)
-    for b, groups in _repeated_blocks(ids):
-        for plist in groups:
-            # the span is at least b, so occ holds two occurrences or more
-            occ: list[int] = []
-            last_end = -1
-            for p in plist:
-                if p >= last_end:
-                    occ.append(p)
-                    last_end = p + b
-            if pre is None:
-                pre = _prefix_lengths(flat, ids)
-                # the DEF costs its text and the separator before it
-                def_overhead = _wrapper_length(vm.Def(name, ())) + 1
-                call_length = vm.body_length((vm.Call(name),))
-            first = plist[0]
-            lb = pre[first + b] - pre[first] + b - 1
-            # a bare CALL is the shortest replacement, so this bounds the
-            # savings from above before the displacement is reckoned
-            bound = len(occ) * (lb - call_length) - def_overhead - lb
-            if bound <= 0 or (best is not None and bound < -best[0][0]):
-                continue
-            repl = _repl_instructions(name, _net_displacement(flat[first: first + b]))
-            savings = len(occ) * (lb - vm.body_length(repl)) - def_overhead - lb
-            if savings <= 0:
-                continue
-            key = (-savings, first, b)
-            if best is None or key < best[0]:
-                best = (key, occ)
-    if best is None:
-        return None
-    (_, first, b), occ = best
-    return tuple(flat[first: first + b]), occ
-
-
 def _contains_call(ins: vm.Instruction, name: str) -> bool:
     if isinstance(ins, vm.Call):
         return ins.name == name
@@ -589,42 +549,535 @@ def _contains_call(ins: vm.Instruction, name: str) -> bool:
     return False
 
 
-def _apply_extraction(instrs: tuple, block: tuple, occ: list[int], name: str) -> tuple:
-    repl = _repl_instructions(name, _net_displacement(block))
-    instrs = _rewrite(instrs, {p: (len(block), repl) for p in occ})
+def _moves_length(disp: tuple[int, int, int]) -> int:
+    """What the compensating MOVEs for disp add to a CALL: each MOVE,
+    "MOVE X n", and the LF before it."""
+    return sum(8 + len(str(d)) for d in disp if d)
 
-    # the DEF goes right before the first top-level node whose subtree
-    # calls it; every name the block itself calls is defined earlier
-    insert_at = len(instrs)
-    for i, ins in enumerate(instrs):
-        if _contains_call(ins, name):
-            insert_at = i
-            break
-    return instrs[:insert_at] + (vm.Def(name, block),) + instrs[insert_at:]
+
+def _costs(name: str) -> tuple[int, int]:
+    """What a CALL of name costs, and what its DEF costs around the
+    body: the DEF's text and the separator before it."""
+    return vm.body_length((vm.Call(name),)), _wrapper_length(vm.Def(name, ())) + 1
+
+
+def _packed(starts: list[int], b: int) -> list[int]:
+    """The sorted starts of a block of b instructions that greedy left to
+    right packing keeps: each one clear of the last one kept. Packing
+    equal intervals so keeps as many as any choice could."""
+    out = []
+    end = -1
+    for p in starts:
+        if p >= end:
+            out.append(p)
+            end = p + b
+    return out
+
+
+def _apart(occ: list, b: int) -> bool:
+    """Whether two of the occurrences (sequence, index) of a block of b
+    instructions do not overlap: they lie in two sequences, or b apart."""
+    if len(occ) < 2:
+        return False
+    first, lo = occ[0]
+    hi = lo
+    for seq, j in occ:
+        if seq is not first:
+            return True
+        if j < lo:
+            lo = j
+        elif j > hi:
+            hi = j
+    return hi - lo >= b
+
+
+# a heap key is (-savings << _SERIAL_BITS) + serial: the most savings
+# first, then the oldest record; one int compares faster than a tuple
+_SERIAL_BITS = 32
+_SERIAL = (1 << _SERIAL_BITS) - 1
+
+
+def _extraction_records(flat: list, ids: list[int], name: str):
+    """Every repeated block of the layout that might save bytes as a DEF
+    named name, as a list of records and a heap of their keys, and the
+    layout's prefix lengths (None when nothing repeats).
+
+    A record's serial is its index. It is (b, lb, rest, starts, version):
+    starts lists every start of the block, in order, and lb is its
+    canonical length. Its key bounds its savings with a bare CALL for
+    each occurrence that greedy packing keeps, which is at least what it
+    saves once rest, the length its compensating MOVEs add to the CALL,
+    is known (None until then). version counts the extractions made when
+    starts was complete.
+    """
+    pre = None  # prefix lengths, made at the first repeat
+    records, heap = [], []
+    for b, groups in _repeated_blocks(ids):
+        for g in groups:
+            if pre is None:
+                pre = _prefix_lengths(flat, ids)
+                call_length, def_overhead = _costs(name)
+            # the span is at least b, so packing keeps two starts or more
+            count = 2 if len(g) == 2 else len(_packed(g, b))
+            lb = pre[g[0] + b] - pre[g[0]] + b - 1
+            bound = count * (lb - call_length) - def_overhead - lb
+            if bound > 0:
+                heap.append((-bound << _SERIAL_BITS) + len(records))
+                records.append((b, lb, None, g, 0))
+    heapq.heapify(heap)
+    return records, heap, pre
+
+
+class _Slots:
+    """One sequence of the tree under extraction: its instructions and,
+    for each, its id, its slot and its canonical length. A slot names an
+    instruction for as long as it stays where it is: an edit gives what
+    it puts in new slots, and a block of slots moved into a DEF body keeps
+    them. holder is the slot of the REPEAT or DEF whose body this is,
+    None at the top level; delta is how much the body has grown since its
+    holder was last rebuilt."""
+
+    __slots__ = ("ins", "ids", "slots", "own", "holder", "delta", "_where")
+
+    def __init__(self, ins: list, ids: list[int], slots: list[int], own: list[int], holder):
+        self.ins, self.ids, self.slots, self.own = ins, ids, slots, own
+        self.holder = holder
+        self.delta = 0
+        self._where = None
+
+    def where(self) -> dict[int, int]:
+        """The index of each slot."""
+        if self._where is None:
+            self._where = dict(zip(self.slots, range(len(self.slots))))
+        return self._where
+
+    def splice(self, i: int, span: int, ins: list, ids: list[int], slots: list[int],
+               own: list[int]):
+        self.ins[i:i + span] = ins
+        self.ids[i:i + span] = ids
+        self.slots[i:i + span] = slots
+        self.own[i:i + span] = own
+        self._where = None
+
+
+class _Extractions:
+    """The extraction pass's state: the records and heap of
+    _extraction_records, kept across extractions, and from the first
+    extraction on the tree as a _Slots for each sequence, the _Slots
+    holding each slot and the body of each REPEAT or DEF slot, and the
+    slots of each id.
+
+    The slots of the start are its layout positions. An occurrence that
+    a record lists stays valid while none of its slots moves and no slot
+    made later lies among them, so a record of version v checks its
+    starts against the first slot made by extraction v. An extraction
+    only removes occurrences, except through the slots it makes; so
+    every block through one of those is looked up anew and pushed under
+    a new serial, which registry then names for each of its starts, so
+    that an older record of the same block, which would miss the new
+    occurrence, is dropped when popped.
+    """
+
+    def __init__(self, instrs: tuple, flat: list, ids: list[int], pre: list[int],
+                 records: list, heap: list[int]):
+        self.instrs, self.flat, self.ids, self.pre = instrs, flat, ids, pre
+        self.records, self.heap = records, heap
+        self.root = None  # the top level's _Slots, built at the first extraction
+        self.starts: list[int] = []  # the first slot each extraction made
+
+    # -- picking --
+
+    def pick(self, name: str):
+        """The best extraction named name, as (b, occurrences), or None.
+        An occurrence is a layout position before the first extraction
+        and a (_Slots, index) pair after it.
+
+        The heap's keys bound the savings from above: a record's starts
+        only lose occurrences, and packing equal intervals keeps no more
+        when one goes; a longer name only costs more. So the entries at
+        the top key are priced exactly, those that still reach it tie,
+        and the rest go back with their price. Ties go to the earliest
+        first occurrence in the layout, then the shortest block.
+        """
+        heap, records = self.heap, self.records
+        pop, push = heapq.heappop, heapq.heappush
+        call_length, def_overhead = _costs(name)
+        seq_of = None if self.root is None else self.seq_of
+        while heap:
+            top = heap[0] >> _SERIAL_BITS
+            tied = []
+            while heap and heap[0] >> _SERIAL_BITS == top:
+                serial = pop(heap) & _SERIAL
+                b, lb, rest, starts, version = records[serial]
+                records[serial] = None
+                if seq_of is None:
+                    occ = _packed(starts, b)
+                else:
+                    # most records an extraction touched keep one start or none
+                    starts = [p for p in starts if p in seq_of]
+                    if len(starts) < 2:
+                        continue
+                    found = self._occurrences(serial, b, starts, version)
+                    if found is None:
+                        continue
+                    starts, occ = found
+                    if len(occ) < 2:
+                        continue
+                if rest is None:
+                    rest = _moves_length(_net_displacement(self._block(occ[0], b)))
+                savings = len(occ) * (lb - call_length - rest) - def_overhead - lb
+                if savings > 0:
+                    records[serial] = (b, lb, rest, starts, len(self.starts))
+                    if savings == -top:
+                        tied.append((serial, occ))
+                    else:
+                        push(heap, (-savings << _SERIAL_BITS) + serial)
+            if tied:
+                if len(tied) > 1:
+                    tied.sort(key=lambda t: (self._first(t[1]), records[t[0]][0]))
+                    for serial, _ in tied[1:]:
+                        push(heap, (top << _SERIAL_BITS) + serial)
+                serial, occ = tied[0]
+                b = records[serial][0]
+                records[serial] = None
+                return b, occ
+        return None
+
+    def _block(self, at, b: int) -> list:
+        if self.root is None:
+            return self.flat[at: at + b]
+        seq, i = at
+        return seq.ins[i: i + b]
+
+    def _first(self, occ: list):
+        """The layout order of the first of the occurrences. The layout
+        holds a sequence before its bodies, and bodies in order, so a
+        position sorts as the indices of its holders from the top, then
+        its own index."""
+        if self.root is None:
+            return occ[0]
+        keys = []
+        for seq, i in occ:
+            path = []
+            while seq.holder is not None:
+                h = seq.holder
+                seq = self.seq_of[h]
+                path.append(seq.where()[h])
+            keys.append((path[::-1], i))
+        return min(keys)
+
+    def _occurrences(self, serial: int, b: int, starts: list[int], version: int):
+        """Of a record's starts that still have a slot, those that are
+        still valid, and the occurrences that packing keeps of them; or
+        None when a newer record has the block."""
+        seq_of, registry = self.seq_of, self.registry
+        limit = self.starts[version] if version < len(self.starts) else None
+        alive = []
+        found: dict[_Slots, list[int]] = {}
+        for p in starts:
+            seq = seq_of[p]
+            i = seq.where()[p]
+            if limit is not None and (i + b > len(seq.slots)
+                                      or b > 1 and max(seq.slots[i: i + b]) >= limit):
+                continue
+            if registry.get((p, b), serial) != serial:
+                return None
+            alive.append(p)
+            found.setdefault(seq, []).append(i)
+        occ = []
+        for seq, at in found.items():
+            at.sort()
+            occ += [(seq, i) for i in _packed(at, b)]
+        return alive, occ
+
+    # -- the tree --
+
+    def _build(self):
+        flat, ids = self.flat, self.ids
+        self.seq_of: dict[int, _Slots] = {}
+        self.body_of: dict[int, _Slots] = {}
+        self.ids_of = dict(zip(flat, ids))
+        self.next_slot = self.next_id = len(flat)
+        self.registry: dict[tuple[int, int], int] = {}
+        self.posting: dict[int, list[int]] = {}
+        for p, k in enumerate(ids):
+            self.posting.setdefault(k, []).append(p)
+        # names a CALL of the start uses, which no DEF may define
+        self.called = {ins.name for ins in flat if type(ins) is vm.Call}
+        self.root = self._slots(self.instrs, 0, None)[0]
+
+    def _slots(self, seq: tuple, at: int, holder) -> tuple[_Slots, int]:
+        end = at + len(seq)
+        pre = self.pre
+        node = _Slots(list(seq), self.ids[at:end], list(range(at, end)),
+                      [pre[p + 1] - pre[p] for p in range(at, end)], holder)
+        self.seq_of.update(dict.fromkeys(node.slots, node))
+        for k, ins in enumerate(seq):
+            if isinstance(ins, (vm.Repeat, vm.Def)):
+                self.body_of[at + k], end = self._slots(ins.body, end + 1, at + k)
+        return node, end
+
+    def _id(self, ins: vm.Instruction) -> int:
+        """The id of an instruction put in: that of an equal one, except
+        for a DEF, which has its own."""
+        if type(ins) is not vm.Def:
+            known = self.ids_of.get(ins)
+            if known is not None:
+                return known
+            self.ids_of[ins] = self.next_id
+        self.next_id += 1
+        return self.next_id - 1
+
+    def _new_slots(self, seq: _Slots, ids: list[int]) -> list[int]:
+        slots = list(range(self.next_slot, self.next_slot + len(ids)))
+        self.next_slot += len(ids)
+        for p, k in zip(slots, ids):
+            self.seq_of[p] = seq
+            self.posting.setdefault(k, []).append(p)
+        return slots
+
+    def _drop(self, seq: _Slots):
+        for p in seq.slots:
+            del self.seq_of[p]
+            sub = self.body_of.pop(p, None)
+            if sub is not None:
+                self._drop(sub)
+
+    def _depth(self, seq: _Slots) -> int:
+        d = 0
+        while seq.holder is not None:
+            seq = self.seq_of[seq.holder]
+            d += 1
+        return d
+
+    def _top_index(self, p: int) -> int:
+        """The index in the top level of the node holding slot p."""
+        seq = self.seq_of[p]
+        while seq.holder is not None:
+            p = seq.holder
+            seq = self.seq_of[p]
+        return seq.where()[p]
+
+    # -- extracting --
+
+    def extract(self, b: int, occ: list, name: str):
+        """Replace each occurrence by a CALL of name and the MOVEs that
+        compensate the block's displacement, and define name before the
+        first top-level node that calls it. The first occurrence, with its
+        slots and the bodies inside it, becomes the DEF body; the bodies
+        inside the others go. Each sequence that changed changes one
+        instruction of the one holding it, deepest first. Then every
+        block through a new slot is looked up."""
+        if self.root is None:
+            self._build()
+            occ = [(self.seq_of[p], self.seq_of[p].where()[p]) for p in occ]
+        self.starts.append(self.next_slot)
+        seq_of, body_of = self.seq_of, self.body_of
+        home, i0 = occ[0]
+        block = tuple(home.ins[i0: i0 + b])
+        repl = list(_repl_instructions(name, _net_displacement(block)))
+        repl_ids = [self._id(ins) for ins in repl]
+        repl_own = [vm.body_length((ins,)) for ins in repl]
+        lb = sum(home.own[i0: i0 + b]) + b - 1
+        delta = sum(repl_own) + len(repl) - 1 - lb
+        body = _Slots(list(block), home.ids[i0: i0 + b], home.slots[i0: i0 + b],
+                      home.own[i0: i0 + b], None)
+        seq_of.update(dict.fromkeys(body.slots, body))
+
+        windows: dict[_Slots, list[int]] = {}
+        for seq, i in occ:
+            windows.setdefault(seq, []).append(i)
+        fresh = []  # the slots made, but the DEF's
+        calls = []
+        for seq, at in windows.items():
+            for i in reversed(at):
+                if seq is not home or i != i0:
+                    for p in seq.slots[i: i + b]:
+                        del seq_of[p]
+                        sub = body_of.pop(p, None)
+                        if sub is not None:
+                            self._drop(sub)
+                slots = self._new_slots(seq, repl_ids)
+                seq.splice(i, b, repl, repl_ids, slots, repl_own)
+                calls.append(slots[0])
+                fresh += slots
+            seq.delta += delta * len(at)
+
+        depths: dict[int, dict[_Slots, None]] = {}
+        for seq in windows:
+            if seq.holder is not None:
+                depths.setdefault(self._depth(seq), {})[seq] = None
+        for d in range(max(depths, default=0), 0, -1):
+            for seq in depths.pop(d, ()):
+                holder = self._rebuild_holder(seq, fresh)
+                if holder.holder is not None:
+                    depths.setdefault(d - 1, {})[holder] = None
+
+        top = self.root
+        if name in self.called:
+            at = next(i for i, ins in enumerate(top.ins) if _contains_call(ins, name))
+        else:
+            at = min(self._top_index(p) for p in calls)
+        self.called.add(name)
+        define = vm.Def(name, block)
+        d_id = self._id(define)
+        top.splice(at, 0, [define], [d_id], self._new_slots(top, [d_id]),
+                   [_wrapper_length(vm.Def(name, ())) + lb])
+        body.holder = top.slots[at]
+        body_of[body.holder] = body
+
+        # names only grow, so the bound holds for every later name
+        self._discover(fresh, set(), _costs(name))
+
+    def _rebuild_holder(self, seq: _Slots, fresh: list[int]) -> _Slots:
+        """Put the REPEAT or DEF around seq's new body in a new slot of
+        the sequence holding it, which this returns."""
+        old_slot = seq.holder
+        holder = self.seq_of.pop(old_slot)
+        where = holder.where()
+        k = where.pop(old_slot)
+        old = holder.ins[k]
+        body = tuple(seq.ins)
+        ins = vm.Repeat(old.count, body) if type(old) is vm.Repeat else vm.Def(old.name, body)
+        k_id = self._id(ins)
+        slot = self._new_slots(holder, [k_id])[0]
+        holder.ins[k], holder.ids[k], holder.slots[k] = ins, k_id, slot
+        holder.own[k] += seq.delta
+        holder.delta += seq.delta
+        seq.delta = 0
+        where[slot] = k
+        self.body_of[slot] = self.body_of.pop(old_slot)
+        seq.holder = slot
+        # a DEF has an id of its own, so no block holds it
+        if type(ins) is vm.Repeat:
+            fresh.append(slot)
+        return holder
+
+    def _anchors(self, k: int) -> list:
+        """Every occurrence of id k, as (_Slots, index)."""
+        seq_of = self.seq_of
+        live = [p for p in self.posting[k] if p in seq_of]
+        self.posting[k] = live
+        return [(seq_of[p], seq_of[p].where()[p]) for p in live]
+
+    def _discover(self, fresh: list[int], seen: set, costs: tuple[int, int]):
+        """Push every block through a slot of fresh that occurs twice
+        without overlap, with all its starts.
+
+        The slots of one id are taken together. Those whose blocks from s
+        to the slot are equal form a group, which keeps the occurrences
+        of that block, found by where their copy of the slot lies; so
+        each block is looked up once, however many new slots it passes.
+        A group goes on to s - 1 only while its block repeats, since no
+        longer one does otherwise, and so does each of its blocks to the
+        right of the slot."""
+        by_id: dict[int, list] = {}
+        for p in fresh:
+            seq = self.seq_of[p]
+            q = seq.where()[p]
+            by_id.setdefault(seq.ids[q], []).append((seq, q))
+        for k, news in by_id.items():
+            groups = [(news, self._anchors(k))]
+            left = 0
+            while groups:
+                wider = []
+                for news, found in groups:
+                    if not _apart(found, left + 1):
+                        continue
+                    self._discover_right(news, found, left, seen, costs)
+                    split: dict[int, list] = {}
+                    for seq, q in news:
+                        if q > left:
+                            split.setdefault(seq.ids[q - left - 1], []).append((seq, q))
+                    off = left + 1
+                    for y, part in split.items():
+                        wider.append((part, [(o, j) for o, j in found
+                                             if j >= off and o.ids[j - off] == y]))
+                groups = wider
+                left += 1
+
+    def _discover_right(self, news: list, found: list, left: int, seen: set,
+                        costs: tuple[int, int]):
+        """Push the blocks that start left instructions before each slot
+        of news and repeat, which found occurs as."""
+        groups = [(news, found)]
+        right = 1
+        while groups:
+            longer = []
+            for news, found in groups:
+                seq, q = news[0]
+                self._push(seq, q - left, q + right, [o.slots[j - left] for o, j in found],
+                           seen, costs)
+                split: dict[int, list] = {}
+                for seq, q in news:
+                    if q + right < len(seq.ids):
+                        split.setdefault(seq.ids[q + right], []).append((seq, q))
+                for y, part in split.items():
+                    ext = [(o, j) for o, j in found
+                           if j + right < len(o.ids) and o.ids[j + right] == y]
+                    if _apart(ext, left + right + 1):
+                        longer.append((part, ext))
+            groups = longer
+            right += 1
+
+    def _push(self, seq: _Slots, s: int, e: int, starts: list[int], seen: set,
+              costs: tuple[int, int]):
+        b = e - s
+        key = (min(starts), b)
+        if key in seen:
+            return
+        seen.add(key)
+        call_length, def_overhead = costs
+        lb = sum(seq.own[s:e]) + b - 1
+        bound = len(starts) * (lb - call_length) - def_overhead - lb
+        if bound > 0:
+            serial = len(self.records)
+            for p in starts:
+                self.registry[(p, b)] = serial
+            self.records.append((b, lb, None, starts, len(self.starts)))
+            heapq.heappush(self.heap, (-bound << _SERIAL_BITS) + serial)
 
 
 def _extract_defs(program: vm.Program, reserved_names: frozenset[str] = frozenset(),
                   ids: list[int] | None = None) -> vm.Program:
     """Hoist repeated instruction blocks into DEF/CALL while each
-    extraction strictly shrinks the canonical text. ids, when given, is
+    extraction strictly shrinks the canonical text, taking at each step
+    the block that saves the most, then the one that starts first in the
+    layout, then the shortest (Apostolico & Lonardi's greedy textual
+    substitution, Proc. IEEE 88(11), 2000). ids, when given, is
     _instruction_ids of program's layout.
 
-    _best_extraction prices each step exactly, as no occurrence lies
-    inside another's span: that block would hold a REPEAT equal to one
-    inside that REPEAT's own body, and a finite tree has none. So each
-    step shrinks the text by its positive savings, which bounds the loop.
+    Each step is priced exactly, as no occurrence lies inside another's
+    span: that block would hold a REPEAT equal to one inside that
+    REPEAT's own body, and a finite tree has none. So each step shrinks
+    the text by its positive savings, which bounds the loop.
+
+    One scan of the layout prices every repeated block, and a program
+    with no block worth a DEF comes back as it is. From then on the
+    blocks wait in a heap keyed by bounds of their savings, which
+    _Extractions.pick checks lazily (Minoux's lazy greedy, 1978, as
+    aesthetics.cover does). An extraction rewrites only its occurrences
+    and the instruction holding each body that changed, and looks up
+    only the blocks through what it put in.
     """
     instrs = program.instructions
+    flat = _layout(instrs)
+    if ids is None:
+        ids = _instruction_ids(flat)
+    used = {ins.name for ins in instrs if isinstance(ins, vm.Def)} | reserved_names
+    name = _next_name(used)
+    records, heap, pre = _extraction_records(flat, ids, name)
+    if not heap:
+        return program
+    state = _Extractions(instrs, flat, ids, pre, records, heap)
     while True:
-        used = {ins.name for ins in instrs if isinstance(ins, vm.Def)}
-        name = _next_name(used | reserved_names)
-        flat = _layout(instrs)
-        found = _best_extraction(flat, _instruction_ids(flat) if ids is None else ids, name)
+        found = state.pick(name)
         if found is None:
-            return vm.Program(instrs)
-        block, occ = found
-        instrs = _apply_extraction(instrs, block, occ, name)
-        ids = None
+            # nothing extracted: the program itself
+            return program if state.root is None else vm.Program(tuple(state.root.ins))
+        state.extract(*found, name)
+        used.add(name)
+        name = _next_name(used)
 
 
 # --- the pipeline ---

@@ -726,4 +726,5 @@ def execute_jittered(program: Program, dims: tuple[int, int, int],
         limits = ExecutionLimits()
     box = _LockstepBox(dims, jitters)
     _Executor(limits, box).run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
-    return [VoxelStructure(dims, frozenset(cells)) for cells in box.members]
+    # every cell was clipped to the world as it was placed
+    return [VoxelStructure._trusted(dims, frozenset(cells)) for cells in box.members]

@@ -44,6 +44,12 @@ class FormatError(DomusError):
     """Malformed structure, pattern, or constraint file."""
 
 
+def _checked_dims(dims: tuple[int, int, int]) -> tuple[int, int, int]:
+    if dims[0] < 1 or dims[1] < 1 or dims[2] < 1:
+        raise ValueError(f"dims must be positive, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True)
 class VoxelStructure:
     """Occupancy grid: world dimensions plus the set of occupied cells.
@@ -57,14 +63,22 @@ class VoxelStructure:
     occupied: frozenset[Cell] = frozenset()
 
     def __post_init__(self):
-        nx, ny, nz = self.dims
-        if nx < 1 or ny < 1 or nz < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
+        nx, ny, nz = _checked_dims(self.dims)
         cells = frozenset(self.occupied)
         object.__setattr__(self, "occupied", cells)
         for (x, y, z) in cells:
             if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
                 raise ValueError(f"cell {(x, y, z)} outside dims {self.dims}")
+
+    @classmethod
+    def _trusted(cls, dims: tuple[int, int, int], cells: frozenset[Cell]) -> "VoxelStructure":
+        """The structure of cells that the caller has already clipped to
+        dims, built without checking each cell again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "dims", dims)
+        object.__setattr__(s, "occupied", cells)
+        _checked_dims(dims)
+        return s
 
     def bounding_box(self) -> tuple[Cell, Cell] | None:
         """(min corner, max corner), inclusive, or None when empty."""

@@ -246,15 +246,45 @@ def test_layout_is_preorder():
     assert flat == [place, first, mx, second, None, my, inner, None, mz, None, call]
 
 
+def _rewrite(instrs: tuple, edits: dict) -> tuple:
+    """Rebuild the tree with each edits[p] = (span, repl) replacing the
+    span instructions that start at position p of _layout(instrs), as the
+    passes did when they rescanned the whole tree after each rewrite.
+
+    Bodies are rebuilt before the sequence that holds them. A sequence
+    that no edit touches comes back as the same object.
+    """
+    def rebuild(seq, start):
+        out = list(seq)
+        changed = False
+        end = start + len(seq)
+        for i, ins in enumerate(seq):
+            if isinstance(ins, (vm.Repeat, vm.Def)):
+                body, end = rebuild(ins.body, end + 1)
+                if body is not ins.body:
+                    out[i] = (vm.Repeat(ins.count, body) if isinstance(ins, vm.Repeat)
+                              else vm.Def(ins.name, body))
+                    changed = True
+        # right to left, so that each splice leaves the indices before it
+        for k in range(len(seq) - 1, -1, -1):
+            edit = edits.get(start + k)
+            if edit is not None:
+                out[k: k + edit[0]] = edit[1]
+                changed = True
+        return (tuple(out) if changed else seq), end
+
+    return rebuild(instrs, 0)[0]
+
+
 def test_rewrite_keeps_untouched_sequences():
     place, mx = vm.Place(), vm.Move("X", 1)
     left, right = vm.Repeat(2, (place, mx)), vm.Repeat(3, (mx, place))
     instrs = (left, right)
     # positions: left 0, right 1, left's body 3-4, right's body 6-7
-    out = synthesis._rewrite(instrs, {6: (2, (place,))})
+    out = _rewrite(instrs, {6: (2, (place,))})
     assert out == (left, vm.Repeat(3, (place,)))
     assert out[0] is left
-    assert synthesis._rewrite(instrs, {}) is instrs
+    assert _rewrite(instrs, {}) is instrs
 
 
 _NAMES = st.sampled_from(["a", "b", "ab"])
@@ -287,6 +317,12 @@ def test_prefix_sums_price_every_block(instrs, count, name):
             assert length == vm.body_length(block)
             assert repeat + length == vm.body_length((vm.Repeat(count, block),))
             assert define + length == vm.body_length((vm.Def(name, block),))
+
+
+@pytest.mark.parametrize("disp", [(0, 0, 0), (3, 0, 0), (0, -12, 0), (1, 10, -100)])
+def test_moves_length_prices_the_compensating_moves(disp):
+    repl = synthesis._repl_instructions("ab", disp)
+    assert synthesis._moves_length(disp) == vm.body_length(repl) - vm.body_length(repl[:1])
 
 
 def _equal_blocks_that_repeat(ids):
@@ -324,7 +360,7 @@ def _priced_fold(flat, ids):
 
 
 def _priced_extraction(flat, ids, name):
-    # reference for _best_extraction: equal blocks found by comparing
+    # reference for _rescan_best_extraction: equal blocks found by comparing
     # tuples of ids, each priced by vm.body_length of its tuple; returns
     # the extraction and its savings
     best = None
@@ -390,13 +426,13 @@ def test_prefix_priced_passes_pick_what_tuple_pricing_picks():
         assert _first_fold(instrs) == fold
         if fold is not None:
             b, r, p = fold
-            folded = synthesis._rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p:p + b])),))})
+            folded = _rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p:p + b])),))})
             assert vm.body_length(folded) == length - savings
         for name in ("b", "ab"):
             found, savings = _priced_extraction(flat, ids, name)
-            assert synthesis._best_extraction(flat, ids, name) == found
+            assert _rescan_best_extraction(flat, ids, name) == found
             if found is not None:
-                extracted = synthesis._apply_extraction(instrs, *found, name)
+                extracted = _rescan_apply_extraction(instrs, *found, name)
                 assert vm.body_length(extracted) == length - savings
 
 
@@ -476,7 +512,7 @@ def _rescan_steps(instrs):
         if fold is None:
             return
         b, r, p = fold
-        instrs = synthesis._rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p: p + b])),))})
+        instrs = _rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p: p + b])),))})
 
 
 def _assert_kept_state_is_fresh(node):
@@ -574,6 +610,183 @@ def test_incremental_folding_on_crafted_trees(instrs, folded):
     assert vm.serialize(synthesis._fold_loops(vm.Program(instrs))) == folded
 
 
+# --- incremental extraction against the whole-tree rescan ---
+
+def _rescan_best_extraction(flat, ids, name):
+    # the extraction pass's pick when it rescanned the whole layout after
+    # every extraction: (block, occurrences) or None, the occurrences
+    # being non-overlapping layout positions
+    pre = None
+    best = None  # minimized key: (-savings, first_pos, b)
+    for b, groups in synthesis._repeated_blocks(ids):
+        for plist in groups:
+            occ = synthesis._packed(plist, b)
+            if pre is None:
+                pre = synthesis._prefix_lengths(flat, ids)
+                def_overhead = synthesis._wrapper_length(vm.Def(name, ())) + 1
+                call_length = vm.body_length((vm.Call(name),))
+            first = plist[0]
+            lb = pre[first + b] - pre[first] + b - 1
+            bound = len(occ) * (lb - call_length) - def_overhead - lb
+            if bound <= 0 or (best is not None and bound < -best[0][0]):
+                continue
+            repl = synthesis._repl_instructions(name, synthesis._net_displacement(flat[first: first + b]))
+            savings = len(occ) * (lb - vm.body_length(repl)) - def_overhead - lb
+            if savings <= 0:
+                continue
+            key = (-savings, first, b)
+            if best is None or key < best[0]:
+                best = (key, occ)
+    if best is None:
+        return None
+    (_, first, b), occ = best
+    return tuple(flat[first: first + b]), occ
+
+
+def _rescan_apply_extraction(instrs, block, occ, name):
+    repl = synthesis._repl_instructions(name, synthesis._net_displacement(block))
+    instrs = _rewrite(instrs, {p: (len(block), repl) for p in occ})
+    # the DEF goes right before the first top-level node whose subtree
+    # calls it
+    insert_at = next((i for i, ins in enumerate(instrs) if synthesis._contains_call(ins, name)),
+                     len(instrs))
+    return instrs[:insert_at] + (vm.Def(name, block),) + instrs[insert_at:]
+
+
+def _rescan_extractions(instrs, reserved=frozenset()):
+    # each (block, occurrences, name) of the rescanning pass, and its
+    # program
+    steps = []
+    while True:
+        used = {ins.name for ins in instrs if isinstance(ins, vm.Def)}
+        name = synthesis._next_name(used | reserved)
+        flat = synthesis._layout(instrs)
+        found = _rescan_best_extraction(flat, synthesis._instruction_ids(flat), name)
+        if found is None:
+            return steps, instrs
+        steps.append((*found, name))
+        instrs = _rescan_apply_extraction(instrs, *found, name)
+
+
+def _layout_offsets(state):
+    # the layout position of each sequence of the tree in state
+    out, at = {}, 0
+
+    def walk(seq):
+        nonlocal at
+        out[seq] = at
+        at += len(seq.slots)
+        for p in seq.slots:
+            sub = state.body_of.get(p)
+            if sub is not None:
+                at += 1
+                walk(sub)
+
+    walk(state.root)
+    return out
+
+
+def _incremental_extractions(instrs, reserved=frozenset()):
+    # the same for _extract_defs, each occurrence as a layout position
+    steps = []
+    extract = synthesis._Extractions.extract
+
+    def recorded(state, b, occ, name):
+        if state.root is None:
+            positions = list(occ)
+            block = tuple(state.flat[occ[0]: occ[0] + b])
+        else:
+            offsets = _layout_offsets(state)
+            positions = sorted(offsets[seq] + i for seq, i in occ)
+            seq, i = occ[0]
+            block = tuple(seq.ins[i: i + b])
+        steps.append((block, positions, name))
+        extract(state, b, occ, name)
+
+    with mock.patch.object(synthesis._Extractions, "extract", recorded):
+        program = synthesis._extract_defs(vm.Program(instrs), reserved)
+    return steps, program.instructions
+
+
+def _assert_extracts_as_the_rescan(instrs, reserved=frozenset()):
+    expected = _rescan_extractions(instrs, reserved)
+    assert _incremental_extractions(instrs, reserved) == expected
+    return len(expected[0])
+
+
+def test_incremental_extraction_matches_the_rescan_on_nested_programs():
+    # _nested_block repeats the same REPEAT objects, so some bodies are
+    # held twice
+    rng = random.Random(4711)
+    steps = 0
+    for _ in range(300):
+        steps += _assert_extracts_as_the_rescan(
+            (vm.Def("a", _nested_block(rng, 1, False)),) + _nested_block(rng, 0, True))
+    assert steps > 300
+
+
+def test_incremental_extraction_matches_the_rescan_on_start_programs():
+    rng = random.Random(8080)
+    steps = 0
+    for _ in range(25):
+        s = random_structure(rng, max_cells=60)
+        listing = synthesis._listing(synthesis._cuboid_decomposition(s.occupied))
+        for start in (literal_program(s), listing, synthesis._fold_loops(listing)):
+            steps += _assert_extracts_as_the_rescan(start.instructions)
+    assert steps > 40
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_WITNESSES))
+def test_incremental_extraction_matches_the_rescan_on_the_corpus(name):
+    # the folded start that synthesize_min hands the pass
+    dims = CORPUS_WITNESSES[name][0]
+    s = vm.execute(vm.parse((CORPUS / name).read_text()), dims)
+    listing = synthesis._listing(synthesis._cuboid_decomposition(s.occupied))
+    start = min(literal_program(s), listing, key=vm.program_length)
+    _assert_extracts_as_the_rescan(synthesis._fold_loops(start).instructions)
+
+
+def test_incremental_extraction_matches_the_rescan_with_reserved_names():
+    # tails as the annealer's editor passes them: CALLs of the stamps,
+    # whose names are reserved, and DEFs an earlier extraction made
+    rng = random.Random(99)
+    stamps = ["a", "c", "brick"]
+    leaves = [vm.Place(), vm.Move("X", 1), vm.Move("Y", -2), vm.Fill(2, 1, 1),
+              vm.Call("a"), vm.Call("c"), vm.Call("brick", 2)]
+    steps = 0
+    for _ in range(150):
+        tail = [rng.choice(leaves) for _ in range(rng.randint(4, 30))]
+        tail += tail[rng.randrange(len(tail)):] * rng.randint(1, 3)
+        if rng.random() < 0.5:
+            tail.insert(0, vm.Def("b", tuple(rng.choice(leaves) for _ in range(3))))
+        steps += _assert_extracts_as_the_rescan(tuple(tail), frozenset(stamps))
+    assert steps > 150
+
+
+def test_incremental_extraction_matches_the_rescan_past_26_names():
+    # forty motifs, each three times: past "z" the names take two letters,
+    # which costs every CALL and DEF one more byte
+    rng = random.Random(3)
+    motifs = [tuple(vm.Move("X", rng.randint(1, 9)) if j % 2 else
+                    vm.Fill(rng.randint(1, 9), rng.randint(1, 9), 1 + i % 3) for j in range(4))
+              for i in range(40)]
+    instrs = tuple(ins for rep in range(3) for i, m in enumerate(motifs)
+                   for ins in m + (vm.Move("Y", rep + 1 + i % 5),))
+    steps, program = _rescan_extractions(instrs)
+    assert len(steps) == 40 and steps[25][2] == "z" and steps[26][2] == "aa"
+    assert _assert_extracts_as_the_rescan(instrs) == 40
+    # with most letters reserved the second name already takes two
+    assert _assert_extracts_as_the_rescan(instrs, frozenset("abcdefghijklmnopqrstuvwxy")) == 40
+
+
+@given(st.lists(_TOP, min_size=1, max_size=8).map(tuple),
+       st.sets(st.sampled_from(["a", "b", "c"]), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_incremental_extraction_matches_the_rescan(instrs, reserved):
+    # trees that may CALL a name no DEF binds, which the pass may then pick
+    _assert_extracts_as_the_rescan(instrs, frozenset(reserved))
+
+
 def _numberings(s) -> int:
     """_instruction_ids calls that synthesize_min(s) makes."""
     calls = 0
@@ -591,7 +804,8 @@ def _numberings(s) -> int:
 
 def test_the_start_program_is_numbered_once():
     # the start's numbering serves the fold pass and, when nothing
-    # folds, the first extraction scan; each later scan numbers its tree
+    # folds, the extraction pass, which numbers a folded program once and
+    # keeps its ids across extractions
     cells = list(itertools.product(range(3), repeat=3))
     structures = [S((3, 3, 3), c) for k in range(3) for c in itertools.combinations(cells, k)]
     motif = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0)]
@@ -607,7 +821,7 @@ def test_the_start_program_is_numbered_once():
         flat = synthesis._layout(witness)
         folded = any(isinstance(ins, vm.Repeat) for ins in flat)
         defs = sum(isinstance(ins, vm.Def) for ins in witness)
-        assert _numberings(s) == 1 + folded + defs
+        assert _numberings(s) == 1 + folded
         seen.add((folded, defs > 0))
     assert seen == {(False, False), (True, False), (False, True), (True, True)}
 

@@ -304,6 +304,22 @@ def test_jitter_skips_out_of_bounds():
     assert s.occupied == frozenset()
 
 
+def test_jittered_members_are_the_checked_structures():
+    # execute_jittered builds its members without the per-cell dims
+    # check, since it clipped every cell; each equals, and hashes like,
+    # the structure built the checked way
+    p = vm.parse("FILL 3 2 1\nMOVE X 2\nMOVE Y 1\nPLACE\nMOVE Z 1\nFILL 2 2 2")
+    shifts = [lambda: None, lambda: (1, 0, 0), lambda: (-2, 1, 0), lambda: (0, 0, 5)]
+    members = vm.execute_jittered(p, (4, 3, 2), None, shifts)
+    assert [len(m.occupied) for m in members] == [10, 8, 4, 0]
+    for m in members:
+        checked = VoxelStructure((4, 3, 2), set(m.occupied))
+        assert m == checked and hash(m) == hash(checked)
+        assert type(m.occupied) is frozenset
+    with pytest.raises(ValueError):
+        VoxelStructure._trusted((0, 3, 2), frozenset())
+
+
 def test_def_below_top_level_rejected_at_execution():
     bogus = vm.Program((vm.Repeat(2, (vm.Def("a", (vm.Place(),)),)),))
     with pytest.raises(vm.DslError):
