@@ -6,13 +6,24 @@ witness program whose execution reproduces the structure exactly. The
 pipeline in synthesize_min is one chain: it starts from the shorter of
 the trivial cell-by-cell program and a listing of greedy cuboids, then
 folds loops and extracts subroutines, each pass making only rewrites
-whose exactly priced savings are positive. The start is numbered once
-for both passes. Each pass scans its input once and keeps what it found
-across its rewrites: the fold pass the runs of each sequence, scanning
-only around the instruction each fold puts in; extraction every
-repeated block, in a heap keyed by bounds of their savings, looking up
-only the blocks through the instructions each extraction puts in. For
-desk-scale worlds, exhaustive_table is the oracle:
+whose exactly priced savings are positive.
+
+Both passes rewrite the same kind of tree, a _Tree: a node for each
+sequence, whose instructions keep their slots, ids and lengths across
+rewrites, and one edit, which replaces each occurrence of a block,
+makes the first the body of a new instruction, and rebuilds the
+instructions holding what changed, deepest first. A fold is that edit
+at one occurrence, r copies of a block that become one REPEAT; an
+extraction is it at every occurrence of a block, each of which becomes
+a CALL and the MOVEs that compensate it. The start
+is numbered once for both passes. Each pass scans its input once and
+keeps what it found across its rewrites: the fold pass the runs of
+each sequence, scanning only around the instruction each fold puts
+in; extraction every repeated block, in a heap keyed by bounds of
+their savings, looking up only the blocks through the instructions
+each extraction puts in.
+
+For desk-scale worlds, exhaustive_table is the oracle:
 one enumeration of every canonical program up to a byte budget gives
 each structure they build its true minimum, which anchors the pipeline
 in tests. One structure's minimum is
@@ -233,7 +244,7 @@ def _repeated_blocks(ids: list[int], squares: dict[int, list[int]] | None = None
         b += 1
 
 
-# --- pass: loop folding ---
+# --- lengths and runs ---
 
 
 def _prefix_lengths(flat: list, ids: list[int]) -> list[int]:
@@ -330,63 +341,235 @@ def _best_run(runs: dict, pre: list[int]):
     return None
 
 
-class _Sequence:
-    """One sequence of the tree with what the fold pass keeps of it: its
-    instruction ids, prefix lengths as _prefix_lengths counts them, runs
-    as _tandem_runs finds them, the positions of its REPEAT and DEF nodes
-    with a _Sequence for each body, and the best fold of its subtree.
+# --- the sequence tree both passes rewrite ---
 
-    best is (b, r, route, p): the fold (b, r, p) of the sequence reached
-    by taking, for each i in route, the body of the i-th node of kids.
-    Among equal (b, r) this sequence wins, then its bodies in order,
-    which is the order of positions in _layout.
+
+class _Node:
+    """One sequence of the tree: its instructions and, for each, its id,
+    its slot and its canonical length. holder is the slot of the REPEAT
+    or DEF whose body this is, None at the top level.
+
+    The fold pass also keeps on each node, None otherwise, its prefix
+    lengths as _prefix_lengths counts them, its runs as _tandem_runs
+    finds them, the indices of its REPEAT and DEF nodes (kids), and the
+    best fold of its subtree, (b, r, route, p): the fold (b, r, p) of the
+    sequence reached by taking, for each k in route, the body of the
+    node at index k. Among equal (b, r) a sequence wins over its bodies,
+    and its bodies go in order, which is the order of positions in
+    _layout. A route, not the node itself, so that a tree holds no
+    reference cycle and is freed as soon as its pass returns.
     """
 
-    __slots__ = ("seq", "ids", "pre", "runs", "kids", "subs", "best")
+    __slots__ = ("ins", "ids", "slots", "own", "holder", "_where", "pre", "runs", "kids", "best")
 
-    def __init__(self, seq: tuple, ids: list[int], pre: list[int], runs: dict,
-                 kids: list[int], subs: list["_Sequence"]):
-        self.seq, self.ids, self.pre, self.runs = seq, ids, pre, runs
-        self.kids, self.subs = kids, subs
-        own = _best_run(runs, pre)
+    def __init__(self, ins: list, ids: list[int], slots: list[int], own: list[int], holder):
+        self.ins, self.ids, self.slots, self.own = ins, ids, slots, own
+        self.holder = holder
+        self._where = None
+        self.pre = self.runs = self.kids = self.best = None
+
+    def where(self) -> dict[int, int]:
+        """The index of each slot."""
+        if self._where is None:
+            self._where = dict(zip(self.slots, range(len(self.slots))))
+        return self._where
+
+    def splice(self, i: int, span: int, ins: list, ids: list[int], slots: list[int],
+               own: list[int]):
+        self.ins[i:i + span] = ins
+        self.ids[i:i + span] = ids
+        self.slots[i:i + span] = slots
+        self.own[i:i + span] = own
+        self._where = None
+
+
+class _Tree:
+    """The sequence tree that the fold and extraction passes rewrite: a
+    _Node for each sequence, the _Node holding each slot (seq_of) and the
+    body of each REPEAT or DEF slot (body_of).
+
+    A slot names an instruction for as long as it stays where it is. The
+    slots of the start are its layout positions; an edit puts what it
+    makes in new slots, and a block of slots moved into a new body keeps
+    them. Equal instructions share an id and each DEF has its own: the
+    start's ids are its numbering, in which an id is the layout position
+    of its first instruction, so ids_of, the id of each instruction but
+    a DEF, is read off the distinct ids; an instruction put in takes the
+    id of an equal one. With runs, the _tandem_runs of the start's ids,
+    each node also gets the fold pass's state, which fold keeps up to
+    date and the extraction pass's edits do not.
+    """
+
+    def __init__(self, instrs: tuple, flat: list, ids: list[int], pre: list[int],
+                 runs: dict | None = None):
+        self.seq_of: dict[int, _Node] = {}
+        self.body_of: dict[int, _Node] = {}
+        self.ids_of = {flat[p]: p for p in set(ids)
+                       if flat[p] is not None and type(flat[p]) is not vm.Def}
+        self.next_slot = self.next_id = len(flat)
+        self.root = self._build(instrs, 0, None, ids, pre, runs)[0]
+
+    # -- the tree --
+
+    def _build(self, seq: tuple, at: int, holder, ids: list[int], pre: list[int],
+               runs: dict | None) -> tuple[_Node, int]:
+        """The _Node of seq, which starts at position at of the layout,
+        with the nodes of its bodies, and the position after them."""
+        end = at + len(seq)
+        node = _Node(list(seq), ids[at:end], list(range(at, end)),
+                     [pre[p + 1] - pre[p] for p in range(at, end)], holder)
+        self.seq_of.update(dict.fromkeys(node.slots, node))
+        kids = []
+        for k, ins in enumerate(seq):
+            if isinstance(ins, (vm.Repeat, vm.Def)):
+                kids.append(k)
+                self.body_of[at + k], end = self._build(ins.body, end + 1, at + k,
+                                                        ids, pre, runs)
+        if runs is not None:
+            node.pre = [x - pre[at] for x in pre[at: at + len(seq) + 1]]
+            node.runs = _clip_runs(runs, at, at + len(seq), 0)
+            node.kids = kids
+            self._settle(node)
+        return node, end
+
+    def _id(self, ins: vm.Instruction) -> int:
+        """The id of an instruction put in: that of an equal one, except
+        for a DEF, which has its own."""
+        if type(ins) is not vm.Def:
+            known = self.ids_of.get(ins)
+            if known is not None:
+                return known
+            self.ids_of[ins] = self.next_id
+        self.next_id += 1
+        return self.next_id - 1
+
+    def _new_slots(self, seq: _Node, ids: list[int]) -> list[int]:
+        slots = list(range(self.next_slot, self.next_slot + len(ids)))
+        self.next_slot += len(ids)
+        self.seq_of.update(dict.fromkeys(slots, seq))
+        return slots
+
+    def _drop(self, slots: list[int]):
+        """Forget the slots and the bodies inside them."""
+        for p in slots:
+            del self.seq_of[p]
+            sub = self.body_of.pop(p, None)
+            if sub is not None:
+                self._drop(sub.slots)
+
+    def _depth(self, seq: _Node) -> int:
+        d = 0
+        while seq.holder is not None:
+            seq = self.seq_of[seq.holder]
+            d += 1
+        return d
+
+    def _first(self, occ: list):
+        """The layout order of the first of the occurrences (_Node,
+        index). The layout holds a sequence before its bodies, and bodies
+        in order, so a position sorts as the indices of its holders from
+        the top, then its own index."""
+        keys = []
+        for seq, i in occ:
+            path = []
+            while seq.holder is not None:
+                h = seq.holder
+                seq = self.seq_of[h]
+                path.append(seq.where()[h])
+            keys.append((path[::-1], i))
+        return min(keys)
+
+    def _edit(self, occ: list, b: int, span: int, repl: list, repl_own: list[int]):
+        """Replace the span instructions at each occurrence (_Node, index)
+        by repl, of canonical lengths repl_own, in new slots. The first b
+        instructions of the first occurrence, with their slots and the
+        bodies inside them, become a _Node that nothing holds yet; the
+        rest go, with their bodies. Returns that _Node, the slots made at
+        each occurrence, and the edits of _rebuild_holders."""
+        home, i0 = occ[0]
+        repl_ids = [self._id(ins) for ins in repl]
+        growth = sum(repl_own) + len(repl) - sum(home.own[i0: i0 + span]) - span
+        body = _Node(home.ins[i0: i0 + b], home.ids[i0: i0 + b], home.slots[i0: i0 + b],
+                     home.own[i0: i0 + b], None)
+        self.seq_of.update(dict.fromkeys(body.slots, body))
+        windows: dict[_Node, list[int]] = {}
+        for seq, i in occ:
+            windows.setdefault(seq, []).append(i)
+        made = []
+        for seq, at in windows.items():
+            for i in reversed(at):
+                self._drop(seq.slots[i + b if seq is home and i == i0 else i: i + span])
+                slots = self._new_slots(seq, repl_ids)
+                seq.splice(i, span, repl, repl_ids, slots, repl_own)
+                made.append(slots)
+        return body, made, self._rebuild_holders({seq: growth * len(at)
+                                                  for seq, at in windows.items()})
+
+    def _rebuild_holders(self, grown: dict) -> list:
+        """Put the REPEAT or DEF around each body seq that changed, which
+        grew by grown[seq] bytes (shrank, when negative), in a new slot of
+        the sequence holding it, which so grows as much; deepest first, so
+        that each holder changes once. Returns each (holder, index)
+        rebuilt, in that order."""
+        seq_of, body_of = self.seq_of, self.body_of
+        depths: dict[int, list[_Node]] = {}
+        for seq in grown:
+            if seq.holder is not None:
+                depths.setdefault(self._depth(seq), []).append(seq)
+        edits = []
+        for d in range(max(depths, default=0), 0, -1):
+            for seq in depths.pop(d, ()):
+                old_slot = seq.holder
+                holder = seq_of.pop(old_slot)
+                where = holder.where()
+                k = where.pop(old_slot)
+                old = holder.ins[k]
+                body = tuple(seq.ins)
+                ins = vm.Repeat(old.count, body) if type(old) is vm.Repeat else vm.Def(old.name, body)
+                k_id = self._id(ins)
+                slot = self._new_slots(holder, [k_id])[0]
+                holder.ins[k], holder.ids[k], holder.slots[k] = ins, k_id, slot
+                holder.own[k] += grown[seq]
+                where[slot] = k
+                body_of[slot] = body_of.pop(old_slot)
+                seq.holder = slot
+                edits.append((holder, k))
+                if holder.holder is not None and holder not in grown:
+                    depths.setdefault(d - 1, []).append(holder)
+                grown[holder] = grown.get(holder, 0) + grown[seq]
+        return edits
+
+    # -- folding --
+
+    def _settle(self, node: _Node):
+        """Set node's best fold from its runs and its bodies' best."""
+        own = _best_run(node.runs, node.pre)
         best = None if own is None else (own[0], own[1], (), own[2])
-        for i, sub in enumerate(subs):
-            t = sub.best
+        for k in node.kids:
+            t = self.body_of[node.slots[k]].best
             if t is not None and (best is None or t[:2] > best[:2]):
-                best = (t[0], t[1], (i,) + t[2], t[3])
-        self.best = best
+                best = (t[0], t[1], (k,) + t[2], t[3])
+        node.best = best
 
-    def part(self, lo: int, hi: int) -> "_Sequence":
-        """The sequence seq[lo:hi]."""
-        pre, kids = self.pre, self.kids
-        i, j = bisect.bisect_left(kids, lo), bisect.bisect_left(kids, hi)
-        return _Sequence(self.seq[lo:hi], self.ids[lo:hi],
-                         [x - pre[lo] for x in pre[lo: hi + 1]],
-                         _clip_runs(self.runs, lo, hi, 0),
-                         [k - lo for k in kids[i:j]], self.subs[i:j])
-
-    def replaced(self, q: int, span: int, ins: vm.Instruction, ins_len: int,
-                 sub: "_Sequence", ins_id: int, seen: bool) -> "_Sequence":
-        """This sequence with seq[q:q+span] replaced by ins, a REPEAT or
-        a DEF of canonical length ins_len whose body is sub; seen is False
-        when no other instruction has its id.
+    def _refit(self, node: _Node, q: int, span: int):
+        """Update node's fold state once its instructions [q, q+span) are
+        one REPEAT or DEF.
 
         Runs on either side of the edit are clipped at it and keep their
         periods. A new run of period b holds q - b or q, since it is at
-        least b long, so ins recurs at distance b; each such run is found
-        by extending from there, and it absorbs the clipped runs it meets.
+        least b long, so the new instruction recurs at distance b; each
+        such run is found by extending from there, and it absorbs the
+        clipped runs it meets.
         """
-        seq, ids, pre, kids = self.seq, self.ids, self.pre, self.kids
-        new_ids = ids[:q] + [ins_id] + ids[q + span:]
-        delta = pre[q] + ins_len - pre[q + span]
-        runs = _clip_runs(self.runs, 0, q, 0)
-        for b, ivs in _clip_runs(self.runs, q + span, len(seq), q + 1).items():
+        ids, pre, kids = node.ids, node.pre, node.kids
+        n = len(ids)
+        runs = _clip_runs(node.runs, 0, q, 0)
+        for b, ivs in _clip_runs(node.runs, q + span, n + span - 1, q + 1).items():
             runs.setdefault(b, []).extend(ivs)
-        n = len(new_ids)
-        at = -1
-        while seen:
+        new, at = ids[q], -1
+        while True:
             try:
-                at = new_ids.index(ins_id, at + 1)
+                at = ids.index(new, at + 1)
             except ValueError:
                 break
             if at == q:
@@ -394,98 +577,68 @@ class _Sequence:
             b = abs(at - q)
             s = min(at, q)
             e = s + 1
-            while s and new_ids[s - 1] == new_ids[s - 1 + b]:
+            while s and ids[s - 1] == ids[s - 1 + b]:
                 s -= 1
-            while e + b < n and new_ids[e] == new_ids[e + b]:
+            while e + b < n and ids[e] == ids[e + b]:
                 e += 1
             if e - s >= b:
                 ivs = [iv for iv in runs.get(b, ()) if iv[1] <= s or iv[0] >= e]
                 ivs.append((s, e))
                 ivs.sort()
                 runs[b] = ivs
+        delta = pre[q] + node.own[q] - pre[q + span]
         i, j = bisect.bisect_left(kids, q), bisect.bisect_left(kids, q + span)
-        return _Sequence(seq[:q] + (ins,) + seq[q + span:], new_ids,
-                         pre[:q + 1] + [x + delta for x in pre[q + span:]], runs,
-                         kids[:i] + [q] + [k + 1 - span for k in kids[j:]],
-                         self.subs[:i] + [sub] + self.subs[j:])
-
-
-class _Folds:
-    """The tree under loop folding, as the _Sequence of its top level,
-    and the ids of the REPEATs in it, which a new REPEAT equal to one of
-    them shares."""
-
-    def __init__(self, instrs: tuple, flat: list, ids: list[int], pre: list[int], runs: dict):
-        self.repeats = {ins: ids[p] for p, ins in enumerate(flat) if type(ins) is vm.Repeat}
-        self.next_id = len(flat)
-
-        def build(seq: tuple, at: int) -> tuple[_Sequence, int]:
-            end = at + len(seq)
-            kids, subs = [], []
-            for k, ins in enumerate(seq):
-                if isinstance(ins, (vm.Repeat, vm.Def)):
-                    sub, end = build(ins.body, end + 1)
-                    kids.append(k)
-                    subs.append(sub)
-            return _Sequence(seq, ids[at: at + len(seq)],
-                             [x - pre[at] for x in pre[at: at + len(seq) + 1]],
-                             _clip_runs(runs, at, at + len(seq), 0), kids, subs), end
-
-        self.root = build(instrs, 0)[0]
-
-    def _id(self, ins: vm.Instruction) -> tuple[int, bool]:
-        """The id of a new REPEAT or DEF, and whether an instruction
-        made before has it too."""
-        if type(ins) is vm.Repeat:
-            known = self.repeats.get(ins)
-            if known is not None:
-                return known, True
-            self.repeats[ins] = self.next_id
-        self.next_id += 1
-        return self.next_id - 1, False
+        node.pre = pre[:q + 1] + [x + delta for x in pre[q + span:]]
+        node.runs = runs
+        node.kids = kids[:i] + [q] + [k + 1 - span for k in kids[j:]]
+        self._settle(node)
 
     def fold(self):
-        """Make the best fold of the tree. Only the sequence it folds and
-        the ones that hold it change; the rest keep their _Sequence."""
+        """Make the best fold of the tree: the edit of its r copies of a
+        block into one REPEAT, whose body is the first copy. Only the
+        sequence it folds and the ones holding it change."""
         b, r, route, p = self.root.best
-        holders = []
         node = self.root
-        for i in route:
-            holders.append((node, i))
-            node = node.subs[i]
-        lb = node.pre[p + b] - node.pre[p] + b - 1
-        wrapper = _wrapper_length(vm.Repeat(r, ()))
-        savings = (r - 1) * (lb + 1) - wrapper
-        body = node.part(p, p + b)
-        ins = vm.Repeat(r, body.seq)
-        node = node.replaced(p, b * r, ins, wrapper + lb, body, *self._id(ins))
-        # each holder of a changed body changes in one instruction, which
-        # shrinks by the savings
-        for holder, i in reversed(holders):
-            k = holder.kids[i]
-            old = holder.seq[k]
-            ins = (vm.Repeat(old.count, node.seq) if type(old) is vm.Repeat
-                   else vm.Def(old.name, node.seq))
-            node = holder.replaced(k, 1, ins, holder.pre[k + 1] - holder.pre[k] - savings,
-                                   node, *self._id(ins))
-        self.root = node
+        for k in route:
+            node = self.body_of[node.slots[k]]
+        pre, kids = node.pre, node.kids
+        lb = pre[p + b] - pre[p] + b - 1
+        ins = vm.Repeat(r, tuple(node.ins[p: p + b]))
+        body, _, edits = self._edit([(node, p)], b, b * r, [ins],
+                                    [_wrapper_length(vm.Repeat(r, ())) + lb])
+        body.holder = node.slots[p]
+        self.body_of[body.holder] = body
+        # the body takes the state of the block it was
+        i, j = bisect.bisect_left(kids, p), bisect.bisect_left(kids, p + b)
+        body.pre = [x - pre[p] for x in pre[p: p + b + 1]]
+        body.runs = _clip_runs(node.runs, p, p + b, 0)
+        body.kids = [k - p for k in kids[i:j]]
+        self._settle(body)
+        self._refit(node, p, b * r)
+        for holder, k in edits:
+            self._refit(holder, k, 1)
+
+
+# --- pass: loop folding ---
 
 
 def _fold_loops(program: vm.Program, ids: list[int] | None = None) -> vm.Program:
     """Fold consecutive repetitions of instruction blocks into REPEAT
     nodes, everywhere in the tree, while each fold strictly shrinks the
     canonical text. Each fold is the best one in the whole tree, picked
-    as _Sequence.best orders them.
+    as _Node.best orders them.
 
     ids, when given, is _instruction_ids of program's layout. One scan of
     the layout finds the runs of every sequence; a program that nothing
-    folds comes back as it is. Across folds each sequence keeps its ids,
-    prefix lengths, runs and best fold. A fold replaces instructions in
-    one sequence and one instruction in each sequence that holds it, and
-    only those are updated: their runs away from the edit are clipped and
-    shifted, not rescanned, and only runs through the new instruction
-    are scanned for, by extending from it. The new REPEAT's body takes
-    the runs of the block it was. Every other sequence is left as it is.
+    folds comes back as it is. The pass keeps a _Tree with, for each
+    sequence, its prefix lengths, runs and best fold. A fold is the
+    tree's edit of one occurrence, which changes one sequence and one
+    instruction in each sequence that holds it, and only those are
+    updated (_Tree._refit): their runs away from the edit are clipped
+    and shifted, not rescanned, and only runs through the new
+    instruction are scanned for, by extending from it. The new REPEAT's
+    body keeps the slots and the runs of the block it was. Every other
+    sequence is left as it is.
     """
     instrs = program.instructions
     flat = _layout(instrs)
@@ -494,11 +647,12 @@ def _fold_loops(program: vm.Program, ids: list[int] | None = None) -> vm.Program
     runs = _tandem_runs(ids)
     if not runs:
         return program
-    folds = _Folds(instrs, flat, ids, _prefix_lengths(flat, ids), runs)
-    while folds.root.best is not None:
-        folds.fold()
-    # nothing folded: the program itself, which ids still number
-    return program if folds.root.seq is instrs else vm.Program(folds.root.seq)
+    tree = _Tree(instrs, flat, ids, _prefix_lengths(flat, ids), runs)
+    while tree.root.best is not None:
+        tree.fold()
+    # nothing folded, so no slot made: the program itself, which ids
+    # still number
+    return program if tree.next_slot == len(flat) else vm.Program(tuple(tree.root.ins))
 
 
 # --- pass: subroutine extraction ---
@@ -523,14 +677,18 @@ def _net_displacement(instrs) -> tuple[int, int, int]:
     return dx, dy, dz
 
 
+# the letters of subroutine names, in the order that extraction and the
+# oracle take them
+_NAMES = "abcdefghijklmnopqrstuvwxyz"
+
+
 def _next_name(used: set[str]) -> str:
-    alphabet = "abcdefghijklmnopqrstuvwxyz"
-    for ch in alphabet:
+    for ch in _NAMES:
         if ch not in used:
             return ch
     k = 2
     while True:
-        for combo in itertools.product(alphabet, repeat=k):
+        for combo in itertools.product(_NAMES, repeat=k):
             name = "".join(combo)
             if name not in used:
                 return name
@@ -628,69 +786,39 @@ def _extraction_records(flat: list, ids: list[int], name: str):
     return records, heap, pre
 
 
-class _Slots:
-    """One sequence of the tree under extraction: its instructions and,
-    for each, its id, its slot and its canonical length. A slot names an
-    instruction for as long as it stays where it is: an edit gives what
-    it puts in new slots, and a block of slots moved into a DEF body keeps
-    them. holder is the slot of the REPEAT or DEF whose body this is,
-    None at the top level; delta is how much the body has grown since its
-    holder was last rebuilt."""
+class _Extractions(_Tree):
+    """The extraction pass's state: the _Tree of the program, and the
+    records and heap of _extraction_records, kept across extractions,
+    with the slots of each id.
 
-    __slots__ = ("ins", "ids", "slots", "own", "holder", "delta", "_where")
-
-    def __init__(self, ins: list, ids: list[int], slots: list[int], own: list[int], holder):
-        self.ins, self.ids, self.slots, self.own = ins, ids, slots, own
-        self.holder = holder
-        self.delta = 0
-        self._where = None
-
-    def where(self) -> dict[int, int]:
-        """The index of each slot."""
-        if self._where is None:
-            self._where = dict(zip(self.slots, range(len(self.slots))))
-        return self._where
-
-    def splice(self, i: int, span: int, ins: list, ids: list[int], slots: list[int],
-               own: list[int]):
-        self.ins[i:i + span] = ins
-        self.ids[i:i + span] = ids
-        self.slots[i:i + span] = slots
-        self.own[i:i + span] = own
-        self._where = None
-
-
-class _Extractions:
-    """The extraction pass's state: the records and heap of
-    _extraction_records, kept across extractions, and from the first
-    extraction on the tree as a _Slots for each sequence, the _Slots
-    holding each slot and the body of each REPEAT or DEF slot, and the
-    slots of each id.
-
-    The slots of the start are its layout positions. An occurrence that
-    a record lists stays valid while none of its slots moves and no slot
-    made later lies among them, so a record of version v checks its
-    starts against the first slot made by extraction v. An extraction
-    only removes occurrences, except through the slots it makes; so
-    every block through one of those is looked up anew and pushed under
-    a new serial, which registry then names for each of its starts, so
-    that an older record of the same block, which would miss the new
-    occurrence, is dropped when popped.
+    A record's starts are slots. An occurrence that a record lists stays
+    valid while none of its slots moves and no slot made later lies
+    among them, so a record of version v checks its starts against the
+    first slot made by extraction v. An extraction only removes
+    occurrences, except through the slots it makes; so every block
+    through one of those is looked up anew and pushed under a new
+    serial, which registry then names for each of its starts, so that an
+    older record of the same block, which would miss the new occurrence,
+    is dropped when popped.
     """
 
     def __init__(self, instrs: tuple, flat: list, ids: list[int], pre: list[int],
                  records: list, heap: list[int]):
-        self.instrs, self.flat, self.ids, self.pre = instrs, flat, ids, pre
+        super().__init__(instrs, flat, ids, pre)
         self.records, self.heap = records, heap
-        self.root = None  # the top level's _Slots, built at the first extraction
         self.starts: list[int] = []  # the first slot each extraction made
+        self.registry: dict[tuple[int, int], int] = {}
+        self.posting: dict[int, list[int]] = {}
+        for p, k in enumerate(ids):
+            self.posting.setdefault(k, []).append(p)
+        # names a CALL of the start uses, which no DEF may define
+        self.called = {ins.name for ins in flat if type(ins) is vm.Call}
 
     # -- picking --
 
     def pick(self, name: str):
-        """The best extraction named name, as (b, occurrences), or None.
-        An occurrence is a layout position before the first extraction
-        and a (_Slots, index) pair after it.
+        """The best extraction named name, as (b, occurrences), or None;
+        an occurrence is a (_Node, index) pair.
 
         The heap's keys bound the savings from above: a record's starts
         only lose occurrences, and packing equal intervals keeps no more
@@ -699,10 +827,9 @@ class _Extractions:
         and the rest go back with their price. Ties go to the earliest
         first occurrence in the layout, then the shortest block.
         """
-        heap, records = self.heap, self.records
+        heap, records, seq_of = self.heap, self.records, self.seq_of
         pop, push = heapq.heappop, heapq.heappush
         call_length, def_overhead = _costs(name)
-        seq_of = None if self.root is None else self.seq_of
         while heap:
             top = heap[0] >> _SERIAL_BITS
             tied = []
@@ -710,21 +837,19 @@ class _Extractions:
                 serial = pop(heap) & _SERIAL
                 b, lb, rest, starts, version = records[serial]
                 records[serial] = None
-                if seq_of is None:
-                    occ = _packed(starts, b)
-                else:
-                    # most records an extraction touched keep one start or none
-                    starts = [p for p in starts if p in seq_of]
-                    if len(starts) < 2:
-                        continue
-                    found = self._occurrences(serial, b, starts, version)
-                    if found is None:
-                        continue
-                    starts, occ = found
-                    if len(occ) < 2:
-                        continue
+                # most records an extraction touched keep one start or none
+                starts = [p for p in starts if p in seq_of]
+                if len(starts) < 2:
+                    continue
+                found = self._occurrences(serial, b, starts, version)
+                if found is None:
+                    continue
+                starts, occ = found
+                if len(occ) < 2:
+                    continue
                 if rest is None:
-                    rest = _moves_length(_net_displacement(self._block(occ[0], b)))
+                    seq, i = occ[0]
+                    rest = _moves_length(_net_displacement(seq.ins[i: i + b]))
                 savings = len(occ) * (lb - call_length - rest) - def_overhead - lb
                 if savings > 0:
                     records[serial] = (b, lb, rest, starts, len(self.starts))
@@ -743,29 +868,6 @@ class _Extractions:
                 return b, occ
         return None
 
-    def _block(self, at, b: int) -> list:
-        if self.root is None:
-            return self.flat[at: at + b]
-        seq, i = at
-        return seq.ins[i: i + b]
-
-    def _first(self, occ: list):
-        """The layout order of the first of the occurrences. The layout
-        holds a sequence before its bodies, and bodies in order, so a
-        position sorts as the indices of its holders from the top, then
-        its own index."""
-        if self.root is None:
-            return occ[0]
-        keys = []
-        for seq, i in occ:
-            path = []
-            while seq.holder is not None:
-                h = seq.holder
-                seq = self.seq_of[h]
-                path.append(seq.where()[h])
-            keys.append((path[::-1], i))
-        return min(keys)
-
     def _occurrences(self, serial: int, b: int, starts: list[int], version: int):
         """Of a record's starts that still have a slot, those that are
         still valid, and the occurrences that packing keeps of them; or
@@ -773,7 +875,7 @@ class _Extractions:
         seq_of, registry = self.seq_of, self.registry
         limit = self.starts[version] if version < len(self.starts) else None
         alive = []
-        found: dict[_Slots, list[int]] = {}
+        found: dict[_Node, list[int]] = {}
         for p in starts:
             seq = seq_of[p]
             i = seq.where()[p]
@@ -790,65 +892,13 @@ class _Extractions:
             occ += [(seq, i) for i in _packed(at, b)]
         return alive, occ
 
-    # -- the tree --
+    # -- extracting --
 
-    def _build(self):
-        flat, ids = self.flat, self.ids
-        self.seq_of: dict[int, _Slots] = {}
-        self.body_of: dict[int, _Slots] = {}
-        self.ids_of = dict(zip(flat, ids))
-        self.next_slot = self.next_id = len(flat)
-        self.registry: dict[tuple[int, int], int] = {}
-        self.posting: dict[int, list[int]] = {}
-        for p, k in enumerate(ids):
-            self.posting.setdefault(k, []).append(p)
-        # names a CALL of the start uses, which no DEF may define
-        self.called = {ins.name for ins in flat if type(ins) is vm.Call}
-        self.root = self._slots(self.instrs, 0, None)[0]
-
-    def _slots(self, seq: tuple, at: int, holder) -> tuple[_Slots, int]:
-        end = at + len(seq)
-        pre = self.pre
-        node = _Slots(list(seq), self.ids[at:end], list(range(at, end)),
-                      [pre[p + 1] - pre[p] for p in range(at, end)], holder)
-        self.seq_of.update(dict.fromkeys(node.slots, node))
-        for k, ins in enumerate(seq):
-            if isinstance(ins, (vm.Repeat, vm.Def)):
-                self.body_of[at + k], end = self._slots(ins.body, end + 1, at + k)
-        return node, end
-
-    def _id(self, ins: vm.Instruction) -> int:
-        """The id of an instruction put in: that of an equal one, except
-        for a DEF, which has its own."""
-        if type(ins) is not vm.Def:
-            known = self.ids_of.get(ins)
-            if known is not None:
-                return known
-            self.ids_of[ins] = self.next_id
-        self.next_id += 1
-        return self.next_id - 1
-
-    def _new_slots(self, seq: _Slots, ids: list[int]) -> list[int]:
-        slots = list(range(self.next_slot, self.next_slot + len(ids)))
-        self.next_slot += len(ids)
+    def _new_slots(self, seq: _Node, ids: list[int]) -> list[int]:
+        slots = super()._new_slots(seq, ids)
         for p, k in zip(slots, ids):
-            self.seq_of[p] = seq
             self.posting.setdefault(k, []).append(p)
         return slots
-
-    def _drop(self, seq: _Slots):
-        for p in seq.slots:
-            del self.seq_of[p]
-            sub = self.body_of.pop(p, None)
-            if sub is not None:
-                self._drop(sub)
-
-    def _depth(self, seq: _Slots) -> int:
-        d = 0
-        while seq.holder is not None:
-            seq = self.seq_of[seq.holder]
-            d += 1
-        return d
 
     def _top_index(self, p: int) -> int:
         """The index in the top level of the node holding slot p."""
@@ -858,103 +908,40 @@ class _Extractions:
             seq = self.seq_of[p]
         return seq.where()[p]
 
-    # -- extracting --
-
     def extract(self, b: int, occ: list, name: str):
         """Replace each occurrence by a CALL of name and the MOVEs that
         compensate the block's displacement, and define name before the
-        first top-level node that calls it. The first occurrence, with its
-        slots and the bodies inside it, becomes the DEF body; the bodies
-        inside the others go. Each sequence that changed changes one
-        instruction of the one holding it, deepest first. Then every
-        block through a new slot is looked up."""
-        if self.root is None:
-            self._build()
-            occ = [(self.seq_of[p], self.seq_of[p].where()[p]) for p in occ]
+        first top-level node that calls it: the tree's edit, whose
+        unheld _Node, the first occurrence, becomes the DEF body. Then
+        every block through a new slot is looked up."""
         self.starts.append(self.next_slot)
-        seq_of, body_of = self.seq_of, self.body_of
         home, i0 = occ[0]
         block = tuple(home.ins[i0: i0 + b])
-        repl = list(_repl_instructions(name, _net_displacement(block)))
-        repl_ids = [self._id(ins) for ins in repl]
-        repl_own = [vm.body_length((ins,)) for ins in repl]
         lb = sum(home.own[i0: i0 + b]) + b - 1
-        delta = sum(repl_own) + len(repl) - 1 - lb
-        body = _Slots(list(block), home.ids[i0: i0 + b], home.slots[i0: i0 + b],
-                      home.own[i0: i0 + b], None)
-        seq_of.update(dict.fromkeys(body.slots, body))
-
-        windows: dict[_Slots, list[int]] = {}
-        for seq, i in occ:
-            windows.setdefault(seq, []).append(i)
-        fresh = []  # the slots made, but the DEF's
-        calls = []
-        for seq, at in windows.items():
-            for i in reversed(at):
-                if seq is not home or i != i0:
-                    for p in seq.slots[i: i + b]:
-                        del seq_of[p]
-                        sub = body_of.pop(p, None)
-                        if sub is not None:
-                            self._drop(sub)
-                slots = self._new_slots(seq, repl_ids)
-                seq.splice(i, b, repl, repl_ids, slots, repl_own)
-                calls.append(slots[0])
-                fresh += slots
-            seq.delta += delta * len(at)
-
-        depths: dict[int, dict[_Slots, None]] = {}
-        for seq in windows:
-            if seq.holder is not None:
-                depths.setdefault(self._depth(seq), {})[seq] = None
-        for d in range(max(depths, default=0), 0, -1):
-            for seq in depths.pop(d, ()):
-                holder = self._rebuild_holder(seq, fresh)
-                if holder.holder is not None:
-                    depths.setdefault(d - 1, {})[holder] = None
+        repl = list(_repl_instructions(name, _net_displacement(block)))
+        body, made, edits = self._edit(occ, b, b, repl, [vm.body_length((ins,)) for ins in repl])
+        # a DEF has an id of its own, so no block holds it
+        fresh = [p for slots in made for p in slots] + [
+            holder.slots[k] for holder, k in edits if type(holder.ins[k]) is vm.Repeat]
 
         top = self.root
         if name in self.called:
             at = next(i for i, ins in enumerate(top.ins) if _contains_call(ins, name))
         else:
-            at = min(self._top_index(p) for p in calls)
+            at = min(self._top_index(slots[0]) for slots in made)
         self.called.add(name)
         define = vm.Def(name, block)
         d_id = self._id(define)
         top.splice(at, 0, [define], [d_id], self._new_slots(top, [d_id]),
                    [_wrapper_length(vm.Def(name, ())) + lb])
         body.holder = top.slots[at]
-        body_of[body.holder] = body
+        self.body_of[body.holder] = body
 
         # names only grow, so the bound holds for every later name
         self._discover(fresh, set(), _costs(name))
 
-    def _rebuild_holder(self, seq: _Slots, fresh: list[int]) -> _Slots:
-        """Put the REPEAT or DEF around seq's new body in a new slot of
-        the sequence holding it, which this returns."""
-        old_slot = seq.holder
-        holder = self.seq_of.pop(old_slot)
-        where = holder.where()
-        k = where.pop(old_slot)
-        old = holder.ins[k]
-        body = tuple(seq.ins)
-        ins = vm.Repeat(old.count, body) if type(old) is vm.Repeat else vm.Def(old.name, body)
-        k_id = self._id(ins)
-        slot = self._new_slots(holder, [k_id])[0]
-        holder.ins[k], holder.ids[k], holder.slots[k] = ins, k_id, slot
-        holder.own[k] += seq.delta
-        holder.delta += seq.delta
-        seq.delta = 0
-        where[slot] = k
-        self.body_of[slot] = self.body_of.pop(old_slot)
-        seq.holder = slot
-        # a DEF has an id of its own, so no block holds it
-        if type(ins) is vm.Repeat:
-            fresh.append(slot)
-        return holder
-
     def _anchors(self, k: int) -> list:
-        """Every occurrence of id k, as (_Slots, index)."""
+        """Every occurrence of id k, as (_Node, index)."""
         seq_of = self.seq_of
         live = [p for p in self.posting[k] if p in seq_of]
         self.posting[k] = live
@@ -1020,7 +1007,7 @@ class _Extractions:
             groups = longer
             right += 1
 
-    def _push(self, seq: _Slots, s: int, e: int, starts: list[int], seen: set,
+    def _push(self, seq: _Node, s: int, e: int, starts: list[int], seen: set,
               costs: tuple[int, int]):
         b = e - s
         key = (min(starts), b)
@@ -1053,12 +1040,14 @@ def _extract_defs(program: vm.Program, reserved_names: frozenset[str] = frozense
     the text by its positive savings, which bounds the loop.
 
     One scan of the layout prices every repeated block, and a program
-    with no block worth a DEF comes back as it is. From then on the
+    with no block worth a DEF comes back as it is. Otherwise the pass
+    builds the program's _Tree, the tree the fold pass rewrites, and the
     blocks wait in a heap keyed by bounds of their savings, which
     _Extractions.pick checks lazily (Minoux's lazy greedy, 1978, as
-    aesthetics.cover does). An extraction rewrites only its occurrences
-    and the instruction holding each body that changed, and looks up
-    only the blocks through what it put in.
+    aesthetics.cover does). An extraction is the tree's edit of every
+    occurrence: it rewrites only those and the instruction holding each
+    body that changed, and looks up only the blocks through what it put
+    in.
     """
     instrs = program.instructions
     flat = _layout(instrs)
@@ -1073,8 +1062,8 @@ def _extract_defs(program: vm.Program, reserved_names: frozenset[str] = frozense
     while True:
         found = state.pick(name)
         if found is None:
-            # nothing extracted: the program itself
-            return program if state.root is None else vm.Program(tuple(state.root.ins))
+            # nothing extracted, so no slot made: the program itself
+            return program if state.next_slot == len(flat) else vm.Program(tuple(state.root.ins))
         state.extract(*found, name)
         used.add(name)
         name = _next_name(used)
@@ -1136,7 +1125,6 @@ def relative_complexity(a: VoxelStructure, b: VoxelStructure) -> int:
 
 # search nodes one exhaustive_table may visit; read at call time
 ENUM_NODE_BUDGET = 50_000_000
-_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _costed(ins: vm.Instruction) -> tuple[vm.Instruction, int]:

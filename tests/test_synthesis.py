@@ -383,33 +383,24 @@ def _priced_extraction(flat, ids, name):
     return best[1:] if best else (None, 0)
 
 
-def _layout_position(route, root, p):
-    """Position in _layout of p in the sequence that route leads to from
-    the _Sequence root."""
-    at, node = 0, root
-    for i in route:
-        seq, k = node.seq, node.kids[i]
-        at += len(seq) + 1 + sum(len(synthesis._layout(ins.body)) + 1 for ins in seq[:k]
-                                 if isinstance(ins, (vm.Repeat, vm.Def)))
-        node = node.subs[i]
-    return at + p
-
-
 def _first_fold(instrs):
     # the first fold of _fold_loops as (b, r, p), p a position of the
     # layout: the best run of the whole layout, which must be the best
-    # fold of the sequence tree built from it
+    # fold of the tree built from it
     flat = synthesis._layout(instrs)
     ids = synthesis._instruction_ids(flat)
     runs = synthesis._tandem_runs(ids)
     pre = synthesis._prefix_lengths(flat, ids)
     whole = synthesis._best_run(runs, pre)
-    root = synthesis._Folds(instrs, flat, ids, pre, runs).root
-    if root.best is None:
+    tree = synthesis._Tree(instrs, flat, ids, pre, runs)
+    if tree.root.best is None:
         assert whole is None
         return None
-    b, r, route, p = root.best
-    assert whole == (b, r, _layout_position(route, root, p))
+    b, r, route, p = tree.root.best
+    node = tree.root
+    for k in route:
+        node = tree.body_of[node.slots[k]]
+    assert whole == (b, r, _layout_offsets(tree)[node] + p)
     return whole
 
 
@@ -515,39 +506,88 @@ def _rescan_steps(instrs):
         instrs = _rewrite(instrs, {p: (b * r, (vm.Repeat(r, tuple(flat[p: p + b])),))})
 
 
-def _assert_kept_state_is_fresh(node):
-    # what each _Sequence keeps across folds is what a scan of it finds
-    seq = node.seq
-    fresh = synthesis._instruction_ids(list(seq))
-    # equal ids exactly where a fresh numbering has them
-    assert len(set(zip(fresh, node.ids))) == len(set(fresh)) == len(set(node.ids))
-    assert node.runs == synthesis._tandem_runs(fresh)
-    assert node.pre == synthesis._prefix_lengths(list(seq), fresh)
-    assert node.kids == [k for k, ins in enumerate(seq) if isinstance(ins, (vm.Repeat, vm.Def))]
-    assert len(node.subs) == len(node.kids)
-    for k, sub in zip(node.kids, node.subs):
-        assert sub.seq is seq[k].body
-        _assert_kept_state_is_fresh(sub)
+def _layout_offsets(tree):
+    # the layout position of each sequence of the tree
+    out, at = {}, 0
+
+    def walk(seq):
+        nonlocal at
+        out[seq] = at
+        at += len(seq.slots)
+        for p in seq.slots:
+            sub = tree.body_of.get(p)
+            if sub is not None:
+                at += 1
+                walk(sub)
+
+    walk(tree.root)
+    return out
+
+
+def _assert_kept_state_is_fresh(tree):
+    # what the tree keeps across rewrites is what a scan of it finds
+    flat = synthesis._layout(tuple(tree.root.ins))
+    kept, seen = [], []
+
+    def walk(seq, holder):
+        assert seq.holder == holder
+        assert len(seq.ins) == len(seq.ids) == len(seq.slots) == len(seq.own)
+        assert seq.own == [vm.body_length((ins,)) for ins in seq.ins]
+        assert all(tree.seq_of[p] is seq for p in seq.slots)
+        # an instruction put in takes the id of an equal one
+        assert all(tree.ids_of[ins] == k for ins, k in zip(seq.ins, seq.ids)
+                   if not isinstance(ins, vm.Def))
+        assert seq._where in (None, {p: i for i, p in enumerate(seq.slots)})
+        seen.extend(seq.slots)
+        kept.extend(seq.ids)
+        if seq.runs is not None:
+            # the fold's state
+            fresh = synthesis._instruction_ids(list(seq.ins))
+            assert seq.runs == synthesis._tandem_runs(fresh)
+            assert seq.pre == synthesis._prefix_lengths(list(seq.ins), fresh)
+            assert seq.kids == [k for k, ins in enumerate(seq.ins)
+                                if isinstance(ins, (vm.Repeat, vm.Def))]
+        for p, ins in zip(seq.slots, seq.ins):
+            if isinstance(ins, (vm.Repeat, vm.Def)):
+                body = tree.body_of[p]
+                assert tuple(body.ins) == ins.body
+                kept.append(-1 - len(kept))  # a separator, equal to nothing
+                walk(body, p)
+
+    walk(tree.root, None)
+    # equal ids across the whole tree exactly where a fresh numbering has them
+    fresh = synthesis._instruction_ids(flat)
+    assert len(kept) == len(fresh)
+    assert len(set(zip(fresh, kept))) == len(set(fresh)) == len(set(kept))
+    # every live slot has its sequence, and only REPEAT and DEF slots a body
+    assert len(seen) == len(set(seen)) and set(seen) == set(tree.seq_of)
+    assert set(tree.body_of) == {p for p in seen
+                                 if isinstance(tree.seq_of[p].ins[tree.seq_of[p].where()[p]],
+                                               (vm.Repeat, vm.Def))}
 
 
 def _incremental_steps(instrs):
-    # the tree before each fold of _Folds, and after the last
+    # the tree before each fold of the pass's _Tree, and after the last
     flat = synthesis._layout(instrs)
     ids = synthesis._instruction_ids(flat)
-    folds = synthesis._Folds(instrs, flat, ids, synthesis._prefix_lengths(flat, ids),
-                             synthesis._tandem_runs(ids))
+    tree = synthesis._Tree(instrs, flat, ids, synthesis._prefix_lengths(flat, ids),
+                           synthesis._tandem_runs(ids))
     while True:
-        _assert_kept_state_is_fresh(folds.root)
-        yield folds.root.seq
-        if folds.root.best is None:
+        _assert_kept_state_is_fresh(tree)
+        yield tuple(tree.root.ins)
+        if tree.root.best is None:
             return
-        folds.fold()
+        tree.fold()
 
 
 def _assert_folds_as_the_rescan(instrs):
     steps = list(_rescan_steps(instrs))
     assert list(_incremental_steps(instrs)) == steps
-    assert synthesis._fold_loops(vm.Program(instrs)) == vm.Program(steps[-1])
+    start = vm.Program(instrs)
+    folded = synthesis._fold_loops(start)
+    assert folded == vm.Program(steps[-1])
+    # a program that nothing folds comes back as the same object
+    assert (folded is start) == (len(steps) == 1)
     return len(steps) - 1
 
 
@@ -668,43 +708,25 @@ def _rescan_extractions(instrs, reserved=frozenset()):
         instrs = _rescan_apply_extraction(instrs, *found, name)
 
 
-def _layout_offsets(state):
-    # the layout position of each sequence of the tree in state
-    out, at = {}, 0
-
-    def walk(seq):
-        nonlocal at
-        out[seq] = at
-        at += len(seq.slots)
-        for p in seq.slots:
-            sub = state.body_of.get(p)
-            if sub is not None:
-                at += 1
-                walk(sub)
-
-    walk(state.root)
-    return out
-
-
 def _incremental_extractions(instrs, reserved=frozenset()):
-    # the same for _extract_defs, each occurrence as a layout position
+    # the same for _extract_defs, each occurrence as a layout position;
+    # the kept state is checked before each extraction and after it
     steps = []
     extract = synthesis._Extractions.extract
 
     def recorded(state, b, occ, name):
-        if state.root is None:
-            positions = list(occ)
-            block = tuple(state.flat[occ[0]: occ[0] + b])
-        else:
-            offsets = _layout_offsets(state)
-            positions = sorted(offsets[seq] + i for seq, i in occ)
-            seq, i = occ[0]
-            block = tuple(seq.ins[i: i + b])
-        steps.append((block, positions, name))
+        _assert_kept_state_is_fresh(state)
+        offsets = _layout_offsets(state)
+        seq, i = occ[0]
+        steps.append((tuple(seq.ins[i: i + b]), sorted(offsets[o] + j for o, j in occ), name))
         extract(state, b, occ, name)
+        _assert_kept_state_is_fresh(state)
 
+    start = vm.Program(instrs)
     with mock.patch.object(synthesis._Extractions, "extract", recorded):
-        program = synthesis._extract_defs(vm.Program(instrs), reserved)
+        program = synthesis._extract_defs(start, reserved)
+    # a program that nothing shrinks comes back as the same object
+    assert (program is start) == (not steps)
     return steps, program.instructions
 
 
