@@ -5,25 +5,27 @@ voxel world. On top of the machine sit analyses of the built artifacts:
 shortest-program complexity bounds, a pattern-dictionary beauty score,
 regularity and fractal-dimension metrics, a simulated-annealing design
 optimizer, and fleet-level adversarial transfer experiments.
+
+Submodules load on first access (``domus.vm``, ``from domus import
+vm``), so ``import domus`` loads only ``domus.errors``; numpy in turn
+loads on the first use of the support rule, the enclosed-volume flood
+or an attack.
 """
 
-# world first: it imports numpy, whose import measured about 20 ms
-# slower (2 vCPUs, Python 3.11) when first reached through synthesis,
-# vm and world
-from . import world
-from . import aesthetics, designer, fleet, naturalness, synthesis, vm
 from .errors import DomusError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomusError",
-    "__version__",
-    "aesthetics",
-    "designer",
-    "fleet",
-    "naturalness",
-    "synthesis",
-    "vm",
-    "world",
-]
+_SUBMODULES = ("aesthetics", "designer", "fleet", "naturalness", "synthesis", "vm", "world")
+
+__all__ = ["DomusError", "__version__", *_SUBMODULES]
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not yet bound; importing a
+    # submodule binds it here, so each loads once
+    if name in _SUBMODULES:
+        import importlib
+
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING
 
 from . import vm
 from .errors import DomusError
 from .world import Cell, VoxelStructure, _dense_grid, _unsupported_mask
+
+# numpy is imported in the functions that use it, so loading this
+# module does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RobotBuilder",
@@ -144,6 +147,8 @@ def collapse_fraction(s: VoxelStructure, removed: frozenset[Cell]) -> float:
     remaining = len(s.occupied) - len(gone)
     if not gone or not remaining:
         return 0.0
+    import numpy as np
+
     reach = 2 * MAX_OVERHANG
     x0, x1 = min(c[0] for c in gone) - reach, max(c[0] for c in gone) + reach
     y0, y1 = min(c[1] for c in gone) - reach, max(c[1] for c in gone) + reach
@@ -172,6 +177,9 @@ class _AttackGrid:
     """
 
     def __init__(self, cells):
+        import numpy as np
+        from numpy.lib.stride_tricks import sliding_window_view
+
         self.m = m = MAX_OVERHANG
         w = 4 * m + 1
         self.occ, self.lo = _dense_grid(cells, pad=2 * m)
@@ -188,6 +196,8 @@ class _AttackGrid:
         support rule once over the stack and subtract each cell's
         (2m+1)^2 count before. Batches hold at most _GAIN_BATCH_CELLS
         slice cells."""
+        import numpy as np
+
         m, w = self.m, 4 * self.m + 1
         idx = np.array(cells, dtype=np.intp).reshape(-1, 3) - self.lo
         per_batch = max(1, _GAIN_BATCH_CELLS // (w * w * self.occ.shape[2]))
@@ -207,6 +217,8 @@ class _AttackGrid:
         """Clear c and return the occupied cells whose gain that can
         change, those whose columns lie within 2m of c's, in sorted
         order."""
+        import numpy as np
+
         part = self._set(c, False)
         near = np.argwhere(part) + (c[0] - 2 * self.m, c[1] - 2 * self.m, 0)
         return list(map(tuple, near.tolist()))
@@ -252,6 +264,8 @@ def find_attack(s: VoxelStructure, k: int) -> Attack:
     n = len(cells)
     if not cells:
         return Attack(removed_cells=frozenset(), k=k, collapse_fraction=0.0)
+    import numpy as np
+
     grid = _AttackGrid(cells)
     # padding changes no occupied cell's support, so this is the
     # prototype's own unsupported count

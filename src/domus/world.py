@@ -14,10 +14,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomusError
+
+# numpy is imported in the functions that use it, so loading this
+# module does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 Cell = tuple[int, int, int]
 
@@ -157,6 +161,8 @@ def _unsupported_mask(occ: np.ndarray, max_overhang: int) -> np.ndarray:
     (and grids) at once. Dilation past its fixpoint changes nothing, so
     the rounds stop early once a round adds no cell to any grid.
     """
+    import numpy as np
+
     seed = np.logical_and.accumulate(occ, axis=-1)
     for _ in range(max_overhang):
         grown = seed.copy()
@@ -176,6 +182,8 @@ def _dense_grid(cells, pad: int = 0) -> tuple[np.ndarray, Cell]:
     at z=0 so ground contact stays visible and padded by pad empty cells
     on each side in x and y. Returns the grid and the cell its origin
     stands for."""
+    import numpy as np
+
     idx = np.fromiter(chain.from_iterable(cells), np.int64, 3 * len(cells)).reshape(-1, 3)
     lo = idx.min(axis=0) - (pad, pad, 0)
     lo[2] = 0
@@ -192,6 +200,8 @@ def unsupported_cells(occupied, max_overhang: int = 2) -> tuple[Cell, ...]:
     """
     if not occupied:
         return ()
+    import numpy as np
+
     occ, (x0, y0, _) = _dense_grid(occupied)
     # argwhere walks the grid in C order, which is sorted cell order
     return tuple(
@@ -230,6 +240,8 @@ def enclosed_volume(s: VoxelStructure) -> int:
     """
     if not s.occupied:
         return 0
+    import numpy as np
+
     occ, _ = _dense_grid(s.occupied)
     grid = np.pad(np.pad(occ, 1), 1, constant_values=True)
     _, ny, nz = grid.shape

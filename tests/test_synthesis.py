@@ -185,17 +185,21 @@ def test_corpus_witnesses_are_pinned(name):
 
 
 def test_tiny_witnesses_are_pinned():
-    # every structure of at most 3 cells in 3^3, the empty one included:
-    # a change to the passes that moves any tiny witness shows here
+    # every structure of at most 4 cells in 3^3, the empty one included,
+    # in itertools.combinations order over the cells listed x fastest
+    # (as criterion 1 lists them): a change to the passes that moves any
+    # tiny witness shows here. The sha256 is over each witness text plus
+    # a newline; with the cells listed z fastest it reads ab2cefa6909d747c....
+    # About 2.5-3 CPU s on 2 cores.
     cells = [(x, y, z) for z in range(3) for y in range(3) for x in range(3)]
     h = hashlib.sha256()
     n = 0
-    for k in range(4):
+    for k in range(5):
         for c in itertools.combinations(cells, k):
             h.update(vm.serialize(synthesize_min(S((3, 3, 3), c)).program).encode() + b"\n")
             n += 1
     assert (n, h.hexdigest()) == (
-        3304, "d8a72020f323b36f7860b02d5dd17147be05d1fcdc80e50bf1b216a41f96e025")
+        20854, "b28e5cc8d0ff17090b794ac42ad0989707978d55fb77949a7f9239ab75054760")
 
 
 # --- blocks that repeat ---
@@ -873,6 +877,62 @@ def test_depth_5_carpet_witness_is_pinned_and_fast():
     assert time.process_time() - start < 3.0
     assert (len(witness), hashlib.sha256(witness.encode()).hexdigest()) == (
         15390, "e167f677e6b2cd7becccb7515cfaf54f94c45388e3d017104b85aba3041e3a72")
+
+
+def _menger(depth: int) -> str:
+    # DEF r<d> is the ring of eight m<d-1> at pitch 3^(d-1) that makes a
+    # sponge's bottom and top layers; DEF m<d> lays two rings and the
+    # four corners of the middle layer between them; m0 is one cell
+    lines = ["DEF m0 {", "PLACE", "}"]
+    for d in range(1, depth + 1):
+        p, call = 3 ** (d - 1), f"CALL m{d - 1}"
+        lines += [f"DEF r{d} {{", call, f"MOVE X {p}", call, f"MOVE X {p}", call,
+                  f"MOVE X {-2 * p}", f"MOVE Y {p}", call, f"MOVE X {2 * p}", call,
+                  f"MOVE X {-2 * p}", f"MOVE Y {p}", call, f"MOVE X {p}", call,
+                  f"MOVE X {p}", call, "}"]
+        lines += [f"DEF m{d} {{", f"CALL r{d}", f"MOVE Z {2 * p}", f"CALL r{d}",
+                  f"MOVE Z {-p}", call, f"MOVE X {2 * p}", call, f"MOVE Y {2 * p}",
+                  call, f"MOVE X {-2 * p}", call, "}"]
+    return "\n".join(lines + [f"CALL m{depth}"]) + "\n"
+
+
+def _scaled_sierpinski3() -> str:
+    text = (CORPUS / "sierpinski3.cvm").read_text()
+    assert text.endswith("CALL c3\n")
+    return text[:-len("CALL c3\n")] + "CALL c3 2\n"
+
+
+# the self-similar yardstick: each member's source builds it, so the
+# source's canonical length is a certified bound beside synthesize_min's:
+# name -> (source, dims, cells, source length, bound length, bound/source)
+SELF_SIMILAR = {
+    "carpet2": (lambda: (CORPUS / "sierpinski2.cvm").read_text(), (9, 9, 1), 64,
+                238, 353, 1.48),
+    "carpet3": (lambda: (CORPUS / "sierpinski3.cvm").read_text(), (27, 27, 1), 512,
+                399, 1588, 3.98),
+    "carpet4": (lambda: (CORPUS / "sierpinski4.cvm").read_text(), (81, 81, 1), 4096,
+                566, 5361, 9.47),
+    "carpet5": (_depth_5_carpet, (243, 243, 1), 32768, 736, 15390, 20.91),
+    # CALL's scale stretches MOVE and FILL but not PLACE
+    "carpet3_scaled2": (_scaled_sierpinski3, (54, 54, 2), 3200, 401, 1209, 3.01),
+    "sponge1": (lambda: _menger(1), (3, 3, 3), 20, 288, 300, 1.04),
+    "sponge2": (lambda: _menger(2), (9, 9, 9), 400, 552, 2564, 4.64),
+    "sponge3": (lambda: _menger(3), (27, 27, 27), 8000, 823, 17571, 21.35),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_SIMILAR))
+def test_self_similar_bounds_are_pinned(name):
+    # about 3.5 CPU s for all eight on 2 cores, the depth-5 carpet
+    # 1.5-2 s and the depth-3 sponge about 1 s of it
+    source, dims, cells, source_len, bound_len, ratio = SELF_SIMILAR[name]
+    program = vm.parse(source())
+    s = vm.execute(program, dims)
+    bound = synthesize_min(s)
+    assert len(s.occupied) == cells
+    assert (vm.program_length(program), bound.length) == (source_len, bound_len)
+    assert round(bound.length / source_len, 2) == ratio
+    assert bound.length <= vm.program_length(literal_program(s))
 
 
 # --- overhead cancellation ---
