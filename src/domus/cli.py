@@ -13,6 +13,7 @@ DOMUS_MAX_PLACEMENTS overrides the placement budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -271,6 +272,9 @@ def _probability(text: str) -> float:
     return value
 
 
+# argparse keeps no state between parses, and every command copies
+# args.dims, so one parser serves every run
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dims", type=_positive_int, nargs=3, default=[64, 64, 64],

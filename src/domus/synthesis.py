@@ -9,19 +9,20 @@ folds loops and extracts subroutines, each pass making only rewrites
 whose exactly priced savings are positive.
 
 Both passes rewrite the same kind of tree, a _Tree: a node for each
-sequence, whose instructions keep their slots, ids and lengths across
-rewrites, and one edit, which replaces each occurrence of a block,
-makes the first the body of a new instruction, and rebuilds the
-instructions holding what changed, deepest first. A fold is that edit
-at one occurrence, r copies of a block that become one REPEAT; an
-extraction is it at every occurrence of a block, each of which becomes
-a CALL and the MOVEs that compensate it. The start
-is numbered once for both passes. Each pass scans its input once and
-keeps what it found across its rewrites: the fold pass the runs of
-each sequence, scanning only around the instruction each fold puts
-in; extraction every repeated block, in a heap keyed by bounds of
-their savings, looking up only the blocks through the instructions
-each extraction puts in.
+sequence, which keeps for each of its instructions a slot, an id and a
+canonical length across rewrites, and nothing computed from them
+beside; and one edit, which replaces each occurrence of a block, makes
+the first the body of a new instruction, and rebuilds the instructions
+holding what changed, deepest first. A fold is that edit at one
+occurrence, r copies of a block that become one REPEAT; an extraction
+is it at every occurrence of a block, each of which becomes a CALL and
+the MOVEs that compensate it. The start is numbered once for both
+passes. Each pass scans its input once and keeps what it found across
+its rewrites: the fold pass the runs of each sequence, scanning only
+around the instruction each fold puts in; extraction every repeated
+block, in a heap keyed by bounds of their savings, with the slot count
+at which its starts were complete, looking up only the blocks through
+the instructions each extraction puts in.
 
 For desk-scale worlds, exhaustive_table is the oracle:
 one enumeration of every canonical program up to a byte budget gives
@@ -314,8 +315,9 @@ def _clip_runs(runs: dict, lo: int, hi: int, to: int) -> dict:
     return out
 
 
-def _best_run(runs: dict, pre: list[int]):
-    """Best (b, r, p) fold among the runs, or None.
+def _best_run(runs: dict, own: list[int]):
+    """Best (b, r, p) fold among the runs of a sequence whose
+    instructions have the canonical lengths own, or None.
 
     Prefers the longest block, then the most repetitions, then the
     earliest start; only folds that strictly shrink the canonical text
@@ -331,7 +333,7 @@ def _best_run(runs: dict, pre: list[int]):
                 r = 1 + (e - p) // b
                 if best is not None and r <= best[1]:
                     break
-                lb = pre[p + b] - pre[p] + b - 1
+                lb = sum(own[p: p + b]) + b - 1
                 # r copies and their r - 1 separators, against one REPEAT
                 if (r - 1) * (lb + 1) > _wrapper_length(vm.Repeat(r, ())):
                     best = (b, r, p)
@@ -346,27 +348,27 @@ def _best_run(runs: dict, pre: list[int]):
 
 class _Node:
     """One sequence of the tree: its instructions and, for each, its id,
-    its slot and its canonical length. holder is the slot of the REPEAT
-    or DEF whose body this is, None at the top level.
+    its slot and its canonical length (own), which price a block of b
+    instructions at i as sum(own[i:i+b]) + b - 1. holder is the slot of
+    the REPEAT or DEF whose body this is, None at the top level.
 
-    The fold pass also keeps on each node, None otherwise, its prefix
-    lengths as _prefix_lengths counts them, its runs as _tandem_runs
-    finds them, the indices of its REPEAT and DEF nodes (kids), and the
-    best fold of its subtree, (b, r, route, p): the fold (b, r, p) of the
-    sequence reached by taking, for each k in route, the body of the
-    node at index k. Among equal (b, r) a sequence wins over its bodies,
-    and its bodies go in order, which is the order of positions in
-    _layout. A route, not the node itself, so that a tree holds no
-    reference cycle and is freed as soon as its pass returns.
+    The fold pass also keeps on each node, None otherwise, its runs as
+    _tandem_runs finds them, the indices of its REPEAT and DEF nodes
+    (kids), and the best fold of its subtree, (b, r, route, p): the fold
+    (b, r, p) of the sequence reached by taking, for each k in route, the
+    body of the node at index k. Among equal (b, r) a sequence wins over
+    its bodies, and its bodies go in order, which is the order of
+    positions in _layout. A route, not the node itself, so that a tree
+    holds no reference cycle and is freed as soon as its pass returns.
     """
 
-    __slots__ = ("ins", "ids", "slots", "own", "holder", "_where", "pre", "runs", "kids", "best")
+    __slots__ = ("ins", "ids", "slots", "own", "holder", "_where", "runs", "kids", "best")
 
     def __init__(self, ins: list, ids: list[int], slots: list[int], own: list[int], holder):
         self.ins, self.ids, self.slots, self.own = ins, ids, slots, own
         self.holder = holder
         self._where = None
-        self.pre = self.runs = self.kids = self.best = None
+        self.runs = self.kids = self.best = None
 
     def where(self) -> dict[int, int]:
         """The index of each slot."""
@@ -398,6 +400,10 @@ class _Tree:
     id of an equal one. With runs, the _tandem_runs of the start's ids,
     each node also gets the fold pass's state, which fold keeps up to
     date and the extraction pass's edits do not.
+
+    Where a node lies is its _path, the one walk up the tree: its length
+    is a body's depth, and it orders occurrences by layout position
+    (_first) and names the top-level instruction holding one.
     """
 
     def __init__(self, instrs: tuple, flat: list, ids: list[int], pre: list[int],
@@ -426,7 +432,6 @@ class _Tree:
                 self.body_of[at + k], end = self._build(ins.body, end + 1, at + k,
                                                         ids, pre, runs)
         if runs is not None:
-            node.pre = [x - pre[at] for x in pre[at: at + len(seq) + 1]]
             node.runs = _clip_runs(runs, at, at + len(seq), 0)
             node.kids = kids
             self._settle(node)
@@ -457,27 +462,22 @@ class _Tree:
             if sub is not None:
                 self._drop(sub.slots)
 
-    def _depth(self, seq: _Node) -> int:
-        d = 0
+    def _path(self, seq: _Node) -> list[int]:
+        """The indices of the instructions holding seq, from the top."""
+        path = []
         while seq.holder is not None:
-            seq = self.seq_of[seq.holder]
-            d += 1
-        return d
+            h = seq.holder
+            seq = self.seq_of[h]
+            path.append(seq.where()[h])
+        return path[::-1]
 
     def _first(self, occ: list):
         """The layout order of the first of the occurrences (_Node,
         index). The layout holds a sequence before its bodies, and bodies
-        in order, so a position sorts as the indices of its holders from
-        the top, then its own index."""
-        keys = []
-        for seq, i in occ:
-            path = []
-            while seq.holder is not None:
-                h = seq.holder
-                seq = self.seq_of[h]
-                path.append(seq.where()[h])
-            keys.append((path[::-1], i))
-        return min(keys)
+        in order, so a position sorts as its _path, then its own index:
+        as a pair, since path + [i] would sort a body before the later
+        instructions of the sequence holding it."""
+        return min((self._path(seq), i) for seq, i in occ)
 
     def _edit(self, occ: list, b: int, span: int, repl: list, repl_own: list[int]):
         """Replace the span instructions at each occurrence (_Node, index)
@@ -515,7 +515,7 @@ class _Tree:
         depths: dict[int, list[_Node]] = {}
         for seq in grown:
             if seq.holder is not None:
-                depths.setdefault(self._depth(seq), []).append(seq)
+                depths.setdefault(len(self._path(seq)), []).append(seq)
         edits = []
         for d in range(max(depths, default=0), 0, -1):
             for seq in depths.pop(d, ()):
@@ -543,7 +543,7 @@ class _Tree:
 
     def _settle(self, node: _Node):
         """Set node's best fold from its runs and its bodies' best."""
-        own = _best_run(node.runs, node.pre)
+        own = _best_run(node.runs, node.own)
         best = None if own is None else (own[0], own[1], (), own[2])
         for k in node.kids:
             t = self.body_of[node.slots[k]].best
@@ -561,7 +561,7 @@ class _Tree:
         such run is found by extending from there, and it absorbs the
         clipped runs it meets.
         """
-        ids, pre, kids = node.ids, node.pre, node.kids
+        ids, kids = node.ids, node.kids
         n = len(ids)
         runs = _clip_runs(node.runs, 0, q, 0)
         for b, ivs in _clip_runs(node.runs, q + span, n + span - 1, q + 1).items():
@@ -586,9 +586,7 @@ class _Tree:
                 ivs.append((s, e))
                 ivs.sort()
                 runs[b] = ivs
-        delta = pre[q] + node.own[q] - pre[q + span]
         i, j = bisect.bisect_left(kids, q), bisect.bisect_left(kids, q + span)
-        node.pre = pre[:q + 1] + [x + delta for x in pre[q + span:]]
         node.runs = runs
         node.kids = kids[:i] + [q] + [k + 1 - span for k in kids[j:]]
         self._settle(node)
@@ -601,8 +599,8 @@ class _Tree:
         node = self.root
         for k in route:
             node = self.body_of[node.slots[k]]
-        pre, kids = node.pre, node.kids
-        lb = pre[p + b] - pre[p] + b - 1
+        kids = node.kids
+        lb = sum(node.own[p: p + b]) + b - 1
         ins = vm.Repeat(r, tuple(node.ins[p: p + b]))
         body, _, edits = self._edit([(node, p)], b, b * r, [ins],
                                     [_wrapper_length(vm.Repeat(r, ())) + lb])
@@ -610,7 +608,6 @@ class _Tree:
         self.body_of[body.holder] = body
         # the body takes the state of the block it was
         i, j = bisect.bisect_left(kids, p), bisect.bisect_left(kids, p + b)
-        body.pre = [x - pre[p] for x in pre[p: p + b + 1]]
         body.runs = _clip_runs(node.runs, p, p + b, 0)
         body.kids = [k - p for k in kids[i:j]]
         self._settle(body)
@@ -631,7 +628,8 @@ def _fold_loops(program: vm.Program, ids: list[int] | None = None) -> vm.Program
     ids, when given, is _instruction_ids of program's layout. One scan of
     the layout finds the runs of every sequence; a program that nothing
     folds comes back as it is. The pass keeps a _Tree with, for each
-    sequence, its prefix lengths, runs and best fold. A fold is the
+    sequence, its runs and best fold, priced from the instructions'
+    lengths that every node keeps. A fold is the
     tree's edit of one occurrence, which changes one sequence and one
     instruction in each sequence that holds it, and only those are
     updated (_Tree._refit): their runs away from the edit are clipped
@@ -699,14 +697,6 @@ def _repl_instructions(name: str, disp: tuple[int, int, int]) -> tuple:
     return (vm.Call(name), *_moves_between((0, 0, 0), disp))
 
 
-def _contains_call(ins: vm.Instruction, name: str) -> bool:
-    if isinstance(ins, vm.Call):
-        return ins.name == name
-    if isinstance(ins, (vm.Repeat, vm.Def)):
-        return any(_contains_call(sub, name) for sub in ins.body)
-    return False
-
-
 def _moves_length(disp: tuple[int, int, int]) -> int:
     """What the compensating MOVEs for disp add to a CALL: each MOVE,
     "MOVE X n", and the LF before it."""
@@ -749,6 +739,23 @@ def _apart(occ: list, b: int) -> bool:
     return hi - lo >= b
 
 
+def _split(news: list, found: list, d: int) -> list:
+    """Split a group of _Extractions._discover, the new slots news and
+    the occurrences found of their block, both (_Node, index), by the id
+    d instructions away: a (news, found) pair for each id that a slot of
+    news has there. One pass over each list, however many ids."""
+    parts: dict[int, tuple[list, list]] = {}
+    for seq, q in news:
+        if 0 <= q + d < len(seq.ids):
+            parts.setdefault(seq.ids[q + d], ([], []))[0].append((seq, q))
+    for o, j in found:
+        if 0 <= j + d < len(o.ids):
+            part = parts.get(o.ids[j + d])
+            if part is not None:
+                part[1].append((o, j))
+    return list(parts.values())
+
+
 # a heap key is (-savings << _SERIAL_BITS) + serial: the most savings
 # first, then the oldest record; one int compares faster than a tuple
 _SERIAL_BITS = 32
@@ -760,15 +767,16 @@ def _extraction_records(flat: list, ids: list[int], name: str):
     named name, as a list of records and a heap of their keys, and the
     layout's prefix lengths (None when nothing repeats).
 
-    A record's serial is its index. It is (b, lb, rest, starts, version):
+    A record's serial is its index. It is (b, lb, rest, starts, made):
     starts lists every start of the block, in order, and lb is its
     canonical length. Its key bounds its savings with a bare CALL for
     each occurrence that greedy packing keeps, which is at least what it
     saves once rest, the length its compensating MOVEs add to the CALL,
-    is known (None until then). version counts the extractions made when
-    starts was complete.
+    is known (None until then). made is the tree's next slot when starts
+    was complete: here len(flat), the first slot an extraction makes.
     """
     pre = None  # prefix lengths, made at the first repeat
+    made = len(flat)
     records, heap = [], []
     for b, groups in _repeated_blocks(ids):
         for g in groups:
@@ -781,7 +789,7 @@ def _extraction_records(flat: list, ids: list[int], name: str):
             bound = count * (lb - call_length) - def_overhead - lb
             if bound > 0:
                 heap.append((-bound << _SERIAL_BITS) + len(records))
-                records.append((b, lb, None, g, 0))
+                records.append((b, lb, None, g, made))
     heapq.heapify(heap)
     return records, heap, pre
 
@@ -793,10 +801,12 @@ class _Extractions(_Tree):
 
     A record's starts are slots. An occurrence that a record lists stays
     valid while none of its slots moves and no slot made later lies
-    among them, so a record of version v checks its starts against the
-    first slot made by extraction v. An extraction only removes
-    occurrences, except through the slots it makes; so every block
-    through one of those is looked up anew and pushed under a new
+    among them. So while made, the record's watermark, is still the next
+    slot, every start is valid; once an extraction has made slots, a
+    start is dropped when its window of b instructions no longer fits
+    in its sequence or holds a slot of made or above. An extraction only
+    removes occurrences, except through the slots it makes; so every
+    block through one of those is looked up anew and pushed under a new
     serial, which registry then names for each of its starts, so that an
     older record of the same block, which would miss the new occurrence,
     is dropped when popped.
@@ -806,13 +816,10 @@ class _Extractions(_Tree):
                  records: list, heap: list[int]):
         super().__init__(instrs, flat, ids, pre)
         self.records, self.heap = records, heap
-        self.starts: list[int] = []  # the first slot each extraction made
         self.registry: dict[tuple[int, int], int] = {}
         self.posting: dict[int, list[int]] = {}
         for p, k in enumerate(ids):
             self.posting.setdefault(k, []).append(p)
-        # names a CALL of the start uses, which no DEF may define
-        self.called = {ins.name for ins in flat if type(ins) is vm.Call}
 
     # -- picking --
 
@@ -835,13 +842,13 @@ class _Extractions(_Tree):
             tied = []
             while heap and heap[0] >> _SERIAL_BITS == top:
                 serial = pop(heap) & _SERIAL
-                b, lb, rest, starts, version = records[serial]
+                b, lb, rest, starts, made = records[serial]
                 records[serial] = None
                 # most records an extraction touched keep one start or none
                 starts = [p for p in starts if p in seq_of]
                 if len(starts) < 2:
                     continue
-                found = self._occurrences(serial, b, starts, version)
+                found = self._occurrences(serial, b, starts, made)
                 if found is None:
                     continue
                 starts, occ = found
@@ -852,7 +859,7 @@ class _Extractions(_Tree):
                     rest = _moves_length(_net_displacement(seq.ins[i: i + b]))
                 savings = len(occ) * (lb - call_length - rest) - def_overhead - lb
                 if savings > 0:
-                    records[serial] = (b, lb, rest, starts, len(self.starts))
+                    records[serial] = (b, lb, rest, starts, self.next_slot)
                     if savings == -top:
                         tied.append((serial, occ))
                     else:
@@ -868,19 +875,18 @@ class _Extractions(_Tree):
                 return b, occ
         return None
 
-    def _occurrences(self, serial: int, b: int, starts: list[int], version: int):
+    def _occurrences(self, serial: int, b: int, starts: list[int], made: int):
         """Of a record's starts that still have a slot, those that are
         still valid, and the occurrences that packing keeps of them; or
         None when a newer record has the block."""
         seq_of, registry = self.seq_of, self.registry
-        limit = self.starts[version] if version < len(self.starts) else None
+        moved = made < self.next_slot
         alive = []
         found: dict[_Node, list[int]] = {}
         for p in starts:
             seq = seq_of[p]
             i = seq.where()[p]
-            if limit is not None and (i + b > len(seq.slots)
-                                      or b > 1 and max(seq.slots[i: i + b]) >= limit):
+            if moved and (i + b > len(seq.slots) or b > 1 and max(seq.slots[i: i + b]) >= made):
                 continue
             if registry.get((p, b), serial) != serial:
                 return None
@@ -900,21 +906,12 @@ class _Extractions(_Tree):
             self.posting.setdefault(k, []).append(p)
         return slots
 
-    def _top_index(self, p: int) -> int:
-        """The index in the top level of the node holding slot p."""
-        seq = self.seq_of[p]
-        while seq.holder is not None:
-            p = seq.holder
-            seq = self.seq_of[p]
-        return seq.where()[p]
-
     def extract(self, b: int, occ: list, name: str):
         """Replace each occurrence by a CALL of name and the MOVEs that
         compensate the block's displacement, and define name before the
         first top-level node that calls it: the tree's edit, whose
         unheld _Node, the first occurrence, becomes the DEF body. Then
         every block through a new slot is looked up."""
-        self.starts.append(self.next_slot)
         home, i0 = occ[0]
         block = tuple(home.ins[i0: i0 + b])
         lb = sum(home.own[i0: i0 + b]) + b - 1
@@ -925,11 +922,7 @@ class _Extractions(_Tree):
             holder.slots[k] for holder, k in edits if type(holder.ins[k]) is vm.Repeat]
 
         top = self.root
-        if name in self.called:
-            at = next(i for i, ins in enumerate(top.ins) if _contains_call(ins, name))
-        else:
-            at = min(self._top_index(slots[0]) for slots in made)
-        self.called.add(name)
+        at = min((self._path(seq) or [i])[0] for seq, i in occ)
         define = vm.Def(name, block)
         d_id = self._id(define)
         top.splice(at, 0, [define], [d_id], self._new_slots(top, [d_id]),
@@ -972,14 +965,7 @@ class _Extractions(_Tree):
                     if not _apart(found, left + 1):
                         continue
                     self._discover_right(news, found, left, seen, costs)
-                    split: dict[int, list] = {}
-                    for seq, q in news:
-                        if q > left:
-                            split.setdefault(seq.ids[q - left - 1], []).append((seq, q))
-                    off = left + 1
-                    for y, part in split.items():
-                        wider.append((part, [(o, j) for o, j in found
-                                             if j >= off and o.ids[j - off] == y]))
+                    wider += _split(news, found, -left - 1)
                 groups = wider
                 left += 1
 
@@ -995,15 +981,8 @@ class _Extractions(_Tree):
                 seq, q = news[0]
                 self._push(seq, q - left, q + right, [o.slots[j - left] for o, j in found],
                            seen, costs)
-                split: dict[int, list] = {}
-                for seq, q in news:
-                    if q + right < len(seq.ids):
-                        split.setdefault(seq.ids[q + right], []).append((seq, q))
-                for y, part in split.items():
-                    ext = [(o, j) for o, j in found
-                           if j + right < len(o.ids) and o.ids[j + right] == y]
-                    if _apart(ext, left + right + 1):
-                        longer.append((part, ext))
+                longer += [(part, ext) for part, ext in _split(news, found, right)
+                           if _apart(ext, left + right + 1)]
             groups = longer
             right += 1
 
@@ -1021,7 +1000,7 @@ class _Extractions(_Tree):
             serial = len(self.records)
             for p in starts:
                 self.registry[(p, b)] = serial
-            self.records.append((b, lb, None, starts, len(self.starts)))
+            self.records.append((b, lb, None, starts, self.next_slot))
             heapq.heappush(self.heap, (-bound << _SERIAL_BITS) + serial)
 
 
@@ -1032,7 +1011,11 @@ def _extract_defs(program: vm.Program, reserved_names: frozenset[str] = frozense
     the block that saves the most, then the one that starts first in the
     layout, then the shortest (Apostolico & Lonardi's greedy textual
     substitution, Proc. IEEE 88(11), 2000). ids, when given, is
-    _instruction_ids of program's layout.
+    _instruction_ids of program's layout. Every name the program calls
+    or defines, bound or not, is taken, and so is each of
+    reserved_names: a new DEF never binds a CALL that its input left
+    unbound, and goes before the first top-level instruction that holds
+    one of its occurrences.
 
     Each step is priced exactly, as no occurrence lies inside another's
     span: that block would hold a REPEAT equal to one inside that
@@ -1053,7 +1036,7 @@ def _extract_defs(program: vm.Program, reserved_names: frozenset[str] = frozense
     flat = _layout(instrs)
     if ids is None:
         ids = _instruction_ids(flat)
-    used = {ins.name for ins in instrs if isinstance(ins, vm.Def)} | reserved_names
+    used = {ins.name for ins in flat if isinstance(ins, (vm.Def, vm.Call))} | reserved_names
     name = _next_name(used)
     records, heap, pre = _extraction_records(flat, ids, name)
     if not heap:

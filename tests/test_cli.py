@@ -133,6 +133,17 @@ def test_attack_budget_above_the_cell_count_equals_the_cell_count(capsys):
     assert {**above, "k": 14} == cells
 
 
+def test_a_second_run_reads_the_defaults_not_the_first_runs_options(capsys):
+    # one parser serves every run
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["attack", CORPUS / "bridge.cvm", "--dims", 8, 1, 8, "--fleet", 1]
+    code, out, _ = run(capsys, *argv, "--k", 3, "--format", "text")
+    assert code == 0 and out.startswith("attack: ")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["k"] == 2
+
+
 @pytest.mark.parametrize("bad", [
     ["--k", "0"],
     ["--fleet", "0"],

@@ -395,7 +395,7 @@ def _first_fold(instrs):
     ids = synthesis._instruction_ids(flat)
     runs = synthesis._tandem_runs(ids)
     pre = synthesis._prefix_lengths(flat, ids)
-    whole = synthesis._best_run(runs, pre)
+    whole = synthesis._best_run(runs, [pre[p + 1] - pre[p] for p in range(len(flat))])
     tree = synthesis._Tree(instrs, flat, ids, pre, runs)
     if tree.root.best is None:
         assert whole is None
@@ -548,7 +548,6 @@ def _assert_kept_state_is_fresh(tree):
             # the fold's state
             fresh = synthesis._instruction_ids(list(seq.ins))
             assert seq.runs == synthesis._tandem_runs(fresh)
-            assert seq.pre == synthesis._prefix_lengths(list(seq.ins), fresh)
             assert seq.kids == [k for k, ins in enumerate(seq.ins)
                                 if isinstance(ins, (vm.Repeat, vm.Def))]
         for p, ins in zip(seq.slots, seq.ins):
@@ -687,12 +686,20 @@ def _rescan_best_extraction(flat, ids, name):
     return tuple(flat[first: first + b]), occ
 
 
+def _contains_call(ins, name):
+    if isinstance(ins, vm.Call):
+        return ins.name == name
+    if isinstance(ins, (vm.Repeat, vm.Def)):
+        return any(_contains_call(sub, name) for sub in ins.body)
+    return False
+
+
 def _rescan_apply_extraction(instrs, block, occ, name):
     repl = synthesis._repl_instructions(name, synthesis._net_displacement(block))
     instrs = _rewrite(instrs, {p: (len(block), repl) for p in occ})
     # the DEF goes right before the first top-level node whose subtree
     # calls it
-    insert_at = next((i for i, ins in enumerate(instrs) if synthesis._contains_call(ins, name)),
+    insert_at = next((i for i, ins in enumerate(instrs) if _contains_call(ins, name)),
                      len(instrs))
     return instrs[:insert_at] + (vm.Def(name, block),) + instrs[insert_at:]
 
@@ -702,14 +709,35 @@ def _rescan_extractions(instrs, reserved=frozenset()):
     # program
     steps = []
     while True:
-        used = {ins.name for ins in instrs if isinstance(ins, vm.Def)}
-        name = synthesis._next_name(used | reserved)
         flat = synthesis._layout(instrs)
+        # every name the program calls is used, bound or not
+        used = {ins.name for ins in flat if isinstance(ins, (vm.Def, vm.Call))}
+        name = synthesis._next_name(used | reserved)
         found = _rescan_best_extraction(flat, synthesis._instruction_ids(flat), name)
         if found is None:
             return steps, instrs
         steps.append((*found, name))
         instrs = _rescan_apply_extraction(instrs, *found, name)
+
+
+def _assert_records_hold_their_blocks(state):
+    # the watermark rule: a start of a live record still starts its block
+    # when its window of b instructions fits in its sequence and holds no
+    # slot made after the record's starts were complete
+    for record in state.records:
+        if record is None:
+            continue
+        b, _, _, starts, made = record
+        assert made <= state.next_slot
+        blocks = []
+        for p in starts:
+            seq = state.seq_of.get(p)
+            if seq is None:
+                continue
+            i = seq.where()[p]
+            if i + b <= len(seq.slots) and max(seq.slots[i: i + b]) < made:
+                blocks.append(seq.ids[i: i + b])
+        assert all(block == blocks[0] for block in blocks)
 
 
 def _incremental_extractions(instrs, reserved=frozenset()):
@@ -720,11 +748,13 @@ def _incremental_extractions(instrs, reserved=frozenset()):
 
     def recorded(state, b, occ, name):
         _assert_kept_state_is_fresh(state)
+        _assert_records_hold_their_blocks(state)
         offsets = _layout_offsets(state)
         seq, i = occ[0]
         steps.append((tuple(seq.ins[i: i + b]), sorted(offsets[o] + j for o, j in occ), name))
         extract(state, b, occ, name)
         _assert_kept_state_is_fresh(state)
+        _assert_records_hold_their_blocks(state)
 
     start = vm.Program(instrs)
     with mock.patch.object(synthesis._Extractions, "extract", recorded):
@@ -803,6 +833,21 @@ def test_incremental_extraction_matches_the_rescan_past_26_names():
     assert _assert_extracts_as_the_rescan(instrs) == 40
     # with most letters reserved the second name already takes two
     assert _assert_extracts_as_the_rescan(instrs, frozenset("abcdefghijklmnopqrstuvwxy")) == 40
+
+
+def test_extraction_never_binds_a_name_its_input_calls_unbound():
+    # a DEF of the called name, placed before the CALL, would make a
+    # program that fails build with one that builds
+    block = (vm.Fill(2, 3, 4), vm.Move("X", 3), vm.Fill(1, 2, 1), vm.Move("Y", 2))
+    start = vm.Program((vm.Call("a"),) + block * 4)
+    with pytest.raises(vm.UnknownName):
+        vm.execute(start, (20, 20, 20))
+    program = synthesis._extract_defs(start)
+    assert vm.program_length(program) < vm.program_length(start)
+    assert [ins.name for ins in program.instructions if isinstance(ins, vm.Def)] == ["b"]
+    with pytest.raises(vm.UnknownName):
+        vm.execute(program, (20, 20, 20))
+    _assert_extracts_as_the_rescan(start.instructions)
 
 
 @given(st.lists(_TOP, min_size=1, max_size=8).map(tuple),
