@@ -4,7 +4,9 @@ Subcommands: build, render, complexity, beauty, natural, optimize,
 attack, each taking only the options it reads. Reports are
 deterministic JSON (or plain text with --format text) so that pipelines
 diff cleanly; build and render write layered text, and only optimize
-and attack take --seed. Worlds above MAX_RENDER_CELLS are not rendered.
+and attack take --seed. Worlds above MAX_RENDER_CELLS are not rendered;
+attack refuses a fleet holding more cells than that, and a structure
+whose attack grid would.
 Exit codes: 0 success, 1 negative domain verdict (a structure judged
 Artificial), 2 usage error, 3 execution or analysis error.
 DOMUS_MAX_PLACEMENTS overrides the placement budget.
@@ -206,6 +208,18 @@ def _cmd_attack(args) -> int:
     program = vm.parse(_read(args.file))
     dims = tuple(args.dims)
     prototype = vm.execute(program, dims, _limits())
+    # a human member holds its own cells; robots share the prototype's
+    held = args.fleet * (len(prototype.occupied) if args.builder == "human" else 1)
+    if held > MAX_RENDER_CELLS:
+        args.parser.error(f"argument --fleet: {args.fleet} {args.builder} members count as "
+                          f"{held} cells, more than {MAX_RENDER_CELLS}")
+    # the attack's grid spans the cells' x-y extent times their top z + 1
+    box = prototype.bounding_box()
+    if box is not None:
+        (x0, y0, _), (x1, y1, z1) = box
+        if (x1 - x0 + 1) * (y1 - y0 + 1) * (z1 + 1) > MAX_RENDER_CELLS:
+            raise DomusError(f"the attack grid of {args.file} spans more than "
+                             f"{MAX_RENDER_CELLS} cells")
     atk = fleet.find_attack(prototype, args.k)
     if args.builder == "robot":
         model: fleet.BuilderModel = fleet.RobotBuilder()
@@ -329,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_probability, default=0.2, help="human jitter probability")
     sp.add_argument("--k", type=_positive_int, default=2, help="removal budget")
     sp.add_argument("--threshold", type=_finite_float, default=0.5)
-    sp.set_defaults(fn=_cmd_attack)
+    sp.set_defaults(fn=_cmd_attack, parser=sp)
 
     return p
 

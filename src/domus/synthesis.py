@@ -21,8 +21,9 @@ passes. Each pass scans its input once and keeps what it found across
 its rewrites: the fold pass the runs of each sequence, scanning only
 around the instruction each fold puts in; extraction every repeated
 block, in a heap keyed by bounds of their savings, with the slot count
-at which its starts were complete, looking up only the blocks through
-the instructions each extraction puts in.
+at which its starts were complete. After each extraction one walk over
+a work-list looks up only the blocks through the instructions it put
+in, growing each by one instruction at a time while it repeats.
 
 For desk-scale worlds, exhaustive_table is the oracle:
 one enumeration of every canonical program up to a byte budget gives
@@ -805,11 +806,11 @@ class _Extractions(_Tree):
     slot, every start is valid; once an extraction has made slots, a
     start is dropped when its window of b instructions no longer fits
     in its sequence or holds a slot of made or above. An extraction only
-    removes occurrences, except through the slots it makes; so every
-    block through one of those is looked up anew and pushed under a new
-    serial, which registry then names for each of its starts, so that an
-    older record of the same block, which would miss the new occurrence,
-    is dropped when popped.
+    removes occurrences, except through the slots it makes; so one walk,
+    _discover, looks up every block through one of those anew and pushes
+    it under a new serial, which registry then names for each of its
+    starts, so that an older record of the same block, which would miss
+    the new occurrence, is dropped when popped.
     """
 
     def __init__(self, instrs: tuple, flat: list, ids: list[int], pre: list[int],
@@ -930,78 +931,64 @@ class _Extractions(_Tree):
         body.holder = top.slots[at]
         self.body_of[body.holder] = body
 
-        # names only grow, so the bound holds for every later name
-        self._discover(fresh, set(), _costs(name))
+        self._discover(fresh, name)
 
-    def _anchors(self, k: int) -> list:
-        """Every occurrence of id k, as (_Node, index)."""
-        seq_of = self.seq_of
-        live = [p for p in self.posting[k] if p in seq_of]
-        self.posting[k] = live
-        return [(seq_of[p], seq_of[p].where()[p]) for p in live]
-
-    def _discover(self, fresh: list[int], seen: set, costs: tuple[int, int]):
+    def _discover(self, fresh: list[int], name: str):
         """Push every block through a slot of fresh that occurs twice
-        without overlap, with all its starts.
+        without overlap, with all its starts, priced for a DEF named name;
+        names only grow, so the bound holds for every later name.
 
-        The slots of one id are taken together. Those whose blocks from s
-        to the slot are equal form a group, which keeps the occurrences
-        of that block, found by where their copy of the slot lies; so
-        each block is looked up once, however many new slots it passes.
-        A group goes on to s - 1 only while its block repeats, since no
-        longer one does otherwise, and so does each of its blocks to the
-        right of the slot."""
+        The slots of one id are taken together. One walk visits the
+        blocks [q - left, q + right) through them, each an item (news,
+        found, left, right) of a work-list: the slots news whose blocks
+        are equal, and the occurrences found of that block, found by
+        where their copy of the slot lies. It starts at the block of the
+        slot alone, among every occurrence of its id. An item grows by
+        one instruction to the right, and, while right is 1, one to the
+        left; each growth splits news and found by the id that comes in,
+        and goes on only while the longer block repeats, since no longer
+        one does otherwise. So each (left, right) of a group is reached
+        once, however many new slots it passes. An item is priced and
+        recorded where it is taken, unless seen, which names a block by
+        its lowest start slot and its length, has it from another new
+        slot.
+        """
+        seq_of, posting, registry = self.seq_of, self.posting, self.registry
+        call_length, def_overhead = _costs(name)
         by_id: dict[int, list] = {}
         for p in fresh:
-            seq = self.seq_of[p]
+            seq = seq_of[p]
             q = seq.where()[p]
             by_id.setdefault(seq.ids[q], []).append((seq, q))
+        todo = []
         for k, news in by_id.items():
-            groups = [(news, self._anchors(k))]
-            left = 0
-            while groups:
-                wider = []
-                for news, found in groups:
-                    if not _apart(found, left + 1):
-                        continue
-                    self._discover_right(news, found, left, seen, costs)
-                    wider += _split(news, found, -left - 1)
-                groups = wider
-                left += 1
-
-    def _discover_right(self, news: list, found: list, left: int, seen: set,
-                        costs: tuple[int, int]):
-        """Push the blocks that start left instructions before each slot
-        of news and repeat, which found occurs as."""
-        groups = [(news, found)]
-        right = 1
-        while groups:
-            longer = []
-            for news, found in groups:
+            live = [p for p in posting[k] if p in seq_of]
+            posting[k] = live
+            anchors = [(seq_of[p], seq_of[p].where()[p]) for p in live]
+            if _apart(anchors, 1):
+                todo.append((news, anchors, 0, 1))
+        seen = set()
+        while todo:
+            news, found, left, right = todo.pop()
+            b = left + right
+            starts = [o.slots[j - left] for o, j in found]
+            key = (min(starts), b)
+            if key not in seen:
+                seen.add(key)
                 seq, q = news[0]
-                self._push(seq, q - left, q + right, [o.slots[j - left] for o, j in found],
-                           seen, costs)
-                longer += [(part, ext) for part, ext in _split(news, found, right)
-                           if _apart(ext, left + right + 1)]
-            groups = longer
-            right += 1
-
-    def _push(self, seq: _Node, s: int, e: int, starts: list[int], seen: set,
-              costs: tuple[int, int]):
-        b = e - s
-        key = (min(starts), b)
-        if key in seen:
-            return
-        seen.add(key)
-        call_length, def_overhead = costs
-        lb = sum(seq.own[s:e]) + b - 1
-        bound = len(starts) * (lb - call_length) - def_overhead - lb
-        if bound > 0:
-            serial = len(self.records)
-            for p in starts:
-                self.registry[(p, b)] = serial
-            self.records.append((b, lb, None, starts, self.next_slot))
-            heapq.heappush(self.heap, (-bound << _SERIAL_BITS) + serial)
+                lb = sum(seq.own[q - left: q + right]) + b - 1
+                bound = len(starts) * (lb - call_length) - def_overhead - lb
+                if bound > 0:
+                    serial = len(self.records)
+                    for p in starts:
+                        registry[(p, b)] = serial
+                    self.records.append((b, lb, None, starts, self.next_slot))
+                    heapq.heappush(self.heap, (-bound << _SERIAL_BITS) + serial)
+            todo += [(part, ext, left, right + 1) for part, ext in _split(news, found, right)
+                     if _apart(ext, b + 1)]
+            if right == 1:
+                todo += [(part, ext, left + 1, 1) for part, ext in _split(news, found, -b)
+                         if _apart(ext, b + 1)]
 
 
 def _extract_defs(program: vm.Program, reserved_names: frozenset[str] = frozenset(),

@@ -370,6 +370,41 @@ def test_render_cap_leaves_64_cubed_and_structure_files_alone(tmp_path, capsys):
     assert code == 0 and out == out_file.read_text()
 
 
+def test_attack_on_a_sparse_structure_in_a_huge_world_is_an_error(tmp_path, capsys):
+    # two cells whose attack grid would span 10^16 cells
+    far = tmp_path / "far.cvm"
+    far.write_text("PLACE\nMOVE X 99999999\nMOVE Y 99999999\nPLACE\n")
+    code, out, err = run(capsys, "attack", far, "--dims", 100000000, 100000000, 1,
+                         "--fleet", 1)
+    assert code == 3 and out == ""
+    assert err.startswith("domus: error:") and "Traceback" not in err
+
+
+def test_attack_grid_cap_is_the_render_cap(monkeypatch, capsys):
+    # row3's grid is 3 x 1 x 1
+    argv = ["attack", CORPUS / "row3.cvm", "--dims", 4, 1, 1, "--fleet", 1]
+    monkeypatch.setattr(cli, "MAX_RENDER_CELLS", 3)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["n"] == 1
+    monkeypatch.setattr(cli, "MAX_RENDER_CELLS", 2)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("domus: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("builder, largest", [("robot", 9), ("human", 3)])
+def test_attack_fleets_above_the_render_cap_are_usage_errors(monkeypatch, capsys,
+                                                             builder, largest):
+    # a human member holds row3's 3 cells, a robot member shares them
+    monkeypatch.setattr(cli, "MAX_RENDER_CELLS", 9)
+    argv = ["attack", CORPUS / "row3.cvm", "--dims", 4, 1, 1, "--builder", builder]
+    code, out, _ = run(capsys, *argv, "--fleet", largest)
+    assert code == 0 and json.loads(out)["n"] == largest
+    code, out, err = run(capsys, *argv, "--fleet", largest + 1)
+    assert code == 2 and out == ""
+    assert "argument --fleet" in err and "Traceback" not in err
+
+
 _TEXT_REPORTS = {
     "complexity": (["complexity", CORPUS / "row3.cvm", "--dims", 4, 1, 1], 0,
                    "length: 10\nmethod: compressed\ncells: 3\nprogram:\nFILL 3 1 1\n"),

@@ -740,9 +740,46 @@ def _assert_records_hold_their_blocks(state):
         assert all(block == blocks[0] for block in blocks)
 
 
+def _assert_discovery_is_complete(state, first_serial, first_slot, name):
+    # by brute force over the new layout: each block that holds a slot
+    # the extraction made, other than a DEF's, occurs twice without
+    # overlap and has a positive bare-CALL bound over all its starts has
+    # a live record the extraction pushed, whose starts are exactly the
+    # slots of its occurrences
+    flat = synthesis._layout(tuple(state.root.ins))
+    ids = synthesis._instruction_ids(flat)
+    slots = [None] * len(flat)
+    for seq, at in _layout_offsets(state).items():
+        slots[at: at + len(seq.slots)] = seq.slots
+    call_length, def_overhead = synthesis._costs(name)
+    pushed = {(r[0], frozenset(r[3])) for r in state.records[first_serial:] if r is not None}
+    done = set()
+    for t, p in enumerate(slots):
+        if p is None or p < first_slot or isinstance(flat[t], vm.Def):
+            continue
+        # a block that does not occur twice without overlap is in no
+        # longer block that does
+        for s in range(t, -1, -1):
+            e = t + 1
+            while e <= len(flat):
+                b = e - s
+                if (s, e) not in done:
+                    occ = [u for u in range(len(flat) - b + 1) if ids[u: u + b] == ids[s: e]]
+                    if occ[-1] - occ[0] < b:
+                        break
+                    done.add((s, e))
+                    lb = vm.body_length(tuple(flat[s: e]))
+                    if len(occ) * (lb - call_length) - def_overhead - lb > 0:
+                        assert (b, frozenset(slots[u] for u in occ)) in pushed, (s, e)
+                e += 1
+            if e == t + 1:
+                break
+
+
 def _incremental_extractions(instrs, reserved=frozenset()):
     # the same for _extract_defs, each occurrence as a layout position;
-    # the kept state is checked before each extraction and after it
+    # the kept state is checked before each extraction and after it, and
+    # discovery after it
     steps = []
     extract = synthesis._Extractions.extract
 
@@ -752,9 +789,11 @@ def _incremental_extractions(instrs, reserved=frozenset()):
         offsets = _layout_offsets(state)
         seq, i = occ[0]
         steps.append((tuple(seq.ins[i: i + b]), sorted(offsets[o] + j for o, j in occ), name))
+        first_serial, first_slot = len(state.records), state.next_slot
         extract(state, b, occ, name)
         _assert_kept_state_is_fresh(state)
         _assert_records_hold_their_blocks(state)
+        _assert_discovery_is_complete(state, first_serial, first_slot, name)
 
     start = vm.Program(instrs)
     with mock.patch.object(synthesis._Extractions, "extract", recorded):
