@@ -159,7 +159,9 @@ class BeautyScore:
 def beauty_score(s: VoxelStructure, dictionary: PatternDictionary) -> BeautyScore:
     """Score = D*N + r: stamp listing bytes times dictionary size, plus
     the synthesized program length of the unexplained residual cells.
-    Lower is better."""
+    Lower is better. A structure over synthesis.DEFAULT_CELL_LIMIT cells
+    raises BudgetExceeded before the cover runs."""
+    synthesis._check_cell_limit(s)
     c = cover(s, dictionary)
     d = description_length(c)
     residual = VoxelStructure(s.dims, c.residual)

@@ -6,7 +6,8 @@ deterministic JSON (or plain text with --format text) so that pipelines
 diff cleanly; build and render write layered text, and only optimize
 and attack take --seed. Worlds above MAX_RENDER_CELLS are not rendered;
 attack refuses a fleet holding more cells than that, and a structure
-whose attack grid would.
+whose attack grid would. complexity, beauty and natural refuse a
+structure of more than synthesis.DEFAULT_CELL_LIMIT cells.
 Exit codes: 0 success, 1 negative domain verdict (a structure judged
 Artificial), 2 usage error, 3 execution or analysis error.
 DOMUS_MAX_PLACEMENTS overrides the placement budget.
@@ -355,10 +356,7 @@ def run(argv: list[str]) -> int:
         return args.fn(args)
     except SystemExit as exc:  # argparse's usage errors, also those found after parsing
         return int(exc.code) if exc.code else 0
-    except DomusError as exc:
-        print(f"domus: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DomusError, OSError) as exc:
         print(f"domus: error: {exc}", file=sys.stderr)
         return 3
 

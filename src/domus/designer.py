@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from dataclasses import dataclass
 
 from . import synthesis, vm
@@ -116,9 +115,6 @@ def _structure_score(built: VoxelStructure, dictionary: PatternDictionary,
     return beauty_score(built, dictionary).r + eval_constraints(built, cs).total
 
 
-_IDENT_OK = re.compile(r"[a-z][a-z0-9_]*\Z")
-
-
 def compile_stamp(pattern: Pattern, name: str) -> vm.Def:
     """Turn a pattern into a DEF whose call at any anchor reproduces the
     pattern cells relative to that anchor."""
@@ -140,7 +136,7 @@ def stamp_prelude(dictionary: PatternDictionary) -> tuple[vm.Def, ...]:
     defs = []
     used: set[str] = set()
     for i, pat in enumerate(dictionary.patterns):
-        name = pat.name if _IDENT_OK.match(pat.name) and pat.name not in used else f"p{i}"
+        name = pat.name if vm._IDENT_RE.match(pat.name) and pat.name not in used else f"p{i}"
         while name in used:
             name = f"p{i}_{len(used)}"
         used.add(name)

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import synthesis
 from .errors import DomusError
 from .world import Cell, VoxelStructure
 
@@ -104,8 +105,6 @@ def planarity_score(s: VoxelStructure) -> float:
             n = (c[0] + dx, c[1] + dy, c[2] + dz)
             if n not in occ:
                 faces.add((c, di))
-    if not faces:
-        return 0.0
 
     # in-plane neighbor steps for each face orientation
     tangents = {
@@ -232,8 +231,11 @@ def naturalness_report(s: VoxelStructure, threshold: float = 0.5) -> Naturalness
 
     The fractal fields are None when the structure is too small for a
     box-counting fit; the label depends only on the regularity scores.
+    A structure over synthesis.DEFAULT_CELL_LIMIT cells raises
+    BudgetExceeded before any metric runs.
     """
     _require_nonempty(s)
+    synthesis._check_cell_limit(s)
     st = straightness_score(s)
     pl = planarity_score(s)
     sy = symmetry_score(s)

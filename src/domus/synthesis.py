@@ -17,12 +17,15 @@ holding what changed, deepest first. A fold is that edit at one
 occurrence, r copies of a block that become one REPEAT; an extraction
 is it at every occurrence of a block, each of which becomes a CALL and
 the MOVEs that compensate it. The start is numbered once for both
-passes. Each pass scans its input once and keeps what it found across
-its rewrites: the fold pass the runs of each sequence, scanning only
-around the instruction each fold puts in; extraction every repeated
-block, in a heap keyed by bounds of their savings, with the slot count
-at which its starts were complete. After each extraction one walk over
-a work-list looks up only the blocks through the instructions it put
+passes. Each pass scans its input once, with one scan of repeated
+blocks that yields, for each block length, the groups of equal blocks
+that occur twice without overlap and the starts of those that the next
+block equals. Each pass keeps what it found across its rewrites: the
+fold pass the runs of each sequence, read off those starts, scanning
+only around the instruction each fold puts in; extraction every group,
+in a heap keyed by bounds of their savings, with the slot count at
+which its starts were complete. After each extraction one walk over a
+work-list looks up only the blocks through the instructions it put
 in, growing each by one instruction at a time while it repeats.
 
 For desk-scale worlds, exhaustive_table is the oracle:
@@ -164,11 +167,12 @@ def _instruction_ids(flat: list) -> list[int]:
     return ids
 
 
-def _repeated_blocks(ids: list[int], squares: dict[int, list[int]] | None = None
-                     ) -> Iterator[tuple[int, list[list[int]]]]:
-    """Yield (b, groups) for b = 1, 2, ..., where each group lists, in
-    order, every start p of one block ids[p:p+b] that occurs twice
-    without overlap. Ids are nonnegative.
+def _repeated_blocks(ids: list[int]) -> Iterator[tuple[int, list[list[int]], list[int]]]:
+    """Yield (b, groups, squares) for b = 1, 2, ..., where each group
+    lists, in order, every start p of one block ids[p:p+b] that occurs
+    twice without overlap, and squares lists each start p of a group
+    that also holds p + b: the blocks that the next block equals. Ids
+    are nonnegative.
 
     Equal blocks share a group as Karp, Miller & Rosenberg (1972) name
     them, here by partition refinement (Paige & Tarjan, 1987): length
@@ -181,14 +185,14 @@ def _repeated_blocks(ids: list[int], squares: dict[int, list[int]] | None = None
     first b with no group, since a block of b+1 that occurs twice
     without overlap has a prefix of b that does too.
 
-    squares, when given, gets for each b the starts p of its groups with
-    p + b in the same group: the blocks that the next block equals. They
-    are found where the refinement looks anyway. A pair is one only at
-    b = g[1] - g[0], where the span rule drops it; so each pair is filed
-    under that b when it is made, with the length its blocks are known to
-    agree for, and compared from there when b comes. A larger group
-    holds one p only if the block at p + b starts as its blocks do, so
-    only the starts whose follower is the group's first id are looked up.
+    b's squares are found where that step looks anyway, so b is yielded
+    once it is done; no list of groups changes after it is yielded. A
+    pair is a square only at b = g[1] - g[0], where the span rule drops
+    it; so each pair is filed under that b when it is made, with the
+    length its blocks are known to agree for, and compared from there
+    when b comes. A larger group holds p + b only if the block there
+    starts as its blocks do, so only the starts whose follower is the
+    group's first id are looked up.
     """
     follow = ids + [-1]
     by_id: dict[int, list[int]] = {}
@@ -197,37 +201,30 @@ def _repeated_blocks(ids: list[int], squares: dict[int, list[int]] | None = None
     # pairs, most of the groups on large layouts, are refined apart
     pairs: list[list[int]] = []
     larger: list[list[int]] = []
-    # for squares: pair -> (pair, known) by the b at which it may be one
+    # pair -> (pair, known) by the b at which it may be a square
     due: dict[int, list[tuple[list[int], int]]] = {}
     for g in by_id.values():
-        if len(g) > 1:
-            if len(g) == 2:
-                pairs.append(g)
-                if squares is not None:
-                    due.setdefault(g[1] - g[0], []).append((g, 1))
-            else:
-                larger.append(g)
+        if len(g) == 2:
+            pairs.append(g)
+            due.setdefault(g[1] - g[0], []).append((g, 1))
+        elif len(g) > 2:
+            larger.append(g)
     b = 1
     while pairs or larger:
-        yield b, pairs + larger
-        if squares is not None:
-            for (p, q), known in due.pop(b, ()):
-                if ids[p + known: q] == ids[q + known: q + b]:
-                    squares.setdefault(b, []).append(p)
+        groups = pairs + larger
+        squares = [p for (p, q), known in due.pop(b, ())
+                   if ids[p + known: q] == ids[q + known: q + b]]
         pairs = [g for g in pairs if g[1] - g[0] > b and follow[g[0] + b] == follow[g[1] + b]]
         refined = []
         for g in larger:
             if g[-1] - g[0] <= b:
                 # its span is b, so the last block follows the first
-                if squares is not None:
-                    squares.setdefault(b, []).append(g[0])
+                squares.append(g[0])
                 continue
             keys = [follow[p + b] for p in g]
-            if squares is not None and ids[g[0]] in keys:
+            if ids[g[0]] in keys:
                 starts = set(g)
-                found = [p for p, k in zip(g, keys) if k == ids[g[0]] and p + b in starts]
-                if found:
-                    squares.setdefault(b, []).extend(found)
+                squares += [p for p, k in zip(g, keys) if k == ids[g[0]] and p + b in starts]
             if keys.count(keys[0]) == len(keys):
                 refined.append(g)
                 continue
@@ -240,9 +237,9 @@ def _repeated_blocks(ids: list[int], squares: dict[int, list[int]] | None = None
                         refined.append(h)
                         continue
                     pairs.append(h)
-                    if squares is not None:
-                        due.setdefault(h[1] - h[0], []).append((h, b + 1))
+                    due.setdefault(h[1] - h[0], []).append((h, b + 1))
         larger = refined
+        yield b, groups, squares
         b += 1
 
 
@@ -278,16 +275,14 @@ def _tandem_runs(ids: list[int]) -> dict[int, list[tuple[int, int]]]:
     of at least b positions on which ids[i] == ids[i + b], in order.
 
     The block ids[p:p+b] equals the next one exactly when [p, p+b) lies
-    in a run of period b, so a run's starts p are the consecutive
-    positions whose group in _repeated_blocks also holds p + b, which its
-    squares are. A run never holds a separator or a DEF, nor reaches one
-    at distance b.
+    in a run of period b, so a run's starts p are consecutive squares
+    that _repeated_blocks yields with b. A run never holds a separator
+    or a DEF, nor reaches one at distance b.
     """
-    squares: dict[int, list[int]] = {}
-    for _ in _repeated_blocks(ids, squares):
-        pass
     runs: dict[int, list[tuple[int, int]]] = {}
-    for b, starts in squares.items():
+    for b, _, starts in _repeated_blocks(ids):
+        if not starts:
+            continue
         starts.sort()
         out = []
         s = last = starts[0]
@@ -698,12 +693,6 @@ def _repl_instructions(name: str, disp: tuple[int, int, int]) -> tuple:
     return (vm.Call(name), *_moves_between((0, 0, 0), disp))
 
 
-def _moves_length(disp: tuple[int, int, int]) -> int:
-    """What the compensating MOVEs for disp add to a CALL: each MOVE,
-    "MOVE X n", and the LF before it."""
-    return sum(8 + len(str(d)) for d in disp if d)
-
-
 def _costs(name: str) -> tuple[int, int]:
     """What a CALL of name costs, and what its DEF costs around the
     body: the DEF's text and the separator before it."""
@@ -779,7 +768,7 @@ def _extraction_records(flat: list, ids: list[int], name: str):
     pre = None  # prefix lengths, made at the first repeat
     made = len(flat)
     records, heap = [], []
-    for b, groups in _repeated_blocks(ids):
+    for b, groups, _ in _repeated_blocks(ids):
         for g in groups:
             if pre is None:
                 pre = _prefix_lengths(flat, ids)
@@ -857,7 +846,8 @@ class _Extractions(_Tree):
                     continue
                 if rest is None:
                     seq, i = occ[0]
-                    rest = _moves_length(_net_displacement(seq.ins[i: i + b]))
+                    disp = _net_displacement(seq.ins[i: i + b])
+                    rest = vm.body_length(_repl_instructions(name, disp)) - call_length
                 savings = len(occ) * (lb - call_length - rest) - def_overhead - lb
                 if savings > 0:
                     records[serial] = (b, lb, rest, starts, self.next_slot)
@@ -1042,6 +1032,15 @@ def _extract_defs(program: vm.Program, reserved_names: frozenset[str] = frozense
 # --- the pipeline ---
 
 
+def _check_cell_limit(s: VoxelStructure):
+    """Raise BudgetExceeded when s has more than DEFAULT_CELL_LIMIT
+    cells, read at call time: the most that synthesize_min,
+    aesthetics.beauty_score and naturalness.naturalness_report take."""
+    if len(s.occupied) > DEFAULT_CELL_LIMIT:
+        raise vm.BudgetExceeded(
+            f"structure has {len(s.occupied)} cells, limit {DEFAULT_CELL_LIMIT}")
+
+
 def synthesize_min(s: VoxelStructure,
                    limits: vm.ExecutionLimits | None = None) -> ComplexityBound:
     """Best upper bound the compression pipeline can certify.
@@ -1055,10 +1054,7 @@ def synthesize_min(s: VoxelStructure,
     before returning; more than DEFAULT_CELL_LIMIT cells raise
     BudgetExceeded.
     """
-    if len(s.occupied) > DEFAULT_CELL_LIMIT:
-        raise vm.BudgetExceeded(
-            f"structure has {len(s.occupied)} cells, limit {DEFAULT_CELL_LIMIT}"
-        )
+    _check_cell_limit(s)
     literal = literal_program(s)
     literal_len = vm.program_length(literal)
     start = literal

@@ -706,7 +706,8 @@ def execute(program: Program, dims: tuple[int, int, int],
     """
     if limits is None:
         limits = ExecutionLimits()
-    return VoxelStructure(dims, frozenset(_Summarizer(dims, limits).run(program)))
+    # run proved that the cells' bounding box lies in the world
+    return VoxelStructure._trusted(dims, frozenset(_Summarizer(dims, limits).run(program)))
 
 
 def execute_jittered(program: Program, dims: tuple[int, int, int],

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domus import cli, synthesis, vm
-from domus.world import VoxelStructure
+from domus import aesthetics, cli, designer, synthesis, vm
+from domus.world import VoxelStructure, load_constraints
 
 from conftest import CORPUS
 
@@ -108,6 +109,13 @@ def test_attack_report(capsys):
     assert report["prototype_collapse"] >= 0.5
 
 
+def test_attack_on_an_empty_program_removes_nothing(tmp_path, capsys):
+    empty = tmp_path / "empty.cvm"
+    empty.write_text("")
+    code, out, _ = run(capsys, "attack", empty, "--dims", 4, 4, 4, "--fleet", 2)
+    assert code == 0 and json.loads(out)["attack_cells"] == []
+
+
 def test_attack_on_every_cell_of_the_depth_4_carpet_is_fast(capsys):
     # the greedy search recounts only the gains near each pick, so a
     # budget of all 4,096 cells takes seconds, not minutes
@@ -182,6 +190,22 @@ def test_optimize_writes_artifacts(tmp_path, capsys):
     assert built == rebuilt
 
 
+def test_optimize_anneals_with_the_given_temperature_and_cooling(tmp_path, capsys):
+    out_dir = tmp_path / "design"
+    code, _, err = run(capsys, "optimize", "--dict", CORPUS / "brick.pat",
+                       "--constraints", CORPUS / "constraints.json",
+                       "--dims", 8, 8, 8, "--seed", 7, "--iters", 50,
+                       "--temperature", 2, "--cooling", 0.9, "--out-dir", out_dir)
+    assert code == 0, err
+    dictionary = aesthetics.load_patterns((CORPUS / "brick.pat").read_text())
+    cs = load_constraints((CORPUS / "constraints.json").read_text())
+    params = designer.SearchParams(seed=7, iterations=50, dims=(8, 8, 8))
+    _, default = designer.optimize(dictionary, cs, params)
+    _, trace = designer.optimize(dictionary, cs, dataclasses.replace(
+        params, initial_temperature=2.0, cooling=0.9))
+    assert (out_dir / "trace.csv").read_text() == trace.to_csv() != default.to_csv()
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     args = ["natural", str(CORPUS / "sierpinski2.cvm"), "--dims", "9", "9", "1"]
     cli.run(args)
@@ -213,6 +237,41 @@ def test_env_placement_budget(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "build", CORPUS / "slab4.cvm", "--dims", 4, 4, 1)
     assert code == 3
     assert "placements" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_env_placement_budget_is_an_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("DOMUS_MAX_PLACEMENTS", value)
+    code, out, err = run(capsys, "build", CORPUS / "row3.cvm", "--dims", 4, 1, 1)
+    assert code == 3 and out == ""
+    assert err == f"domus: error: bad DOMUS_MAX_PLACEMENTS value {value!r}\n"
+
+
+def test_dims_that_are_not_ints_are_usage_errors(capsys):
+    code, out, err = run(capsys, "build", CORPUS / "row3.cvm", "--dims", 4, "x", 1)
+    assert code == 2 and out == ""
+    assert "argument --dims: invalid int value: 'x'" in err
+
+
+def test_out_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    code, out, err = run(capsys, "build", CORPUS / "row3.cvm", "--dims", 4, 1, 1,
+                         "-o", tmp_path / "missing" / "row.vox.txt")
+    assert code == 3 and out == ""
+    assert err.startswith("domus: error:") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("command", ["natural", "beauty"])
+def test_metrics_refuse_structures_over_the_cell_limit(monkeypatch, capsys, command):
+    # row3 has 3 cells; beauty's residual, after one brick, has 1
+    argv = [command, CORPUS / "row3.cvm", "--dims", 4, 1, 1]
+    if command == "beauty":
+        argv += ["--dict", CORPUS / "brick.pat"]
+    monkeypatch.setattr(synthesis, "DEFAULT_CELL_LIMIT", 3)
+    assert run(capsys, *argv)[0] in (0, 1)
+    monkeypatch.setattr(synthesis, "DEFAULT_CELL_LIMIT", 2)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "domus: error: structure has 3 cells, limit 2\n"
 
 
 def test_env_placement_budget_reaches_witness_verification(tmp_path, capsys, monkeypatch):

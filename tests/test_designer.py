@@ -3,10 +3,12 @@ import math
 
 import pytest
 
-from domus import designer, vm
+from domus import designer, synthesis, vm
 from domus.aesthetics import Pattern, PatternDictionary, beauty_score
 from domus.designer import SearchParams, compile_stamp, objective, optimize, stamp_prelude
 from domus.world import ConstraintSet, EnclosedVolumeAtLeast, MaterialAtMost, Stability
+
+from conftest import CORPUS
 
 BRICK = Pattern("brick", frozenset({(0, 0, 0), (1, 0, 0)}))
 DICT1 = PatternDictionary((BRICK,))
@@ -30,6 +32,28 @@ def test_stamp_prelude_names_are_valid_and_unique():
     assert len(set(names)) == 2
     prog = vm.Program(prelude + tuple(vm.Call(n) for n in names))
     vm.execute(prog, (8, 8, 8))  # parses as valid identifiers
+
+
+def test_stamp_prelude_renames_a_name_taken_by_a_fallback():
+    # "Bad" falls back to p1, which the first pattern holds already
+    taken = PatternDictionary((
+        Pattern("p1", frozenset({(0, 0, 0)})),
+        Pattern("Bad", frozenset({(0, 0, 0), (1, 0, 0)})),
+    ))
+    assert [d.name for d in stamp_prelude(taken)] == ["p1", "p1_1"]
+
+
+def test_stamp_of_a_pattern_whose_bound_defines_subroutines_is_literal():
+    # a DEF may not nest in a DEF, so the stamp falls back to the literal body
+    carpet = vm.execute(vm.parse((CORPUS / "sierpinski3.cvm").read_text()), (27, 27, 1))
+    assert len(carpet.occupied) == 512
+    assert any(isinstance(ins, vm.Def)
+               for ins in synthesis.synthesize_min(carpet).program.instructions)
+    pattern = Pattern("carpet", carpet.occupied)
+    stamp = compile_stamp(pattern, "carpet")
+    assert not any(isinstance(ins, vm.Def) for ins in stamp.body)
+    built = vm.execute(vm.Program((stamp, vm.Call("carpet"))), carpet.dims)
+    assert built.occupied == pattern.cells
 
 
 def test_objective_ground_stamp_is_zero():

@@ -222,13 +222,18 @@ def test_repeated_blocks_are_the_brute_force_groups(ids, letters):
     expected = {b: sorted(g for g in _equal_blocks(ids, b) if g[-1] - g[0] >= b)
                 for b in range(1, n + 1)}
     seen = []
-    for b, groups in synthesis._repeated_blocks(ids):
+    for b, groups, squares in synthesis._repeated_blocks(ids):
         seen.append(b)
         assert sorted(groups) == expected[b]
+        # the starts whose block the next block equals
+        assert sorted(squares) == [p for p in range(n - 2 * b + 1)
+                                   if ids[p:p + b] == ids[p + b:p + 2 * b]]
     # every length up to the first with no such block, and no further
     stop = next((b for b in range(1, n + 1) if not expected[b]), n + 1)
     assert seen == list(range(1, stop))
     assert not any(expected[b] for b in range(stop, n + 1))
+    assert not any(ids[p:p + b] == ids[p + b:p + 2 * b]
+                   for b in range(stop, n + 1) for p in range(n - 2 * b + 1))
 
 
 def test_separators_and_defs_never_repeat():
@@ -236,7 +241,7 @@ def test_separators_and_defs_never_repeat():
     d = vm.Def("a", (place,))
     ids = synthesis._instruction_ids([place, move, d, None, place, move, d])
     assert ids == [0, 1, 2, 3, 0, 1, 6]
-    assert [(b, sorted(g)) for b, g in synthesis._repeated_blocks(ids)] == [
+    assert [(b, sorted(g)) for b, g, _ in synthesis._repeated_blocks(ids)] == [
         (1, [[0, 4], [1, 5]]), (2, [[0, 4]])]
 
 
@@ -321,12 +326,6 @@ def test_prefix_sums_price_every_block(instrs, count, name):
             assert length == vm.body_length(block)
             assert repeat + length == vm.body_length((vm.Repeat(count, block),))
             assert define + length == vm.body_length((vm.Def(name, block),))
-
-
-@pytest.mark.parametrize("disp", [(0, 0, 0), (3, 0, 0), (0, -12, 0), (1, 10, -100)])
-def test_moves_length_prices_the_compensating_moves(disp):
-    repl = synthesis._repl_instructions("ab", disp)
-    assert synthesis._moves_length(disp) == vm.body_length(repl) - vm.body_length(repl[:1])
 
 
 def _equal_blocks_that_repeat(ids):
@@ -472,7 +471,7 @@ def _rescan_best_fold(flat, ids):
     # fold: the best (block_len, reps, start), or None
     pre = None
     best = None
-    for b, groups in synthesis._repeated_blocks(ids):
+    for b, groups, _ in synthesis._repeated_blocks(ids):
         for g in groups:
             if len(g) == 2 and g[1] - g[0] != b:
                 continue
@@ -661,7 +660,7 @@ def _rescan_best_extraction(flat, ids, name):
     # being non-overlapping layout positions
     pre = None
     best = None  # minimized key: (-savings, first_pos, b)
-    for b, groups in synthesis._repeated_blocks(ids):
+    for b, groups, _ in synthesis._repeated_blocks(ids):
         for plist in groups:
             occ = synthesis._packed(plist, b)
             if pre is None:

@@ -339,6 +339,13 @@ def test_deep_zero_placement_nest_builds_its_one_cell():
     assert vm.execute(_zero_placement_nest(40), (2, 1, 1)).occupied == {(0, 0, 0)}
 
 
+def test_walker_refuses_a_def_below_top_level():
+    # vm.parse reads no such program, so it is built from the dataclasses
+    p = vm.Program((vm.Repeat(2, (vm.Def("a", (vm.Place(),)),)),))
+    with pytest.raises(vm.DslError, match="top level"):
+        vm.execute_jittered(p, (2, 2, 2), None, [lambda: None])
+
+
 def test_walker_step_budget_stops_a_jittered_deep_nest():
     # 2**23 - 2 steps, about 6 s of walking without the budget
     with pytest.raises(vm.BudgetExceeded, match="steps"):
