@@ -9,8 +9,9 @@ add. A seeded simulated annealer edits the program directly; every
 dictionary pattern is precompiled into a DEF stamp so a single edit can
 drop a whole primitive into the design. The dictionary, constraints and
 dims are fixed for a search, so the score depends only on the structure
-a candidate builds: each search executes every candidate, but scores
-each distinct structure once.
+a candidate builds: each search executes every candidate, reusing the
+summaries of the bodies earlier candidates ran (vm.execute's memo), but
+scores each distinct structure once.
 """
 
 from __future__ import annotations
@@ -246,15 +247,17 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
     rng = random.Random(seed)
     editor = _Editor(rng, params.dims, [d.name for d in prelude])
 
-    # the score of each structure built so far in this search
+    # the score of each structure built so far in this search, and the
+    # summaries of the bodies its candidates ran (see vm.execute)
     scores: dict[frozenset, float] = {}
+    memo: dict = {}
 
     def assemble(tail: list[vm.Instruction]) -> vm.Program:
         return vm.Program(prelude + tuple(tail))
 
     def score(program: vm.Program) -> float:
         try:
-            built = vm.execute(program, params.dims, limits)
+            built = vm.execute(program, params.dims, limits, memo=memo)
         except DomusError:
             return math.inf
         j = scores.get(built.occupied)

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from operator import is_
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomusError
@@ -126,12 +128,54 @@ class Move:
     n: int
 
 
+class _Block:
+    """What REPEAT and DEF share: a header line, a body and a closing
+    brace. Each keeps its canonical length and its depth terms once
+    reckoned, on first use, so that pricing a program walks only its
+    top level (see body_length and block_depth)."""
+
+    @cached_property
+    def _length(self) -> int:
+        # the header, LF, the body and its LF when it has one, "}"
+        body = self.body
+        return self._header_length() + 2 + (body_length(body) + 1 if body else 0)
+
+    @cached_property
+    def _terms(self) -> Optional[tuple[int, tuple[tuple[str, int], ...]]]:
+        """The body's depth terms: how deep its blocks nest without
+        reading CALLs, and for each name it calls, the most blocks
+        around any CALL of it (0 for a CALL in the body itself). The
+        body's depth is then the largest of the first term and each
+        level plus its callee's depth. None when a DEF sits in the body,
+        whose binding the walk must meet in order (_depth)."""
+        own = 0
+        calls: dict[str, int] = {}
+        for ins in self.body:
+            kind = type(ins)
+            if kind is Repeat:
+                terms = ins._terms
+                if terms is None:
+                    return None
+                sub, sub_calls = terms
+                if sub >= own:
+                    own = sub + 1
+                for name, level in sub_calls:
+                    if calls.get(name, -1) <= level:
+                        calls[name] = level + 1
+            elif kind is Call:
+                calls.setdefault(ins.name, 0)
+            elif kind is Def:
+                return None
+        return own, tuple(calls.items())
+
+
 @dataclass(frozen=True)
-class Repeat:
+class Repeat(_Block):
     """A loop. Its hash, the one the dataclass would compute, is taken
     once and kept: synthesis hashes each Repeat at every position it
     holds in a layout, and the dataclass hash would walk the whole body
-    each time."""
+    each time. Beside it, a Repeat keeps its canonical length and depth
+    terms once first asked for (see _Block)."""
 
     count: int
     body: tuple["Instruction", ...]
@@ -146,11 +190,17 @@ class Repeat:
         # rebuilt, not copied: the kept hash is only valid in this process
         return Repeat, (self.count, self.body)
 
+    def _header_length(self) -> int:
+        return 9 + len(str(self.count))  # "REPEAT n {"
+
 
 @dataclass(frozen=True)
-class Def:
+class Def(_Block):
     name: str
     body: tuple["Instruction", ...]
+
+    def _header_length(self) -> int:
+        return 6 + len(self.name)  # "DEF name {"
 
 
 @dataclass(frozen=True)
@@ -307,7 +357,7 @@ class _Parser:
             if name in self.defined:
                 raise ParseError(f"duplicate definition of {name!r}", tok.line, tok.col)
             body = self.parse_block(current_def=name)
-            self.defined[name] = _block_depth(body, self.defined)
+            self.defined[name] = _depth(body, self.defined)
             return Def(name, body)
         if head == "CALL":
             tok = self.take()
@@ -373,7 +423,8 @@ def serialize(program: Program) -> str:
 def body_length(instructions: tuple[Instruction, ...]) -> int:
     """Byte length of the canonical text of an instruction sequence, as
     serialize writes it (the grammar is ASCII), reckoned without
-    building the text."""
+    building the text. A REPEAT or DEF counts the length it keeps, so
+    only the top level is walked once every block has been measured."""
     n = len(instructions) - 1 if instructions else 0  # LF separators
     for ins in instructions:
         kind = type(ins)
@@ -388,9 +439,7 @@ def body_length(instructions: tuple[Instruction, ...]) -> int:
             if ins.scale != 1:
                 n += 1 + len(str(ins.scale))
         elif kind is Repeat or kind is Def:
-            # "REPEAT n {" or "DEF name {", LF, the body and its LF, "}"
-            head = 9 + len(str(ins.count)) if kind is Repeat else 6 + len(ins.name)
-            n += head + 2 + (body_length(ins.body) + 1 if ins.body else 0)
+            n += ins._length
         else:
             raise TypeError(f"not an instruction: {ins!r}")
     return n
@@ -406,20 +455,32 @@ def block_depth(instructions: tuple[Instruction, ...]) -> int:
     written out in its place: a REPEAT or DEF block is one level, and a
     CALL adds the depth of its callee's body. parse rejects a program
     deeper than MAX_BLOCK_DEPTH, which bounds how deep execution
-    recurses."""
-    return _block_depth(instructions, {})
+    recurses.
+
+    Each block keeps its depth terms (see _Block._terms), so this walks
+    the top level and adds to each block's terms the depths of the
+    names it calls."""
+    return _depth(instructions, {})
 
 
-def _block_depth(body: tuple[Instruction, ...], inner: dict[str, int]) -> int:
+def _depth(body: tuple[Instruction, ...], inner: dict[str, int]) -> int:
     # inner maps each DEF name met so far to the depth of its body
     depth = 0
     for ins in body:
         kind = type(ins)
-        if kind is Repeat:
-            d = 1 + _block_depth(ins.body, inner)
-        elif kind is Def:
-            inner[ins.name] = _block_depth(ins.body, inner)
-            d = 1 + inner[ins.name]
+        if kind is Repeat or kind is Def:
+            terms = ins._terms
+            if terms is None:
+                d = _depth(ins.body, inner)
+            else:
+                d, calls = terms
+                for name, level in calls:
+                    e = level + inner.get(name, 0)
+                    if e > d:
+                        d = e
+            if kind is Def:
+                inner[ins.name] = d
+            d += 1
         elif kind is Call:
             d = inner.get(ins.name, 0)
         else:
@@ -564,9 +625,8 @@ def _shifted(cells: set[tuple[int, int, int]], ox: int, oy: int, oz: int):
 
 
 class _Summarizer:
-    """The deterministic engine: summarises each (body, scale) once per
-    execution and stamps the summary by translation wherever the body
-    runs again.
+    """The deterministic engine: summarises each (body, scale) once and
+    stamps the summary by translation wherever the body runs again.
 
     A REPEAT places the union of count translates of its body's cells,
     or one copy when the body's displacement is zero; a CALL places its
@@ -577,19 +637,38 @@ class _Summarizer:
     with more cells than it has. No summary holds more cells than the
     world, which bounds the time by the program size and the world
     volume.
+
+    The memo may outlive one build (see execute). An entry keeps its
+    body, so no other body can take its id while the entry lives, and
+    the names its summary read, those of its sub-summaries included. It
+    is reused only while each of those names is bound to the same
+    callee, checked once per entry in a build until a DEF rebinds a
+    name, and only where a fresh summary would raise nothing: the CALL
+    nesting below it fits under MAX_CALL_DEPTH at this depth, and its
+    placements fit this build's budget. Otherwise the body is
+    summarised afresh, which raises the fault a fresh build raises. The
+    memo serves one dims, since a summary proves nothing out of bounds
+    only for the dims it was made for.
     """
 
-    def __init__(self, dims: tuple[int, int, int], limits: ExecutionLimits):
+    def __init__(self, dims: tuple[int, int, int], limits: ExecutionLimits, memo: dict):
         self.dims = dims
         self.volume = dims[0] * dims[1] * dims[2]
         self.limits = limits
         self.env: dict[str, tuple[Instruction, ...]] = {}
-        # keyed by (id(body), scale): a body is summarised for the env
-        # of its first run, so rebinding a name clears the memo
-        self.memo: dict[tuple[int, int], _Summary] = {}
+        # stands for the bindings env holds now: a new object for each
+        # build and whenever a DEF rebinds a bound name (binding a new
+        # name changes no name a summary read)
+        self.env_id = object()
+        # (id(body), scale) -> [body, names, callees, summary, env_id]:
+        # names and callees are the names the summary read from env, those
+        # of its sub-summaries included, and the bodies they resolved to;
+        # env_id is the one under which they last resolved so
+        self.memo = memo
 
     def run(self, program: Program) -> set[tuple[int, int, int]]:
-        cells = self._summarize(program.instructions, 1, 0, top=True).cells
+        # nothing keeps the top level's summary, so it records no reads
+        cells = self._summarize(program.instructions, 1, 0, None, top=True).cells
         if cells:
             xs, ys, zs = zip(*cells)
             lo, hi = (min(xs), min(ys), min(zs)), (max(xs), max(ys), max(zs))
@@ -603,17 +682,31 @@ class _Summarizer:
         if extent[0] > nx or extent[1] > ny or extent[2] > nz:
             raise OutOfBounds(f"{what} spans {extent} cells, more than dims {self.dims}")
 
-    def _sub(self, body: tuple[Instruction, ...], scale: int, depth: int) -> _Summary:
+    def _sub(self, body: tuple[Instruction, ...], scale: int, depth: int,
+             reads: Optional[dict[str, tuple[Instruction, ...]]]) -> _Summary:
         key = (id(body), scale)
-        s = self.memo.get(key)
-        if s is None:
-            s = self.memo[key] = self._summarize(body, scale, depth)
-        elif depth + s.height > MAX_CALL_DEPTH:
-            raise DepthExceeded(f"call depth exceeds {MAX_CALL_DEPTH}")
+        entry = self.memo.get(key)
+        if entry is not None:
+            _, names, callees, s, checked = entry
+            if checked is not self.env_id and all(map(is_, map(self.env.get, names),
+                                                      callees)):
+                entry[4] = checked = self.env_id
+            if (checked is self.env_id and depth + s.height <= MAX_CALL_DEPTH
+                    and s.count <= self.limits.max_placements):
+                if names and reads is not None:
+                    reads.update(zip(names, callees))
+                return s
+        own: dict[str, tuple[Instruction, ...]] = {}
+        s = self._summarize(body, scale, depth, own)
+        self.memo[key] = [body, tuple(own), tuple(own.values()), s, self.env_id]
+        if reads is not None:
+            reads.update(own)
         return s
 
     def _summarize(self, body: tuple[Instruction, ...], scale: int, depth: int,
+                   reads: Optional[dict[str, tuple[Instruction, ...]]],
                    top: bool = False) -> _Summary:
+        # reads gathers each name this body's CALLs resolve through
         cells: set[tuple[int, int, int]] = set()
         x = y = z = 0
         count = height = 0
@@ -639,7 +732,7 @@ class _Summarizer:
                 n = ins.count
                 if n < 1:
                     continue
-                s = self._sub(ins.body, scale, depth)
+                s = self._sub(ins.body, scale, depth, reads)
                 count += n * s.count
                 if s.height > height:
                     height = s.height
@@ -659,7 +752,7 @@ class _Summarizer:
                 if not top:
                     raise DslError("DEF is only allowed at top level")
                 if ins.name in self.env:
-                    self.memo.clear()
+                    self.env_id = object()
                 self.env[ins.name] = ins.body
             elif kind is Call:
                 callee = self.env.get(ins.name)
@@ -667,7 +760,9 @@ class _Summarizer:
                     raise UnknownName(f"CALL {ins.name!r} before its DEF")
                 if depth + 1 > MAX_CALL_DEPTH:
                     raise DepthExceeded(f"call depth exceeds {MAX_CALL_DEPTH}")
-                s = self._sub(callee, scale * ins.scale, depth + 1)
+                if reads is not None:
+                    reads[ins.name] = callee
+                s = self._sub(callee, scale * ins.scale, depth + 1, reads)
                 count += s.count
                 if s.height >= height:
                     height = s.height + 1
@@ -684,7 +779,8 @@ class _Summarizer:
 
 
 def execute(program: Program, dims: tuple[int, int, int],
-            limits: ExecutionLimits | None = None) -> VoxelStructure:
+            limits: ExecutionLimits | None = None, *,
+            memo: dict | None = None) -> VoxelStructure:
     """Run a program on an empty world and return the built structure.
 
     The cursor starts at (0, 0, 0) and may wander outside the box
@@ -703,11 +799,20 @@ def execute(program: Program, dims: tuple[int, int, int],
     world, or else once all cells are built. So an out-of-bounds PLACE
     before a CALL to an unbound name reports UnknownName, and a FILL
     wider than the world before it reports OutOfBounds.
+
+    The summaries live for this build alone, unless the caller hands in
+    memo: a dict, empty at first, that it passes to each build meant to
+    share them, such as the candidates of one search. A body summarised
+    by an earlier build is then stamped again while the names it calls
+    are bound as they were (see _Summarizer), so the result, or the
+    fault raised, is the one a build without memo gives. memo keeps
+    the summaries of each dims apart.
     """
     if limits is None:
         limits = ExecutionLimits()
+    engine = _Summarizer(dims, limits, {} if memo is None else memo.setdefault(dims, {}))
     # run proved that the cells' bounding box lies in the world
-    return VoxelStructure._trusted(dims, frozenset(_Summarizer(dims, limits).run(program)))
+    return VoxelStructure._trusted(dims, frozenset(engine.run(program)))
 
 
 def execute_jittered(program: Program, dims: tuple[int, int, int],

@@ -243,3 +243,20 @@ def test_search_skips_candidates_nested_deeper_than_parse_reads(monkeypatch):
     cs = ConstraintSet((Stability(weight=10.0),))
     _, trace = optimize(DICT1, cs, _params(iterations=vm.MAX_BLOCK_DEPTH + 20))
     assert sum(r.accepted for r in trace.records) == vm.MAX_BLOCK_DEPTH
+
+
+def test_search_records_each_new_best(monkeypatch):
+    # each cell built lowers the score, so accepted edits that build
+    # more take the improvement branch
+    def fewer_for_more(built, dictionary, cs):
+        return 100.0 - len(built.occupied)
+
+    monkeypatch.setattr(designer, "_structure_score", fewer_for_more)
+    cs = ConstraintSet(())
+    params = _params(iterations=200)
+    best, trace = optimize(DICT1, cs, params)
+    bests = [r.best_so_far for r in trace.records]
+    assert sum(a > b for a, b in zip(bests, bests[1:])) >= 1
+    assert objective(best, DICT1, cs, params.dims) == bests[-1]
+    again, again_trace = optimize(DICT1, cs, params)
+    assert vm.serialize(again) == vm.serialize(best) and again_trace == trace

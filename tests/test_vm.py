@@ -1,3 +1,4 @@
+import copy
 import itertools
 import pickle
 from unittest import mock
@@ -213,6 +214,65 @@ def test_block_depth_reads_calls_as_their_bodies():
     assert vm.block_depth(p.instructions) == 3
 
 
+def _block_depth(body, inner):
+    """The reference: block_depth as one walk of every nested body, with
+    inner mapping each DEF name met so far to the depth of its body."""
+    depth = 0
+    for ins in body:
+        kind = type(ins)
+        if kind is vm.Repeat:
+            d = 1 + _block_depth(ins.body, inner)
+        elif kind is vm.Def:
+            inner[ins.name] = _block_depth(ins.body, inner)
+            d = 1 + inner[ins.name]
+        elif kind is vm.Call:
+            d = inner.get(ins.name, 0)
+        else:
+            continue
+        if d > depth:
+            depth = d
+    return depth
+
+
+def _any_tree_instr(depth: int):
+    """Instructions that vm.parse may not read: a DEF at any level,
+    which rebinds its name for the instructions after it, and CALLs of
+    names that may be unbound."""
+    base = st.one_of(
+        st.just(vm.Place()),
+        st.builds(vm.Move, st.sampled_from("XYZ"), st.sampled_from((-10, 1, 2))),
+        st.builds(vm.Call, st.sampled_from(("a", "b", "c")), st.integers(1, 12)),
+    )
+    if depth == 0:
+        return base
+    body = st.lists(_any_tree_instr(depth - 1), max_size=3).map(tuple)
+    return st.one_of(base, st.builds(vm.Repeat, st.integers(2, 12), body),
+                     st.builds(vm.Def, st.sampled_from(("a", "b", "c")), body))
+
+
+def _rebuilt(tree, how):
+    if how == "pickle":
+        return pickle.loads(pickle.dumps(tree))
+    if how == "copy":
+        return tuple(copy.copy(ins) for ins in tree)
+    return copy.deepcopy(tree)
+
+
+@given(st.lists(_any_tree_instr(3), max_size=6).map(tuple),
+       st.sampled_from(("pickle", "copy", "deepcopy")))
+@settings(max_examples=300, deadline=None)
+@example((vm.Def("a", (vm.Repeat(2, (vm.Place(),)),)),
+          vm.Repeat(2, (vm.Def("a", (vm.Repeat(3, (vm.Repeat(2, ()),)),)), vm.Call("a"))),
+          vm.Repeat(2, (vm.Call("a"),))), "pickle")
+def test_kept_lengths_and_depths_match_the_walks(tree, how):
+    # each tree is priced three times over the same block objects, whose
+    # kept terms from the first pass meet other bindings in the later
+    # ones, then once rebuilt
+    for t in (tree, tree[::-1], tree + tree, _rebuilt(tree, how)):
+        assert vm.block_depth(t) == _block_depth(t, {})
+        assert vm.body_length(t) == len(vm.serialize(vm.Program(t)))
+
+
 # --- execution ---
 
 def test_execute_place_origin():
@@ -391,10 +451,15 @@ def test_depth_limit_holds_when_a_summary_is_reused_deeper(b_body, monkeypatch):
     # depth 2 under c, where its own CALL a reaches depth 3
     p = vm.parse(f"DEF a {{ PLACE }} DEF b {{ {b_body} }} DEF c {{ CALL b }} CALL b CALL c")
     monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 3)
-    vm.execute(p, (1, 1, 1))
+    memo = {}
+    built = vm.execute(p, (1, 1, 1))
+    assert vm.execute(p, (1, 1, 1), memo=memo) == built
     monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 2)
     with pytest.raises(vm.DepthExceeded):
         vm.execute(p, (1, 1, 1))
+    # every summary of the first build is kept, made under the higher cap
+    with pytest.raises(vm.DepthExceeded):
+        vm.execute(p, (1, 1, 1), memo=memo)
 
 
 def _in_world(cur, dx, dy, dz, dims) -> bool:
@@ -522,3 +587,96 @@ def test_summary_engine_matches_walker(case):
     else:
         assert engine in faults
         assert walker in faults
+
+
+# --- one summary memo over many builds ---
+
+def test_a_shared_summary_is_redone_once_a_name_it_calls_is_rebound():
+    loop = vm.Repeat(2, (vm.Call("a"), vm.Move("X", 2)))
+    first = vm.Program((vm.Def("a", (vm.Place(),)), loop))
+    second = vm.Program((vm.Def("a", (vm.Move("Y", 1), vm.Place())), loop))
+    unbound = vm.Program((loop,))
+    memo = {}
+    assert vm.execute(first, (4, 2, 1), memo=memo).occupied == {(0, 0, 0), (2, 0, 0)}
+    assert vm.execute(second, (4, 2, 1), memo=memo).occupied == {(0, 1, 0), (2, 1, 0)}
+    with pytest.raises(vm.UnknownName):
+        vm.execute(unbound, (4, 2, 1), memo=memo)
+    assert vm.execute(first, (4, 2, 1), memo=memo).occupied == {(0, 0, 0), (2, 0, 0)}
+
+
+def test_a_shared_summary_keeps_to_each_builds_budget():
+    # a's FILL is summarised under the larger budget; under the smaller
+    # one a fresh build stops at the end of a's body, before CALL zz
+    a = vm.Def("a", (vm.Fill(2, 2, 2),))
+    memo = {}
+    vm.execute(vm.Program((a, vm.Call("a"))), (2, 2, 2), vm.ExecutionLimits(100), memo=memo)
+    program = vm.Program((a, vm.Call("a"), vm.Call("zz")))
+    small = vm.ExecutionLimits(max_placements=5)
+    with pytest.raises(vm.BudgetExceeded):
+        vm.execute(program, (2, 2, 2), small)
+    with pytest.raises(vm.BudgetExceeded):
+        vm.execute(program, (2, 2, 2), small, memo=memo)
+
+
+def test_a_shared_memo_keeps_each_dims_apart():
+    # at 2^3 a fresh build proves a's FILL too wide before CALL zz
+    a = vm.Def("a", (vm.Fill(3, 1, 1),))
+    memo = {}
+    vm.execute(vm.Program((a, vm.Call("a"))), (4, 4, 4), memo=memo)
+    program = vm.Program((a, vm.Call("a"), vm.Call("zz")))
+    with pytest.raises(vm.OutOfBounds):
+        vm.execute(program, (2, 2, 2))
+    with pytest.raises(vm.OutOfBounds):
+        vm.execute(program, (2, 2, 2), memo=memo)
+    with pytest.raises(vm.UnknownName):
+        vm.execute(program, (4, 4, 4), memo=memo)
+
+
+@st.composite
+def _any_memo_run(draw):
+    """Programs each made from the one before by an edit, as a search
+    makes its candidates, so that they share most of their blocks: an
+    instruction inserted or deleted (a DEF deleted unbinds its name),
+    instructions wrapped in a REPEAT, or a DEF rebound to a body the
+    program holds elsewhere. Each program has its own dims out of two,
+    limits and call depth cap."""
+    program, dims, _, _ = draw(_any_case())
+    worlds = (dims, draw(st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9))))
+    # every name bound at first, so that most CALLs resolve
+    instrs = [vm.Def(name, draw(_any_def).body) for name in _NAMES] + list(program.instructions)
+    runs = []
+    for _ in range(draw(st.integers(2, 10))):
+        limits = vm.ExecutionLimits(max_placements=draw(st.integers(1, 300)))
+        runs.append((vm.Program(tuple(instrs)), draw(st.sampled_from(worlds)), limits,
+                     draw(st.integers(1, 4))))
+        edit = draw(st.sampled_from(("insert", "delete", "wrap", "rebind")))
+        i = draw(st.integers(0, len(instrs)))
+        bodies = [ins.body for ins in instrs if type(ins) in (vm.Repeat, vm.Def)]
+        if edit == "insert" or not instrs:
+            instrs.insert(i, draw(st.one_of(_any_instr(2), _any_call, _any_def)))
+        elif edit == "delete":
+            del instrs[min(i, len(instrs) - 1)]
+        elif edit == "wrap":
+            j = i + draw(st.integers(1, 3))
+            if all(type(ins) is not vm.Def for ins in instrs[i:j]):
+                instrs[i:j] = [vm.Repeat(draw(st.integers(0, 3)), tuple(instrs[i:j]))]
+        elif bodies:
+            instrs.insert(i, vm.Def(draw(st.sampled_from(_NAMES)), draw(st.sampled_from(bodies))))
+    return runs
+
+
+_LOOP = vm.Repeat(2, (vm.Call("a"), vm.Move("X", 1)))
+
+
+@given(_any_memo_run())
+@settings(max_examples=300, deadline=None)
+@example([(vm.Program((vm.Def("a", (vm.Place(),)), _LOOP)), (2, 2, 1), vm.ExecutionLimits(), 1),
+          (vm.Program((vm.Def("a", (vm.Move("Y", 1), vm.Place())), _LOOP)), (2, 2, 1),
+           vm.ExecutionLimits(), 1)])
+def test_a_shared_memo_builds_what_a_fresh_build_does(runs):
+    memo = {}
+    for program, dims, limits, depth in runs:
+        with mock.patch.object(vm, "MAX_CALL_DEPTH", depth):
+            fresh = _outcome(lambda: vm.execute(program, dims, limits))
+            shared = _outcome(lambda: vm.execute(program, dims, limits, memo=memo))
+        assert shared == fresh
