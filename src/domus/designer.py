@@ -138,8 +138,10 @@ def stamp_prelude(dictionary: PatternDictionary) -> tuple[vm.Def, ...]:
     used: set[str] = set()
     for i, pat in enumerate(dictionary.patterns):
         name = pat.name if vm._IDENT_RE.match(pat.name) and pat.name not in used else f"p{i}"
+        suffix = len(used)
         while name in used:
-            name = f"p{i}_{len(used)}"
+            name = f"p{i}_{suffix}"
+            suffix += 1
         used.add(name)
         defs.append(compile_stamp(pat, name))
     return tuple(defs)
@@ -278,9 +280,7 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
         prop_j = current_j
         if proposal is not None:
             candidate = assemble(proposal)
-            # an edit may nest blocks deeper than vm.parse reads back
-            if (vm.program_length(candidate) <= params.max_program_bytes
-                    and vm.block_depth(candidate.instructions) <= vm.MAX_BLOCK_DEPTH):
+            if vm.program_length(candidate) <= params.max_program_bytes:
                 prop_j = score(candidate)
                 delta = prop_j - current_j
                 if delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp)):

@@ -21,9 +21,11 @@ Grammar (tokens are maximal runs of non-whitespace):
     int     := "-"? decimal digits, no leading zeros
 
 DEF is allowed at top level only, and a CALL may only name a DEF that
-appears earlier in the program, so every program terminates. Blocks nest
-at most MAX_BLOCK_DEPTH deep, counting each CALL as its callee's body
-written out in its place (see block_depth).
+appears earlier in the program, so every program terminates. REPEAT and
+DEF blocks nest at most MAX_BLOCK_DEPTH deep in the text. The same
+constant is the one nesting limit of a run: each REPEAT body and each
+CALL is one level, and a run past MAX_BLOCK_DEPTH levels raises
+DepthExceeded.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "Program",
     "ExecutionLimits",
     "MAX_BLOCK_DEPTH",
-    "MAX_CALL_DEPTH",
     "MAX_STEPS",
     "DslError",
     "ParseError",
@@ -64,7 +65,6 @@ __all__ = [
     "serialize",
     "body_length",
     "program_length",
-    "block_depth",
     "execute",
     "execute_jittered",
 ]
@@ -107,7 +107,8 @@ class BudgetExceeded(ExecError):
 
 
 class DepthExceeded(ExecError):
-    """CALL nesting exceeded the depth limit."""
+    """REPEAT bodies and CALLs, one level each, nested deeper than
+    MAX_BLOCK_DEPTH when the program runs."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,9 @@ class Move:
 
 class _Block:
     """What REPEAT and DEF share: a header line, a body and a closing
-    brace. Each keeps its canonical length and its depth terms once
-    reckoned, on first use, so that pricing a program walks only its
-    top level (see body_length and block_depth)."""
+    brace. Each keeps its canonical length once reckoned, on first use,
+    so that pricing a program walks only its top level (see
+    body_length)."""
 
     @cached_property
     def _length(self) -> int:
@@ -140,42 +141,14 @@ class _Block:
         body = self.body
         return self._header_length() + 2 + (body_length(body) + 1 if body else 0)
 
-    @cached_property
-    def _terms(self) -> Optional[tuple[int, tuple[tuple[str, int], ...]]]:
-        """The body's depth terms: how deep its blocks nest without
-        reading CALLs, and for each name it calls, the most blocks
-        around any CALL of it (0 for a CALL in the body itself). The
-        body's depth is then the largest of the first term and each
-        level plus its callee's depth. None when a DEF sits in the body,
-        whose binding the walk must meet in order (_depth)."""
-        own = 0
-        calls: dict[str, int] = {}
-        for ins in self.body:
-            kind = type(ins)
-            if kind is Repeat:
-                terms = ins._terms
-                if terms is None:
-                    return None
-                sub, sub_calls = terms
-                if sub >= own:
-                    own = sub + 1
-                for name, level in sub_calls:
-                    if calls.get(name, -1) <= level:
-                        calls[name] = level + 1
-            elif kind is Call:
-                calls.setdefault(ins.name, 0)
-            elif kind is Def:
-                return None
-        return own, tuple(calls.items())
-
 
 @dataclass(frozen=True)
 class Repeat(_Block):
     """A loop. Its hash, the one the dataclass would compute, is taken
     once and kept: synthesis hashes each Repeat at every position it
     holds in a layout, and the dataclass hash would walk the whole body
-    each time. Beside it, a Repeat keeps its canonical length and depth
-    terms once first asked for (see _Block)."""
+    each time. Beside it, a Repeat keeps its canonical length once
+    first asked for (see _Block)."""
 
     count: int
     body: tuple["Instruction", ...]
@@ -229,10 +202,10 @@ class ExecutionLimits:
             raise ValueError("execution limits must be positive")
 
 
+# How deep REPEAT and DEF blocks nest in the text, and how deep REPEAT
+# bodies and CALLs nest when a program runs, one level each. It bounds
+# how deep both engines recurse.
 MAX_BLOCK_DEPTH = 100
-
-# CALLs nest at most this deep when a program runs.
-MAX_CALL_DEPTH = 32
 
 # Bounds the time of a jittered walk, which runs every REPEAT iteration
 # and CALL body one by one: about a second of walking, spent once for a
@@ -267,8 +240,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.depth = 0
-        # each DEF name, to how deep blocks nest in its body (block_depth)
-        self.defined: dict[str, int] = {}
+        self.defined: set[str] = set()
 
     def _err(self, message: str) -> ParseError:
         if self.pos < len(self.toks):
@@ -357,10 +329,10 @@ class _Parser:
             if name in self.defined:
                 raise ParseError(f"duplicate definition of {name!r}", tok.line, tok.col)
             body = self.parse_block(current_def=name)
-            self.defined[name] = _depth(body, self.defined)
+            self.defined.add(name)
             return Def(name, body)
         if head == "CALL":
-            tok = self.take()
+            self.take()
             name = self.take_ident("subroutine name")
             scale = 1
             if self.peek() is not None and _INT_RE.match(self.peek()):
@@ -371,9 +343,6 @@ class _Parser:
                 raise RecursiveCall(f"{name!r} calls itself")
             if name not in self.defined:
                 raise UnknownName(f"CALL {name!r} before its DEF")
-            if self.depth + self.defined[name] > MAX_BLOCK_DEPTH:
-                raise ParseError(f"blocks nested deeper than {MAX_BLOCK_DEPTH} "
-                                 f"through CALL {name}", tok.line, tok.col)
             return Call(name, scale)
         raise self._err("expected an instruction")
 
@@ -450,46 +419,6 @@ def program_length(program: Program) -> int:
     return body_length(program.instructions)
 
 
-def block_depth(instructions: tuple[Instruction, ...]) -> int:
-    """How deep blocks nest when each CALL is read as its callee's body
-    written out in its place: a REPEAT or DEF block is one level, and a
-    CALL adds the depth of its callee's body. parse rejects a program
-    deeper than MAX_BLOCK_DEPTH, which bounds how deep execution
-    recurses.
-
-    Each block keeps its depth terms (see _Block._terms), so this walks
-    the top level and adds to each block's terms the depths of the
-    names it calls."""
-    return _depth(instructions, {})
-
-
-def _depth(body: tuple[Instruction, ...], inner: dict[str, int]) -> int:
-    # inner maps each DEF name met so far to the depth of its body
-    depth = 0
-    for ins in body:
-        kind = type(ins)
-        if kind is Repeat or kind is Def:
-            terms = ins._terms
-            if terms is None:
-                d = _depth(ins.body, inner)
-            else:
-                d, calls = terms
-                for name, level in calls:
-                    e = level + inner.get(name, 0)
-                    if e > d:
-                        d = e
-            if kind is Def:
-                inner[ins.name] = d
-            d += 1
-        elif kind is Call:
-            d = inner.get(ins.name, 0)
-        else:
-            continue
-        if d > depth:
-            depth = d
-    return depth
-
-
 JitterFn = Callable[[], Optional[tuple[int, int, int]]]
 BoxFn = Callable[[tuple[int, int, int], int, int, int], None]
 
@@ -498,8 +427,10 @@ class _Executor:
     """The sequential walker: runs every instruction in order, each
     REPEAT iteration and CALL body anew, and hands each PLACE and FILL
     to box as its anchor and extent (a PLACE is a 1 x 1 x 1 box), once
-    its placements are charged. Only jittered builds need it, and one
-    walk serves a whole fleet (see _LockstepBox)."""
+    its placements are charged. depth is how many levels, REPEAT
+    bodies and CALLs, the instructions of body run inside. Only
+    jittered builds need it, and one walk serves a whole fleet (see
+    _LockstepBox)."""
 
     def __init__(self, limits: ExecutionLimits, box: BoxFn):
         self.limits = limits
@@ -523,6 +454,8 @@ class _Executor:
             scale: int, depth: int,
             env: dict[str, tuple[Instruction, ...]],
             top: bool = False) -> tuple[int, int, int]:
+        if depth > MAX_BLOCK_DEPTH:
+            raise DepthExceeded(f"REPEATs and CALLs nested deeper than {MAX_BLOCK_DEPTH}")
         for ins in body:
             if isinstance(ins, Place):
                 self._charge(1)
@@ -542,7 +475,7 @@ class _Executor:
             elif isinstance(ins, Repeat):
                 for _ in range(ins.count):
                     self._step()
-                    cur = self.run(ins.body, cur, scale, depth, env)
+                    cur = self.run(ins.body, cur, scale, depth + 1, env)
             elif isinstance(ins, Def):
                 if not top:
                     raise DslError("DEF is only allowed at top level")
@@ -550,8 +483,6 @@ class _Executor:
             elif isinstance(ins, Call):
                 if ins.name not in env:
                     raise UnknownName(f"CALL {ins.name!r} before its DEF")
-                if depth + 1 > MAX_CALL_DEPTH:
-                    raise DepthExceeded(f"call depth exceeds {MAX_CALL_DEPTH}")
                 self._step()
                 # stamp semantics: body runs at the call site, cursor restored
                 self.run(env[ins.name], cur, scale * ins.scale, depth + 1, env)
@@ -605,7 +536,8 @@ class _Summary:
 
     cells are relative to the start cursor; disp is where the cursor
     ends; count is the exact number of placements charged; height is
-    the deepest CALL nesting inside.
+    how many levels the REPEAT bodies and CALLs inside nest, one level
+    each, so 0 for a body that runs neither.
     """
 
     __slots__ = ("cells", "disp", "count", "height")
@@ -632,19 +564,21 @@ class _Summarizer:
     or one copy when the body's displacement is zero; a CALL places its
     callee's cells at the cursor and leaves the cursor where it was.
     Placement counts add up exactly. A fault is raised as soon as it is
-    proved: a body past the placement budget, a FILL wider than the
-    world, a REPEAT whose translates reach further than it, or a body
-    with more cells than it has. No summary holds more cells than the
-    world, which bounds the time by the program size and the world
-    volume.
+    proved: a body that runs inside more than MAX_BLOCK_DEPTH levels
+    (REPEAT bodies and CALLs), a body past the placement budget, a FILL
+    wider than the world, a REPEAT whose translates reach further than
+    it, or a body with more cells than it has. No summary holds more
+    cells than the world, which bounds the time by the program size and
+    the world volume; no level past MAX_BLOCK_DEPTH is entered, which
+    bounds how deep it recurses.
 
     The memo may outlive one build (see execute). An entry keeps its
     body, so no other body can take its id while the entry lives, and
     the names its summary read, those of its sub-summaries included. It
     is reused only while each of those names is bound to the same
     callee, checked once per entry in a build until a DEF rebinds a
-    name, and only where a fresh summary would raise nothing: the CALL
-    nesting below it fits under MAX_CALL_DEPTH at this depth, and its
+    name, and only where a fresh summary would raise nothing: its height
+    added to the depth it runs at stays within MAX_BLOCK_DEPTH, and its
     placements fit this build's budget. Otherwise the body is
     summarised afresh, which raises the fault a fresh build raises. The
     memo serves one dims, since a summary proves nothing out of bounds
@@ -691,11 +625,13 @@ class _Summarizer:
             if checked is not self.env_id and all(map(is_, map(self.env.get, names),
                                                       callees)):
                 entry[4] = checked = self.env_id
-            if (checked is self.env_id and depth + s.height <= MAX_CALL_DEPTH
+            if (checked is self.env_id and depth + s.height <= MAX_BLOCK_DEPTH
                     and s.count <= self.limits.max_placements):
                 if names and reads is not None:
                     reads.update(zip(names, callees))
                 return s
+        if depth > MAX_BLOCK_DEPTH:
+            raise DepthExceeded(f"REPEATs and CALLs nested deeper than {MAX_BLOCK_DEPTH}")
         own: dict[str, tuple[Instruction, ...]] = {}
         s = self._summarize(body, scale, depth, own)
         self.memo[key] = [body, tuple(own), tuple(own.values()), s, self.env_id]
@@ -732,10 +668,10 @@ class _Summarizer:
                 n = ins.count
                 if n < 1:
                     continue
-                s = self._sub(ins.body, scale, depth, reads)
+                s = self._sub(ins.body, scale, depth + 1, reads)
                 count += n * s.count
-                if s.height > height:
-                    height = s.height
+                if s.height >= height:
+                    height = s.height + 1
                 sx, sy, sz = s.disp
                 if s.cells:
                     if sx == sy == sz == 0:
@@ -758,8 +694,6 @@ class _Summarizer:
                 callee = self.env.get(ins.name)
                 if callee is None:
                     raise UnknownName(f"CALL {ins.name!r} before its DEF")
-                if depth + 1 > MAX_CALL_DEPTH:
-                    raise DepthExceeded(f"call depth exceeds {MAX_CALL_DEPTH}")
                 if reads is not None:
                     reads[ins.name] = callee
                 s = self._sub(callee, scale * ins.scale, depth + 1, reads)
@@ -785,18 +719,19 @@ def execute(program: Program, dims: tuple[int, int, int],
 
     The cursor starts at (0, 0, 0) and may wander outside the box
     freely; a placement outside it aborts with OutOfBounds. limits sets
-    the placement budget; CALLs nest at most MAX_CALL_DEPTH deep. For
-    jittered builds see execute_jittered.
+    the placement budget. Each REPEAT body and each CALL is one level,
+    and the levels around any instruction may number at most
+    MAX_BLOCK_DEPTH. For jittered builds see execute_jittered.
 
     A summary engine runs each (body, scale) once and stamps the result
     by translation, so nested REPEATs and CALLs cost no more than their
     text. Of several faults, the first the engine proves is raised.
     Faults of the program text (a DEF below top level, a CALL to an
-    unbound name, CALL nesting past MAX_CALL_DEPTH) are proved in
-    program order; BudgetExceeded at the end of the first block whose
-    placements pass max_placements; OutOfBounds at a FILL or REPEAT too
-    wide for the world, at the end of a block with more cells than the
-    world, or else once all cells are built. So an out-of-bounds PLACE
+    unbound name, REPEATs and CALLs nested past MAX_BLOCK_DEPTH) are
+    proved in program order; BudgetExceeded at the end of the first
+    block whose placements pass max_placements; OutOfBounds at a FILL
+    or REPEAT too wide for the world, at the end of a block with more
+    cells than the world, or else once all cells are built. So an out-of-bounds PLACE
     before a CALL to an unbound name reports UnknownName, and a FILL
     wider than the world before it reports OutOfBounds.
 

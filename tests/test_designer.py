@@ -43,6 +43,16 @@ def test_stamp_prelude_renames_a_name_taken_by_a_fallback():
     assert [d.name for d in stamp_prelude(taken)] == ["p1", "p1_1"]
 
 
+def test_stamp_prelude_steps_past_a_taken_fallback():
+    # "Bad" falls back to p2, then to p2_2, both taken already
+    taken = PatternDictionary((
+        Pattern("p2", frozenset({(0, 0, 0)})),
+        Pattern("p2_2", frozenset({(0, 0, 0), (1, 0, 0)})),
+        Pattern("Bad", frozenset({(0, 0, 0), (0, 1, 0)})),
+    ))
+    assert [d.name for d in stamp_prelude(taken)] == ["p2", "p2_2", "p2_3"]
+
+
 def test_stamp_of_a_pattern_whose_bound_defines_subroutines_is_literal():
     # a DEF may not nest in a DEF, so the stamp falls back to the literal body
     carpet = vm.execute(vm.parse((CORPUS / "sierpinski3.cvm").read_text()), (27, 27, 1))
@@ -177,11 +187,12 @@ def test_trace_scores_each_candidate_by_the_objective(monkeypatch, cs):
         if proposal is None:
             continue
         candidate = vm.Program(prelude + tuple(proposal))
-        if (vm.program_length(candidate) > params.max_program_bytes
-                or vm.block_depth(candidate.instructions) > vm.MAX_BLOCK_DEPTH):
+        if vm.program_length(candidate) > params.max_program_bytes:
             continue
         assert record.objective == objective(candidate, DICT1, cs, params.dims)
         if record.objective < math.inf:
+            # a candidate that builds nests no deeper than vm.parse reads
+            assert vm.parse(vm.serialize(candidate)) == candidate
             built = vm.execute(candidate, params.dims)
             structures.append(built.occupied)
             residual = residual or beauty_score(built, DICT1).r > 0
@@ -235,14 +246,24 @@ def test_params_validation():
 
 def test_search_skips_candidates_nested_deeper_than_parse_reads(monkeypatch):
     # each proposal wraps the whole tail in a zero-placement REPEAT, which
-    # leaves the objective as it is, so only the nesting cap stops the wraps
+    # leaves the objective as it is, so only the nesting limit stops the
+    # wraps: a candidate past it fails to build and scores inf
+    proposals = []
+
     def wrap(self, tail):
-        return [vm.Repeat(2, tuple(tail) or (vm.Move("X", 1), vm.Move("X", -1)))]
+        proposals.append([vm.Repeat(2, tuple(tail) or (vm.Move("X", 1), vm.Move("X", -1)))])
+        return proposals[-1]
 
     monkeypatch.setattr(designer._Editor, "propose", wrap)
     cs = ConstraintSet((Stability(weight=10.0),))
-    _, trace = optimize(DICT1, cs, _params(iterations=vm.MAX_BLOCK_DEPTH + 20))
-    assert sum(r.accepted for r in trace.records) == vm.MAX_BLOCK_DEPTH
+    best, trace = optimize(DICT1, cs, _params(iterations=vm.MAX_BLOCK_DEPTH + 20))
+    accepted = [p for p, r in zip(proposals, trace.records, strict=True) if r.accepted]
+    assert len(accepted) == vm.MAX_BLOCK_DEPTH
+    assert all(r.objective == math.inf for r in trace.records[vm.MAX_BLOCK_DEPTH:])
+    # the deepest design accepted, at the limit, and the best read back
+    deepest = vm.Program(stamp_prelude(DICT1) + tuple(accepted[-1]))
+    for program in (deepest, best):
+        assert vm.parse(vm.serialize(program)) == program
 
 
 def test_search_records_each_new_best(monkeypatch):

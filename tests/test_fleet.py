@@ -129,6 +129,8 @@ class _MemberWalker:
                         self.cells.add((x, y, z))
 
     def run(self, body, cur, scale, depth, env, top=False):
+        if depth > vm.MAX_BLOCK_DEPTH:
+            raise vm.DepthExceeded(f"REPEATs and CALLs nested deeper than {vm.MAX_BLOCK_DEPTH}")
         for ins in body:
             if isinstance(ins, vm.Place):
                 self._place(cur)
@@ -145,7 +147,7 @@ class _MemberWalker:
             elif isinstance(ins, vm.Repeat):
                 for _ in range(ins.count):
                     self._step()
-                    cur = self.run(ins.body, cur, scale, depth, env)
+                    cur = self.run(ins.body, cur, scale, depth + 1, env)
             elif isinstance(ins, vm.Def):
                 if not top:
                     raise vm.DslError("DEF is only allowed at top level")
@@ -153,8 +155,6 @@ class _MemberWalker:
             elif isinstance(ins, vm.Call):
                 if ins.name not in env:
                     raise vm.UnknownName(f"CALL {ins.name!r} before its DEF")
-                if depth + 1 > vm.MAX_CALL_DEPTH:
-                    raise vm.DepthExceeded(f"call depth exceeds {vm.MAX_CALL_DEPTH}")
                 self._step()
                 self.run(env[ins.name], cur, scale * ins.scale, depth + 1, env)
         return cur
@@ -244,7 +244,7 @@ _BIG = vm.ExecutionLimits(max_placements=10**6)
           (2, 2, 2), _BIG, (1, 100)))
 def test_human_fleet_matches_a_walk_per_member(case):
     program, n, model, dims, limits, (depth, steps) = case
-    with mock.patch.object(vm, "MAX_CALL_DEPTH", depth), \
+    with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth), \
             mock.patch.object(vm, "MAX_STEPS", steps):
         got = _outcome(lambda: build_fleet(program, n, model, dims, limits))
         want = _outcome(lambda: _fleet_by_member_walks(program, n, model, dims, limits))

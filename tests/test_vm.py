@@ -196,44 +196,6 @@ def test_program_length_matches_serialization(program):
     assert vm.program_length(program) == len(vm.serialize(program))
 
 
-def test_parse_counts_nesting_through_calls():
-    depth = vm.MAX_BLOCK_DEPTH
-    inner = "DEF a { " + "REPEAT 2 { " * (depth - 1) + "PLACE" + " }" * (depth - 1) + " } "
-    assert vm.block_depth(vm.parse(inner + "CALL a").instructions) == depth
-    vm.parse(inner + "DEF b { CALL a } CALL b")
-    with pytest.raises(vm.ParseError, match="nested deeper .* through CALL a"):
-        vm.parse(inner + "DEF b { REPEAT 2 { CALL a } }")
-    with pytest.raises(vm.ParseError, match="through CALL a"):
-        vm.parse(inner + "REPEAT 2 { REPEAT 2 { CALL a } }")
-
-
-def test_block_depth_reads_calls_as_their_bodies():
-    assert vm.block_depth(()) == 0
-    assert vm.block_depth(vm.parse("PLACE MOVE X 1").instructions) == 0
-    p = vm.parse("DEF a { REPEAT 2 { PLACE } } DEF b { REPEAT 3 { CALL a } } CALL b")
-    assert vm.block_depth(p.instructions) == 3
-
-
-def _block_depth(body, inner):
-    """The reference: block_depth as one walk of every nested body, with
-    inner mapping each DEF name met so far to the depth of its body."""
-    depth = 0
-    for ins in body:
-        kind = type(ins)
-        if kind is vm.Repeat:
-            d = 1 + _block_depth(ins.body, inner)
-        elif kind is vm.Def:
-            inner[ins.name] = _block_depth(ins.body, inner)
-            d = 1 + inner[ins.name]
-        elif kind is vm.Call:
-            d = inner.get(ins.name, 0)
-        else:
-            continue
-        if d > depth:
-            depth = d
-    return depth
-
-
 def _any_tree_instr(depth: int):
     """Instructions that vm.parse may not read: a DEF at any level,
     which rebinds its name for the instructions after it, and CALLs of
@@ -264,12 +226,10 @@ def _rebuilt(tree, how):
 @example((vm.Def("a", (vm.Repeat(2, (vm.Place(),)),)),
           vm.Repeat(2, (vm.Def("a", (vm.Repeat(3, (vm.Repeat(2, ()),)),)), vm.Call("a"))),
           vm.Repeat(2, (vm.Call("a"),))), "pickle")
-def test_kept_lengths_and_depths_match_the_walks(tree, how):
+def test_kept_lengths_match_the_serialization(tree, how):
     # each tree is priced three times over the same block objects, whose
-    # kept terms from the first pass meet other bindings in the later
-    # ones, then once rebuilt
+    # lengths are kept from the first pass, then once rebuilt
     for t in (tree, tree[::-1], tree + tree, _rebuilt(tree, how)):
-        assert vm.block_depth(t) == _block_depth(t, {})
         assert vm.body_length(t) == len(vm.serialize(vm.Program(t)))
 
 
@@ -337,11 +297,43 @@ def test_placement_budget():
 
 def test_call_depth_limit(monkeypatch):
     p = vm.parse("DEF a { PLACE } DEF b { CALL a } DEF c { CALL b } CALL c")
-    monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 3)
+    monkeypatch.setattr(vm, "MAX_BLOCK_DEPTH", 3)
     vm.execute(p, (2, 2, 2))
-    monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 2)
+    monkeypatch.setattr(vm, "MAX_BLOCK_DEPTH", 2)
     with pytest.raises(vm.DepthExceeded):
         vm.execute(p, (2, 2, 2))
+
+
+def _both_engines(program, dims):
+    """The structure, or the fault, of each engine's build."""
+    return (_outcome(lambda: vm.execute(program, dims)),
+            _outcome(lambda: vm.execute_jittered(program, dims, None, [lambda: None])[0]))
+
+
+def test_a_hand_built_nest_past_the_limit_is_refused_by_both_engines():
+    # vm.parse reads no such program, so it is built from the dataclasses
+    body = (vm.Place(),)
+    for _ in range(2000):
+        body = (vm.Repeat(2, body),)
+    assert _both_engines(vm.Program(body), (1, 1, 1)) == (vm.DepthExceeded,) * 2
+
+
+def test_a_40_deep_call_chain_builds_in_both_engines():
+    text = "DEF a0 { PLACE } " + " ".join(f"DEF a{i} {{ CALL a{i - 1} }}" for i in range(1, 40))
+    want = VoxelStructure((1, 1, 1), {(0, 0, 0)})
+    assert _both_engines(vm.parse(text + " CALL a39"), (1, 1, 1)) == (want, want)
+
+
+def test_engines_count_each_repeat_body_and_call_as_one_level():
+    # a's body nests 99 zero-placement REPEATs, so its DEF is as deep as
+    # vm.parse reads; calling it is level 1, and one more CALL or REPEAT
+    # around that CALL makes the innermost body level 101
+    depth = vm.MAX_BLOCK_DEPTH
+    inner = ("DEF a { " + "REPEAT 2 { " * (depth - 1) + "MOVE X 1 MOVE X -1"
+             + " }" * (depth - 1) + " } ")
+    assert vm.execute(vm.parse(inner + "CALL a"), (1, 1, 1)).occupied == frozenset()
+    for text in (inner + "DEF b { CALL a } CALL b", inner + "REPEAT 2 { CALL a }"):
+        assert _both_engines(vm.parse(text), (1, 1, 1)) == (vm.DepthExceeded,) * 2
 
 
 def test_limits_validation():
@@ -445,16 +437,17 @@ def test_rebinding_a_name_rebinds_its_callers():
     assert vm.execute(p, (2, 2, 1)).occupied == {(0, 0, 0), (1, 1, 0)}
 
 
-@pytest.mark.parametrize("b_body", ["CALL a", "REPEAT 2 { CALL a }"])
-def test_depth_limit_holds_when_a_summary_is_reused_deeper(b_body, monkeypatch):
-    # b is summarised under the first CALL b at depth 1, then reused at
-    # depth 2 under c, where its own CALL a reaches depth 3
+@pytest.mark.parametrize("b_body, deepest", [("CALL a", 3), ("REPEAT 2 { CALL a }", 4)],
+                         ids=["CALL a", "REPEAT 2 { CALL a }"])
+def test_depth_limit_holds_when_a_summary_is_reused_deeper(b_body, deepest, monkeypatch):
+    # b is summarised under the first CALL b at level 1, then reused at
+    # level 2 under c, where its own CALL a reaches level `deepest`
     p = vm.parse(f"DEF a {{ PLACE }} DEF b {{ {b_body} }} DEF c {{ CALL b }} CALL b CALL c")
-    monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 3)
+    monkeypatch.setattr(vm, "MAX_BLOCK_DEPTH", deepest)
     memo = {}
     built = vm.execute(p, (1, 1, 1))
     assert vm.execute(p, (1, 1, 1), memo=memo) == built
-    monkeypatch.setattr(vm, "MAX_CALL_DEPTH", 2)
+    monkeypatch.setattr(vm, "MAX_BLOCK_DEPTH", deepest - 1)
     with pytest.raises(vm.DepthExceeded):
         vm.execute(p, (1, 1, 1))
     # every summary of the first build is kept, made under the higher cap
@@ -560,7 +553,7 @@ _any_def = st.builds(vm.Def, st.sampled_from(_NAMES),
 
 @st.composite
 def _any_case(draw):
-    """A small world, limits, a call depth cap, and a program of leading
+    """A small world, limits, a depth cap, and a program of leading
     DEFs, a move to the world's centre, then instructions and DEFs
     mixed: names may be unbound, rebound, or call themselves."""
     dims = draw(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)))
@@ -578,7 +571,7 @@ def _any_case(draw):
 def test_summary_engine_matches_walker(case):
     program, dims, limits, depth = case
 
-    with mock.patch.object(vm, "MAX_CALL_DEPTH", depth):
+    with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth):
         faults, built = _faults(program, dims, limits)
         walker = _outcome(lambda: _strict_walk(program, dims, limits))
         engine = _outcome(lambda: vm.execute(program, dims, limits))
@@ -639,7 +632,7 @@ def _any_memo_run(draw):
     instruction inserted or deleted (a DEF deleted unbinds its name),
     instructions wrapped in a REPEAT, or a DEF rebound to a body the
     program holds elsewhere. Each program has its own dims out of two,
-    limits and call depth cap."""
+    limits and depth cap."""
     program, dims, _, _ = draw(_any_case())
     worlds = (dims, draw(st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9))))
     # every name bound at first, so that most CALLs resolve
@@ -676,7 +669,7 @@ _LOOP = vm.Repeat(2, (vm.Call("a"), vm.Move("X", 1)))
 def test_a_shared_memo_builds_what_a_fresh_build_does(runs):
     memo = {}
     for program, dims, limits, depth in runs:
-        with mock.patch.object(vm, "MAX_CALL_DEPTH", depth):
+        with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth):
             fresh = _outcome(lambda: vm.execute(program, dims, limits))
             shared = _outcome(lambda: vm.execute(program, dims, limits, memo=memo))
         assert shared == fresh
