@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING
 
 from . import vm
@@ -94,32 +95,47 @@ def build_fleet(program: vm.Program, n: int, model: BuilderModel,
                 limits: vm.ExecutionLimits | None = None) -> list[VoxelStructure]:
     """Build n structures from one program under the given builder model.
 
-    Robot fleets execute once and share the immutable result. Human
-    fleets are one walk of the program (vm.execute_jittered) with a
-    jitter stream per member, seeded by (seed, member index), so member
-    i is what a build of its own would give; jittered placements that
-    leave the world are dropped, not errors. The walk's step budget is
-    spent once per fleet, and a fault is raised once for the fleet.
+    Robot fleets execute once and share the immutable result. A human
+    fleet is one walk of the program (vm.walk) that stamps each box into
+    every member in index order, each drawing once per box from its own
+    stream, seeded by (seed, member index), so member i is what a walk
+    of its own would give. A displaced box is shifted and clipped to the
+    world: jittered placements that leave it are dropped, not errors.
+    The walk's budgets are spent, and a fault is raised, once per fleet.
     """
     if n < 1:
         raise ValueError("fleet size must be >= 1")
     if isinstance(model, RobotBuilder):
         prototype = vm.execute(program, dims, limits)
         return [prototype] * n
-    jitters = [_jitter(random.Random(_member_seed(model.seed, i)), model.jitter_prob)
-               for i in range(n)]
-    return vm.execute_jittered(program, dims, limits, jitters)
+    p = model.jitter_prob
+    rngs = [random.Random(_member_seed(model.seed, i)) for i in range(n)]
+    members: list[set[Cell]] = [set() for _ in rngs]
+
+    def box(cur: Cell, dx: int, dy: int, dz: int):
+        x, y, z = cur
+        shared = None
+        for cells, rng in zip(members, rngs):
+            if rng.random() < p:
+                ox, oy, oz = _OFFSETS[rng.randrange(len(_OFFSETS))]
+                cells.update(_clipped(x + ox, y + oy, z + oz, dx, dy, dz, dims))
+            else:
+                if shared is None:
+                    shared = tuple(_clipped(x, y, z, dx, dy, dz, dims))
+                cells.update(shared)
+
+    vm.walk(program, box, limits)
+    # every cell was clipped to the world as it was placed
+    return [VoxelStructure._trusted(dims, frozenset(cells)) for cells in members]
 
 
-def _jitter(rng: random.Random, p: float) -> vm.JitterFn:
-    """One member's jitter hook, drawing from its own stream."""
-
-    def jitter():
-        if rng.random() < p:
-            return _OFFSETS[rng.randrange(len(_OFFSETS))]
-        return None
-
-    return jitter
+def _clipped(x: int, y: int, z: int, dx: int, dy: int, dz: int,
+             dims: tuple[int, int, int]):
+    """The cells of the box at (x, y, z) with extent (dx, dy, dz) that
+    lie inside the world."""
+    return product(range(max(x, 0), min(x + dx, dims[0])),
+                   range(max(y, 0), min(y + dy, dims[1])),
+                   range(max(z, 0), min(z + dz, dims[2])))
 
 
 @dataclass(frozen=True)

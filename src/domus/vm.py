@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import is_
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .errors import DomusError
 from .world import VoxelStructure
@@ -66,7 +66,7 @@ __all__ = [
     "body_length",
     "program_length",
     "execute",
-    "execute_jittered",
+    "walk",
 ]
 
 
@@ -137,9 +137,24 @@ class _Block:
 
     @cached_property
     def _length(self) -> int:
-        # the header, LF, the body and its LF when it has one, "}"
-        body = self.body
-        return self._header_length() + 2 + (body_length(body) + 1 if body else 0)
+        # measures the blocks inside that keep no length yet, innermost
+        # first, so that nothing recurses; one that keeps a length ends the
+        # walk. stack holds each block around block, with the rest of its body
+        block, rest, stack = self, iter(self.body), []
+        while True:
+            for ins in rest:
+                if isinstance(ins, _Block) and "_length" not in ins.__dict__:
+                    stack.append((block, rest))
+                    block, rest = ins, iter(ins.body)
+                    break
+            else:
+                # the header, LF, the body and its LF when it has one, "}"
+                body = block.body
+                n = block._header_length() + 2 + (body_length(body) + 1 if body else 0)
+                if not stack:
+                    return n
+                block.__dict__["_length"] = n
+                block, rest = stack.pop()
 
 
 @dataclass(frozen=True)
@@ -207,8 +222,8 @@ class ExecutionLimits:
 # how deep both engines recurse.
 MAX_BLOCK_DEPTH = 100
 
-# Bounds the time of a jittered walk, which runs every REPEAT iteration
-# and CALL body one by one: about a second of walking, spent once for a
+# Bounds the time of a walk, which runs every REPEAT iteration and
+# CALL body one by one: about a second of walking, spent once for a
 # whole human fleet, since its members share one walk. The largest corpus
 # program takes 585 steps, and a 64^3 world filled one PLACE at a time
 # about 266,000. A deterministic build never takes steps one by one; its
@@ -356,27 +371,21 @@ def parse(text: str) -> Program:
     return _Parser(_tokenize(text)).parse_program()
 
 
-def _serialize_into(ins: Instruction, lines: list[str]):
+def _line(ins: Instruction) -> str:
+    """The canonical line of an instruction, a block's its header."""
     if isinstance(ins, Place):
-        lines.append("PLACE")
-    elif isinstance(ins, Fill):
-        lines.append(f"FILL {ins.dx} {ins.dy} {ins.dz}")
-    elif isinstance(ins, Move):
-        lines.append(f"MOVE {ins.axis} {ins.n}")
-    elif isinstance(ins, Repeat):
-        lines.append(f"REPEAT {ins.count} {{")
-        for sub in ins.body:
-            _serialize_into(sub, lines)
-        lines.append("}")
-    elif isinstance(ins, Def):
-        lines.append(f"DEF {ins.name} {{")
-        for sub in ins.body:
-            _serialize_into(sub, lines)
-        lines.append("}")
-    elif isinstance(ins, Call):
-        lines.append(f"CALL {ins.name}" if ins.scale == 1 else f"CALL {ins.name} {ins.scale}")
-    else:
-        raise TypeError(f"not an instruction: {ins!r}")
+        return "PLACE"
+    if isinstance(ins, Fill):
+        return f"FILL {ins.dx} {ins.dy} {ins.dz}"
+    if isinstance(ins, Move):
+        return f"MOVE {ins.axis} {ins.n}"
+    if isinstance(ins, Repeat):
+        return f"REPEAT {ins.count} {{"
+    if isinstance(ins, Def):
+        return f"DEF {ins.name} {{"
+    if isinstance(ins, Call):
+        return f"CALL {ins.name}" if ins.scale == 1 else f"CALL {ins.name} {ins.scale}"
+    raise TypeError(f"not an instruction: {ins!r}")
 
 
 def serialize(program: Program) -> str:
@@ -384,9 +393,20 @@ def serialize(program: Program) -> str:
     LF separators, block headers ending in "{", "}" on its own line, no
     trailing newline, and CALL with scale 1 written without the scale."""
     lines: list[str] = []
-    for ins in program.instructions:
-        _serialize_into(ins, lines)
-    return "\n".join(lines)
+    # what is left of the body being written (rest) and of each block around it
+    rest, stack = iter(program.instructions), []
+    while True:
+        for ins in rest:
+            lines.append(_line(ins))
+            if isinstance(ins, _Block):
+                stack.append(rest)
+                rest = iter(ins.body)
+                break
+        else:
+            if not stack:
+                return "\n".join(lines)
+            lines.append("}")
+            rest = stack.pop()
 
 
 def body_length(instructions: tuple[Instruction, ...]) -> int:
@@ -419,18 +439,12 @@ def program_length(program: Program) -> int:
     return body_length(program.instructions)
 
 
-JitterFn = Callable[[], Optional[tuple[int, int, int]]]
 BoxFn = Callable[[tuple[int, int, int], int, int, int], None]
 
 
 class _Executor:
-    """The sequential walker: runs every instruction in order, each
-    REPEAT iteration and CALL body anew, and hands each PLACE and FILL
-    to box as its anchor and extent (a PLACE is a 1 x 1 x 1 box), once
-    its placements are charged. depth is how many levels, REPEAT
-    bodies and CALLs, the instructions of body run inside. Only
-    jittered builds need it, and one walk serves a whole fleet (see
-    _LockstepBox)."""
+    """The sequential walker (see walk). depth is how many levels,
+    REPEAT bodies and CALLs, the instructions of body run inside."""
 
     def __init__(self, limits: ExecutionLimits, box: BoxFn):
         self.limits = limits
@@ -489,46 +503,6 @@ class _Executor:
             else:
                 raise TypeError(f"not an instruction: {ins!r}")
         return cur
-
-
-def _clipped(x: int, y: int, z: int, dx: int, dy: int, dz: int,
-             dims: tuple[int, int, int]):
-    """The cells of the box at (x, y, z) with extent (dx, dy, dz) that
-    lie inside the world."""
-    return product(range(max(x, 0), min(x + dx, dims[0])),
-                   range(max(y, 0), min(y + dy, dims[1])),
-                   range(max(z, 0), min(z + dz, dims[2])))
-
-
-class _LockstepBox:
-    """The box hook of jittered builds: stamps each box the walker hands
-    it into every member's cells, one member at a time in index order.
-
-    Each member consults its own jitter once per box, so every stream
-    sees the same draws in the same order as a walk of its own would
-    make. A displaced box is shifted and clipped to the world; the cells
-    of an undisplaced one are worked out once per box and shared by
-    every member that keeps it. Cells outside the world are dropped,
-    not errors.
-    """
-
-    def __init__(self, dims: tuple[int, int, int], jitters: Sequence[JitterFn]):
-        self.dims = dims
-        self.jitters = jitters
-        self.members: list[set[tuple[int, int, int]]] = [set() for _ in jitters]
-
-    def __call__(self, cur: tuple[int, int, int], dx: int, dy: int, dz: int):
-        x, y, z = cur
-        dims = self.dims
-        shared = None
-        for cells, jitter in zip(self.members, self.jitters):
-            off = jitter()
-            if off is None:
-                if shared is None:
-                    shared = tuple(_clipped(x, y, z, dx, dy, dz, dims))
-                cells.update(shared)
-            else:
-                cells.update(_clipped(x + off[0], y + off[1], z + off[2], dx, dy, dz, dims))
 
 
 class _Summary:
@@ -721,7 +695,7 @@ def execute(program: Program, dims: tuple[int, int, int],
     freely; a placement outside it aborts with OutOfBounds. limits sets
     the placement budget. Each REPEAT body and each CALL is one level,
     and the levels around any instruction may number at most
-    MAX_BLOCK_DEPTH. For jittered builds see execute_jittered.
+    MAX_BLOCK_DEPTH. For a walk one instruction at a time see walk.
 
     A summary engine runs each (body, scale) once and stamps the result
     by translation, so nested REPEATs and CALLs cost no more than their
@@ -750,22 +724,12 @@ def execute(program: Program, dims: tuple[int, int, int],
     return VoxelStructure._trusted(dims, frozenset(engine.run(program)))
 
 
-def execute_jittered(program: Program, dims: tuple[int, int, int],
-                     limits: ExecutionLimits | None,
-                     jitters: Sequence[JitterFn]) -> list[VoxelStructure]:
-    """One jittered build per jitter hook, all from one walk of the
-    program, in the order of jitters.
-
-    Each hook is consulted once per PLACE or FILL and may displace where
-    it lands; cells outside the world are dropped, not errors. Jitter
-    never moves the cursor, so one walk serves every build (see
-    _LockstepBox). The walker reports the first fault it meets, once for
-    all builds, and spends the placement budget and MAX_STEPS (REPEAT
-    iterations and CALL body runs) once for all of them.
-    """
+def walk(program: Program, box: BoxFn, limits: ExecutionLimits | None = None):
+    """Run a program with the sequential walker, each REPEAT iteration
+    and CALL body anew, handing each PLACE and FILL to box(anchor, dx,
+    dy, dz) once its placements are charged; a PLACE is a 1 x 1 x 1 box.
+    The walk raises the first fault it meets, and spends the placement
+    budget and MAX_STEPS once. fleet.build_fleet builds human fleets so."""
     if limits is None:
         limits = ExecutionLimits()
-    box = _LockstepBox(dims, jitters)
     _Executor(limits, box).run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
-    # every cell was clipped to the world as it was placed
-    return [VoxelStructure._trusted(dims, frozenset(cells)) for cells in box.members]

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from domus import designer, synthesis, vm
-from domus.aesthetics import Pattern, PatternDictionary, beauty_score
+from domus.aesthetics import Pattern, PatternDictionary, beauty_score, load_patterns
 from domus.designer import SearchParams, compile_stamp, objective, optimize, stamp_prelude
 from domus.world import ConstraintSet, EnclosedVolumeAtLeast, MaterialAtMost, Stability
 
@@ -233,6 +233,18 @@ def test_trace_csv_format():
     lines = trace.to_csv().splitlines()
     assert lines[0] == "iter,objective,accepted,best"
     assert len(lines) == 4
+
+
+def test_trace_csv_writes_fractional_objectives_as_their_repr():
+    # at weight 0.5 the material penalty comes in halves; a whole score
+    # is written without ".0", a fractional one as repr writes it, as
+    # `domus optimize` does with these settings
+    dictionary = load_patterns((CORPUS / "brick.pat").read_text())
+    cs = ConstraintSet((MaterialAtMost(0, weight=0.5),))
+    _, trace = optimize(dictionary, cs, SearchParams(seed=3, iterations=200, dims=(8, 8, 8)))
+    lines = trace.to_csv().splitlines()
+    assert lines[:2] == ["iter,objective,accepted,best", "0,2,0,0"]
+    assert lines[37:40] == ["36,31.5,0,0", "37,27,1,0", "38,28.5,1,0"]
 
 
 def test_params_validation():

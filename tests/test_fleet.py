@@ -69,6 +69,23 @@ def test_jitter_prob_validation():
         HumanBuilder(1.5, 0)
 
 
+def test_human_members_are_the_checked_structures():
+    # build_fleet builds its members without the per-cell dims check,
+    # since it clipped every cell; each equals, and hashes like, the
+    # structure built the checked way
+    p = vm.parse("FILL 3 2 1\nMOVE X 2\nMOVE Y 1\nPLACE\nMOVE Z 1\nFILL 2 2 2")
+    members = build_fleet(p, 20, HumanBuilder(0.5, 3), (4, 3, 2))
+    # the last FILL reaches past the world's top, so each member is
+    # clipped, and jitter clips them differently
+    assert len({len(m.occupied) for m in members}) > 1
+    for m in members:
+        checked = VoxelStructure((4, 3, 2), set(m.occupied))
+        assert m == checked and hash(m) == hash(checked)
+        assert type(m.occupied) is frozenset
+    with pytest.raises(ValueError):
+        VoxelStructure._trusted((0, 3, 2), frozenset())
+
+
 def test_robot_errors_propagate():
     with pytest.raises(vm.OutOfBounds):
         build_fleet(vm.parse("MOVE X -1 PLACE"), 3, RobotBuilder(), (2, 2, 2))

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 from unittest import mock
 
 import pytest
@@ -290,9 +291,11 @@ def test_determinism():
 
 
 def test_placement_budget():
+    p, limits = vm.parse("FILL 3 3 3"), vm.ExecutionLimits(max_placements=5)
     with pytest.raises(vm.BudgetExceeded):
-        vm.execute(vm.parse("FILL 3 3 3"), (3, 3, 3),
-                   vm.ExecutionLimits(max_placements=5))
+        vm.execute(p, (3, 3, 3), limits)
+    with pytest.raises(vm.BudgetExceeded, match="placements"):
+        vm.walk(p, _no_box, limits)
 
 
 def test_call_depth_limit(monkeypatch):
@@ -307,15 +310,30 @@ def test_call_depth_limit(monkeypatch):
 def _both_engines(program, dims):
     """The structure, or the fault, of each engine's build."""
     return (_outcome(lambda: vm.execute(program, dims)),
-            _outcome(lambda: vm.execute_jittered(program, dims, None, [lambda: None])[0]))
+            _outcome(lambda: _strict_walk(program, dims, None)))
+
+
+def _hand_built_nest(levels: int, body=(vm.Place(),)) -> tuple:
+    # vm.parse reads no nest past MAX_BLOCK_DEPTH, so it is built from
+    # the dataclasses
+    for _ in range(levels):
+        body = (vm.Repeat(2, body),)
+    return body
 
 
 def test_a_hand_built_nest_past_the_limit_is_refused_by_both_engines():
-    # vm.parse reads no such program, so it is built from the dataclasses
-    body = (vm.Place(),)
-    for _ in range(2000):
-        body = (vm.Repeat(2, body),)
-    assert _both_engines(vm.Program(body), (1, 1, 1)) == (vm.DepthExceeded,) * 2
+    assert _both_engines(vm.Program(_hand_built_nest(2000)), (1, 1, 1)) == (vm.DepthExceeded,) * 2
+
+
+def test_a_hand_built_nest_past_the_limit_is_priced_and_written():
+    # neither recurses: each reckons the nest level by level, and a
+    # block that already keeps its length ends the measuring walk
+    inner = vm.Program(_hand_built_nest(2000))
+    text = "REPEAT 2 {\n" * 2000 + "PLACE" + "\n}" * 2000
+    assert vm.program_length(inner) == len(vm.serialize(inner)) == len(text)
+    assert vm.serialize(inner) == text
+    outer = vm.Program(_hand_built_nest(2000, inner.instructions))
+    assert vm.program_length(outer) == len(vm.serialize(outer)) == 2 * len(text) - 5
 
 
 def test_a_40_deep_call_chain_builds_in_both_engines():
@@ -350,28 +368,6 @@ def test_stamp_neutrality():
     assert vm.execute(base, (5, 5, 5)) == vm.execute(extended, (5, 5, 5))
 
 
-def test_jitter_skips_out_of_bounds():
-    # jitter pushes the single placement off the grid: dropped, no error
-    s = vm.execute_jittered(vm.parse("PLACE"), (1, 1, 1), None, [lambda: (-1, 0, 0)])[0]
-    assert s.occupied == frozenset()
-
-
-def test_jittered_members_are_the_checked_structures():
-    # execute_jittered builds its members without the per-cell dims
-    # check, since it clipped every cell; each equals, and hashes like,
-    # the structure built the checked way
-    p = vm.parse("FILL 3 2 1\nMOVE X 2\nMOVE Y 1\nPLACE\nMOVE Z 1\nFILL 2 2 2")
-    shifts = [lambda: None, lambda: (1, 0, 0), lambda: (-2, 1, 0), lambda: (0, 0, 5)]
-    members = vm.execute_jittered(p, (4, 3, 2), None, shifts)
-    assert [len(m.occupied) for m in members] == [10, 8, 4, 0]
-    for m in members:
-        checked = VoxelStructure((4, 3, 2), set(m.occupied))
-        assert m == checked and hash(m) == hash(checked)
-        assert type(m.occupied) is frozenset
-    with pytest.raises(ValueError):
-        VoxelStructure._trusted((0, 3, 2), frozenset())
-
-
 def test_def_below_top_level_rejected_at_execution():
     bogus = vm.Program((vm.Repeat(2, (vm.Def("a", (vm.Place(),)),)),))
     with pytest.raises(vm.DslError):
@@ -391,26 +387,43 @@ def test_deep_zero_placement_nest_builds_its_one_cell():
     assert vm.execute(_zero_placement_nest(40), (2, 1, 1)).occupied == {(0, 0, 0)}
 
 
+def test_a_block_with_more_cells_than_the_world_is_refused():
+    # each REPEAT's translates fit the world, but each level multiplies
+    # the cells; the check at each block's end bounds a build's time by
+    # the world's volume, where such nests would grow by a factor at
+    # every level until the placement budget
+    p = vm.parse("REPEAT 8 { REPEAT 8 { REPEAT 8 { PLACE MOVE Y 100 PLACE MOVE Y -100 MOVE X 1 }"
+                 " MOVE X -8 MOVE Z 1 } MOVE Z -8 MOVE Y 1 }")
+    with pytest.raises(vm.OutOfBounds,
+                       match=re.escape("a block places 1024 cells, more than dims (8, 8, 8) hold")):
+        vm.execute(p, (8, 8, 8))
+
+
+def _no_box(cur, dx, dy, dz):
+    pass
+
+
 def test_walker_refuses_a_def_below_top_level():
     # vm.parse reads no such program, so it is built from the dataclasses
     p = vm.Program((vm.Repeat(2, (vm.Def("a", (vm.Place(),)),)),))
     with pytest.raises(vm.DslError, match="top level"):
-        vm.execute_jittered(p, (2, 2, 2), None, [lambda: None])
+        vm.walk(p, _no_box)
 
 
 def test_walker_step_budget_stops_a_jittered_deep_nest():
-    # 2**23 - 2 steps, about 6 s of walking without the budget
+    # 2**23 - 2 steps, about 6 s of walking without the budget; a human
+    # fleet walks the program so
     with pytest.raises(vm.BudgetExceeded, match="steps"):
-        vm.execute_jittered(_zero_placement_nest(22), (2, 1, 1), None, [lambda: None])[0]
+        vm.walk(_zero_placement_nest(22), _no_box)
 
 
 def test_walker_step_budget_counts_iterations_and_calls(monkeypatch):
     p = vm.parse("DEF a { PLACE } REPEAT 3 { CALL a }")  # 3 iterations + 3 calls
     monkeypatch.setattr(vm, "MAX_STEPS", 6)
-    vm.execute_jittered(p, (2, 2, 2), None, [lambda: None])[0]
+    vm.walk(p, _no_box)
     monkeypatch.setattr(vm, "MAX_STEPS", 5)
     with pytest.raises(vm.BudgetExceeded):
-        vm.execute_jittered(p, (2, 2, 2), None, [lambda: None])[0]
+        vm.walk(p, _no_box)
 
 
 def test_fault_precedence():
@@ -474,7 +487,7 @@ def _strict_walk(program, dims, limits) -> VoxelStructure:
             raise vm.OutOfBounds(f"box {(dx, dy, dz)} at {cur} outside dims {dims}")
         cells.update(_box_cells(cur, dx, dy, dz))
 
-    vm._Executor(limits, box).run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+    vm.walk(program, box, limits)
     return VoxelStructure(dims, frozenset(cells))
 
 
