@@ -9,16 +9,28 @@ add. A seeded simulated annealer edits the program directly; every
 dictionary pattern is precompiled into a DEF stamp so a single edit can
 drop a whole primitive into the design. The dictionary, constraints and
 dims are fixed for a search, so the score depends only on the structure
-a candidate builds: each search executes every candidate, reusing the
-summaries of the bodies earlier candidates ran (vm.execute's memo), but
-scores each distinct structure once.
+a candidate builds: each search builds every candidate but scores each
+distinct structure once.
+
+A search keeps the summaries of the bodies its candidates ran
+(vm.execute's memo) and builds a long candidate from chunks: its top
+level after the stamp prelude is cut into DEFs and chunks of a few
+instructions, and an edit cuts again only the chunks it touched. Every
+other chunk is the same tuple as in the candidate it was edited from,
+so its summary is found in the memo and its length is kept: a build
+summarises, and pricing measures, only the chunks the edit touched (see
+vm._build_chunked). The memo keeps a chunk's summary while the current
+or the best candidate holds the chunk.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress, count
+from operator import is_not
 
 from . import synthesis, vm
 from .aesthetics import Pattern, PatternDictionary, beauty_score
@@ -36,7 +48,8 @@ __all__ = [
 ]
 
 # Edit kinds and their draw weights. The order is part of the search:
-# rng.choices draws against it.
+# rng.choices draws against it, as against the weights' running sums,
+# which it would otherwise sum again at each draw.
 _MOVE_KINDS, _MOVE_WEIGHTS = zip(
     ("insert", 3.0),
     ("delete", 2.0),
@@ -45,6 +58,7 @@ _MOVE_KINDS, _MOVE_WEIGHTS = zip(
     ("extract_def", 0.5),
     ("insert_stamp", 3.0),
 )
+_MOVE_SUMS = tuple(accumulate(_MOVE_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -174,7 +188,7 @@ class _Editor:
         return vm.Call(rng.choice(self.stamp_names))
 
     def propose(self, tail: list[vm.Instruction]) -> list[vm.Instruction] | None:
-        kind = self.rng.choices(_MOVE_KINDS, weights=_MOVE_WEIGHTS, k=1)[0]
+        kind = self.rng.choices(_MOVE_KINDS, cum_weights=_MOVE_SUMS, k=1)[0]
         fn = getattr(self, "_" + kind)
         return fn(list(tail))
 
@@ -243,23 +257,120 @@ class _Editor:
         return new_tail
 
 
+# Most instructions one chunk of a candidate's tail holds, and the most a
+# tail holds that is built flat (see _Tail)
+_CHUNK = 16
+_FLAT = 2 * _CHUNK
+
+
+def _cut(instrs: list[vm.Instruction]) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """instrs as pieces, each DEF alone and each run of instructions
+    between DEFs as near-equal chunks of at most _CHUNK, then the number
+    of instructions each piece holds and its canonical length with the
+    LF that follows it."""
+    pieces = []
+    start = 0
+    for end in [i for i, ins in enumerate(instrs) if type(ins) is vm.Def] + [len(instrs)]:
+        n = end - start
+        k = -(-n // _CHUNK)
+        pieces += [tuple(instrs[start + n * i // k:start + n * (i + 1) // k]) for i in range(k)]
+        if end < len(instrs):
+            pieces.append(instrs[end])
+        start = end + 1
+    units = [p if type(p) is tuple else (p,) for p in pieces]
+    return (tuple(pieces), tuple(map(len, units)),
+            tuple([vm.body_length(u) + 1 for u in units]))
+
+
+class _Tail:
+    """A candidate's tail, the instructions after the stamp prelude, with
+    its top level as vm._build_chunked takes it: pieces, each a DEF or a
+    chunk, and of each piece the number of instructions it holds and its
+    canonical length with the LF that follows it (sizes). The candidate
+    is within the byte cap when its sizes fit the room left after the
+    prelude.
+
+    A tail of at most _FLAT instructions keeps no pieces (None) and has
+    one size, its whole text's. It is built flat, as vm.execute builds
+    a program: an edit would leave at most one chunk of it to share,
+    which saves less than the bookkeeping costs (150-iteration searches,
+    whose tails stay short, ran 4-20% slower chunked).
+    """
+
+    __slots__ = ("instrs", "pieces", "counts", "sizes")
+
+    def __init__(self, instrs: list[vm.Instruction], pieces: tuple | None,
+                 counts: tuple[int, ...] | None, sizes: tuple[int, ...]):
+        self.instrs = instrs
+        self.pieces = pieces
+        self.counts = counts
+        self.sizes = sizes
+
+    def edited(self, proposal: list[vm.Instruction]) -> tuple[_Tail, tuple, tuple]:
+        """proposal as a _Tail, then the pieces it cut afresh and the
+        pieces of this tail that it does not keep. It keeps each piece
+        of this tail that lies wholly in the instructions that both start
+        or both end with, compared by identity, and cuts the rest again,
+        with a neighbouring chunk where the rest alone would make a chunk
+        of fewer than _CHUNK // 2 instructions, so that edits do not wear
+        the chunks down to fragments."""
+        pieces = self.pieces
+        if len(proposal) <= _FLAT:
+            return (_Tail(proposal, None, None,
+                          (vm.body_length(proposal) + 1,) if proposal else ()),
+                    (), pieces or ())
+        if pieces is None:
+            new = _Tail(proposal, *_cut(proposal))
+            return new, new.pieces, ()
+        old = self.instrs
+        n, m = len(old), len(proposal)
+        both = min(n, m)
+        lo = next(compress(count(), map(is_not, proposal, old)), both)
+        hi = min(next(compress(count(), map(is_not, reversed(proposal), reversed(old))), both),
+                 both - lo)
+        # piece k holds old[bounds[k]:bounds[k + 1]]; pieces i to j - 1
+        # are cut again, as proposal[bounds[i]:m - n + bounds[j]]
+        bounds = list(accumulate(self.counts, initial=0))
+        i = bisect_right(bounds, lo) - 1
+        j = bisect_left(bounds, n - hi)
+        if 0 < m - n + bounds[j] - bounds[i] < _CHUNK // 2:
+            if i > 0 and type(pieces[i - 1]) is tuple:
+                i -= 1
+            if j < len(pieces) and type(pieces[j]) is tuple:
+                j += 1
+        fresh, counts, sizes = _cut(proposal[bounds[i]:m - n + bounds[j]])
+        return (_Tail(proposal, pieces[:i] + fresh + pieces[j:],
+                      self.counts[:i] + counts + self.counts[j:],
+                      self.sizes[:i] + sizes + self.sizes[j:]),
+                fresh, pieces[i:j])
+
+
 def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
             params: SearchParams, seed: int, prelude: tuple[vm.Def, ...],
             limits: vm.ExecutionLimits | None) -> tuple[vm.Program, SearchTrace]:
     rng = random.Random(seed)
     editor = _Editor(rng, params.dims, [d.name for d in prelude])
+    if limits is None:
+        limits = vm.ExecutionLimits()
+    # a candidate is within the byte cap when its tail's sizes sum to at
+    # most room (a canonical text has one LF fewer than its lines)
+    room = params.max_program_bytes + 1 - (vm.body_length(prelude) + 1 if prelude else 0)
 
     # the score of each structure built so far in this search, and the
-    # summaries of the bodies its candidates ran (see vm.execute)
+    # summaries of the bodies and chunks its candidates ran. A chunk's
+    # summary is kept while the current or the best tail holds the chunk;
+    # any other piece's id is no key of memo, since the piece is alive
     scores: dict[frozenset, float] = {}
     memo: dict = {}
+    memos = {params.dims: memo}  # the same summaries, as vm.execute takes them
 
-    def assemble(tail: list[vm.Instruction]) -> vm.Program:
-        return vm.Program(prelude + tuple(tail))
-
-    def score(program: vm.Program) -> float:
+    def score(tail: _Tail) -> float:
         try:
-            built = vm.execute(program, params.dims, limits, memo=memo)
+            if tail.pieces is None:
+                built = vm.execute(vm.Program(prelude + tuple(tail.instrs)), params.dims,
+                                   limits, memo=memos)
+            else:
+                built = vm._build_chunked(prelude + tail.pieces, params.dims, limits, memo)
         except DomusError:
             return math.inf
         j = scores.get(built.occupied)
@@ -267,34 +378,42 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
             j = scores[built.occupied] = _structure_score(built, dictionary, cs)
         return j
 
-    current: list[vm.Instruction] = []
-    current_j = score(assemble(current))
-    best_tail = list(current)
-    best_j = current_j
+    current = best = _Tail([], None, None, ())
+    current_j = best_j = score(current)
+    best_ids: set[int] = set()
 
     temp = params.initial_temperature
     records = []
     for it in range(params.iterations):
-        proposal = editor.propose(current)
+        proposal = editor.propose(current.instrs)
         accepted = False
         prop_j = current_j
         if proposal is not None:
-            candidate = assemble(proposal)
-            if vm.program_length(candidate) <= params.max_program_bytes:
+            candidate, fresh, replaced = current.edited(proposal)
+            if sum(candidate.sizes) <= room:
                 prop_j = score(candidate)
                 delta = prop_j - current_j
                 if delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp)):
                     accepted = True
-                    current = proposal
+                    for piece in replaced:
+                        if id(piece) not in best_ids:
+                            memo.pop((id(piece), 1), None)
+                    current = candidate
                     current_j = prop_j
                     if current_j < best_j:
-                        best_j = current_j
-                        best_tail = list(current)
+                        ids = set(map(id, current.pieces or ()))
+                        for piece in best.pieces or ():
+                            if id(piece) not in ids:
+                                memo.pop((id(piece), 1), None)
+                        best, best_j, best_ids = current, current_j, ids
+            if not accepted:
+                for piece in fresh:
+                    memo.pop((id(piece), 1), None)
         records.append(TraceRecord(iteration=it, objective=prop_j,
                                    accepted=accepted, best_so_far=best_j))
         temp *= params.cooling
 
-    return assemble(best_tail), SearchTrace(tuple(records))
+    return vm.Program(prelude + tuple(best.instrs)), SearchTrace(tuple(records))
 
 
 def optimize(dictionary: PatternDictionary, cs: ConstraintSet,

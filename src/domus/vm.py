@@ -576,7 +576,33 @@ class _Summarizer:
 
     def run(self, program: Program) -> set[tuple[int, int, int]]:
         # nothing keeps the top level's summary, so it records no reads
-        cells = self._summarize(program.instructions, 1, 0, None, top=True).cells
+        return self._in_bounds(self._summarize(program.instructions, 1, 0, None, top=True).cells)
+
+    def run_chunked(self, top: tuple[Union[Def, tuple[Instruction, ...]], ...]
+                    ) -> set[tuple[int, int, int]]:
+        # each chunk is stamped as a CALL is, but at depth 0 and with the
+        # cursor moved on, since its text stands in the top level itself
+        cells: set[tuple[int, int, int]] = set()
+        x = y = z = count = 0
+        for piece in top:
+            if type(piece) is Def:
+                if piece.name in self.env:
+                    self.env_id = object()
+                self.env[piece.name] = piece.body
+                continue
+            s = self._sub(piece, 1, 0, None)
+            count += s.count
+            sx, sy, sz = s.disp
+            if s.cells:
+                cells.update(_shifted(s.cells, x, y, z))
+            x += sx
+            y += sy
+            z += sz
+        if count > self.limits.max_placements:
+            raise BudgetExceeded(f"more than {self.limits.max_placements} placements")
+        return self._in_bounds(cells)
+
+    def _in_bounds(self, cells: set[tuple[int, int, int]]) -> set[tuple[int, int, int]]:
         if cells:
             xs, ys, zs = zip(*cells)
             lo, hi = (min(xs), min(ys), min(zs)), (max(xs), max(ys), max(zs))
@@ -722,6 +748,36 @@ def execute(program: Program, dims: tuple[int, int, int],
     engine = _Summarizer(dims, limits, {} if memo is None else memo.setdefault(dims, {}))
     # run proved that the cells' bounding box lies in the world
     return VoxelStructure._trusted(dims, frozenset(engine.run(program)))
+
+
+def _build_chunked(top: tuple[Union[Def, tuple[Instruction, ...]], ...],
+                   dims: tuple[int, int, int], limits: ExecutionLimits,
+                   memo: dict) -> VoxelStructure:
+    """Build the program whose top level is top with each chunk, a tuple
+    of instructions that holds no DEF, spliced in where it stands: the
+    annealer's candidates, whose unchanged chunks are the same objects
+    from one candidate to the next (see designer).
+
+    DEFs are bound in order, as execute binds them. Each chunk is
+    summarised, or found in memo, as a body at depth 0, since its text
+    is the top level's, and its summary is stamped at the cursor, which
+    then moves on by the chunk's displacement. memo is the memo of one
+    dims (execute keeps one per dims), and holds each chunk's summary
+    under the key (id(chunk), 1) as long as its caller leaves it there.
+
+    The result is the structure that execute builds from the flat
+    program. Where that build fails, this one fails too,
+    though maybe with another fault: a chunk's placements and cells are
+    a subset of the whole build's, so a chunk past the placement budget
+    or with more cells than the world proves that the flat build fails;
+    a FILL or REPEAT too wide for the world fails in both; and an
+    unbound name and REPEATs and CALLs nested past MAX_BLOCK_DEPTH are
+    proved in program order in both. Where the flat build succeeds, so
+    does this one.
+    """
+    # run_chunked proved that the cells' bounding box lies in the world
+    engine = _Summarizer(dims, limits, memo)
+    return VoxelStructure._trusted(dims, frozenset(engine.run_chunked(top)))
 
 
 def walk(program: Program, box: BoxFn, limits: ExecutionLimits | None = None):

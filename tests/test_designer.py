@@ -157,11 +157,14 @@ GOLDEN_SEARCHES = [
     (CORPUS_CS, dict(iterations=120, islands=3), 2,
      "a245f5a8c981d8e59d692ebe72b0970e41dd2a240893538c8f80658203c93354"),
     (SHELTER_CS, dict(), 1, "93bfb234a49a1500c49f6aac4a82c85b0be3caad02fea74dde79d7907d17ff30"),
+    # long enough that most candidates share chunks with the one before
+    (CORPUS_CS, dict(iterations=3000), 1,
+     "343736f7dbb56cfc6a8ecfa96ff513a49ce23c7bfb45e281fefa1d238b3cc131"),
 ]
 
 
 @pytest.mark.parametrize("cs, kw, workers, digest", GOLDEN_SEARCHES,
-                         ids=["single", "islands3-w1", "islands3-w2", "shelter"])
+                         ids=["single", "islands3-w1", "islands3-w2", "shelter", "long"])
 def test_search_is_pinned(cs, kw, workers, digest):
     best, trace = optimize(DICT1, cs, _params(**kw), workers=workers)
     got = hashlib.sha256((vm.serialize(best) + trace.to_csv()).encode()).hexdigest()
@@ -199,6 +202,53 @@ def test_trace_scores_each_candidate_by_the_objective(monkeypatch, cs):
     # distinct structures, some scored more than once, some with a residual
     assert 1 < len(set(structures)) < len(structures)
     assert residual
+
+
+@pytest.mark.parametrize("grow", [False, True], ids=["corpus", "grow"])
+def test_a_search_keeps_the_summaries_of_its_current_and_best_chunks_only(monkeypatch, grow):
+    if grow:
+        # each larger structure is a new best, so the best tail changes
+        # while it holds many chunks
+        monkeypatch.setattr(designer, "_structure_score",
+                            lambda built, dictionary, cs: -float(len(built.occupied)))
+    # each iteration's candidate tail, None where it proposed nothing
+    tails = []
+    memos = []
+    propose, edited, build = designer._Editor.propose, designer._Tail.edited, vm._build_chunked
+
+    def proposing(self, tail):
+        tails.append(None)
+        return propose(self, tail)
+
+    def editing(self, proposal):
+        result = edited(self, proposal)
+        tails[-1] = result[0]
+        return result
+
+    def building(top, dims, limits, memo):
+        memos.append(memo)
+        return build(top, dims, limits, memo)
+
+    monkeypatch.setattr(designer._Editor, "propose", proposing)
+    monkeypatch.setattr(designer._Tail, "edited", editing)
+    monkeypatch.setattr(vm, "_build_chunked", building)
+    params = _params(iterations=2000)
+    _, trace = optimize(DICT1, CORPUS_CS, params)
+    # the current and best tails, followed through the trace
+    current = best = designer._Tail([], None, None, ())
+    best_j = objective(vm.Program(stamp_prelude(DICT1)), DICT1, CORPUS_CS, params.dims)
+    for record, tail in zip(trace.records, tails, strict=True):
+        if record.accepted:
+            current = tail
+            if record.objective < best_j:
+                best, best_j = current, record.objective
+    memo = memos[-1]
+    assert all(m is memo for m in memos)
+    # tails holds every chunk alive, so no other body has a chunk's id
+    chunks = {id(p) for t in tails if t is not None for p in t.pieces or () if type(p) is tuple}
+    kept = {id(p) for t in (current, best) for p in t.pieces or () if type(p) is tuple}
+    held = {key[0] for key in memo} & chunks
+    assert kept and held == kept
 
 
 def test_islands_pick_the_lowest_final_best_then_the_lowest_index(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from domus import vm
+from domus import designer, vm
 from domus.errors import DomusError
 from domus.world import VoxelStructure
 
@@ -686,3 +686,37 @@ def test_a_shared_memo_builds_what_a_fresh_build_does(runs):
             fresh = _outcome(lambda: vm.execute(program, dims, limits))
             shared = _outcome(lambda: vm.execute(program, dims, limits, memo=memo))
         assert shared == fresh
+
+
+# --- the annealer's chunked candidates ---
+
+# b's summary, made before a is rebound, must not serve the CALL after it
+_REBOUND = vm.Program((vm.Def("a", (vm.Place(),)), vm.Def("b", (vm.Call("a"),)), vm.Call("b"),
+                       vm.Def("a", (vm.Move("Y", 1), vm.Place())), vm.Call("b")))
+
+
+@given(_any_memo_run(), st.integers(1, designer._CHUNK))
+@settings(max_examples=300, deadline=None)
+@example([(_REBOUND, (1, 2, 1), vm.ExecutionLimits(), 4)], 1)
+def test_chunked_candidates_build_what_their_flat_programs_do(runs, size):
+    # each program is the tail of a candidate, cut into chunks of at most
+    # size as the annealer cuts them, sharing the chunks an edit keeps;
+    # as when each candidate is accepted, a chunk it replaces is dropped
+    memos = {}
+    tail = designer._Tail([], None, None, ())
+    with mock.patch.object(designer, "_CHUNK", size), mock.patch.object(designer, "_FLAT", 0):
+        for program, dims, limits, depth in runs:
+            tail, _, replaced = tail.edited(list(program.instructions))
+            assert max(sum(tail.sizes) - 1, 0) == vm.program_length(program)
+            memo = memos.setdefault(dims, {})
+            with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth):
+                flat = _outcome(lambda: vm.execute(program, dims, limits))
+                chunked = _outcome(lambda: vm._build_chunked(tail.pieces or (), dims, limits,
+                                                             memo))
+            if isinstance(flat, VoxelStructure):
+                assert chunked == flat
+            else:
+                assert not isinstance(chunked, VoxelStructure)
+            for piece in replaced:
+                for memo in memos.values():
+                    memo.pop((id(piece), 1), None)
