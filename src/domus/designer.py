@@ -12,15 +12,15 @@ dims are fixed for a search, so the score depends only on the structure
 a candidate builds: each search builds every candidate but scores each
 distinct structure once.
 
-A search keeps the summaries of the bodies its candidates ran
-(vm.execute's memo) and builds a long candidate from chunks: its top
-level after the stamp prelude is cut into DEFs and chunks of a few
-instructions, and an edit cuts again only the chunks it touched. Every
-other chunk is the same tuple as in the candidate it was edited from,
-so its summary is found in the memo and its length is kept: a build
-summarises, and pricing measures, only the chunks the edit touched (see
-vm._build_chunked). The memo keeps a chunk's summary while the current
-or the best candidate holds the chunk.
+A search builds every candidate through vm._build with one memo, so it
+keeps the summaries of the bodies its candidates ran, and holds a long
+candidate as chunks: its top level after the stamp prelude is cut into
+DEFs and chunks of a few instructions, and an edit cuts again only the
+chunks it touched. Every other chunk is the same object as in the
+candidate it was edited from, so its summary is found in the memo and
+its length is kept: a build summarises, and pricing measures, only the
+chunks the edit touched. The memo keeps a chunk's summary while the
+current or the best candidate holds the chunk.
 """
 
 from __future__ import annotations
@@ -273,26 +273,27 @@ def _cut(instrs: list[vm.Instruction]) -> tuple[tuple, tuple[int, ...], tuple[in
     for end in [i for i, ins in enumerate(instrs) if type(ins) is vm.Def] + [len(instrs)]:
         n = end - start
         k = -(-n // _CHUNK)
-        pieces += [tuple(instrs[start + n * i // k:start + n * (i + 1) // k]) for i in range(k)]
+        pieces += [vm._Chunk(instrs[start + n * i // k:start + n * (i + 1) // k])
+                   for i in range(k)]
         if end < len(instrs):
             pieces.append(instrs[end])
         start = end + 1
-    units = [p if type(p) is tuple else (p,) for p in pieces]
+    units = [p if type(p) is vm._Chunk else (p,) for p in pieces]
     return (tuple(pieces), tuple(map(len, units)),
             tuple([vm.body_length(u) + 1 for u in units]))
 
 
 class _Tail:
     """A candidate's tail, the instructions after the stamp prelude, with
-    its top level as vm._build_chunked takes it: pieces, each a DEF or a
+    its top level as vm._build takes it: pieces, each a DEF or a
     chunk, and of each piece the number of instructions it holds and its
     canonical length with the LF that follows it (sizes). The candidate
     is within the byte cap when its sizes fit the room left after the
     prelude.
 
     A tail of at most _FLAT instructions keeps no pieces (None) and has
-    one size, its whole text's. It is built flat, as vm.execute builds
-    a program: an edit would leave at most one chunk of it to share,
+    one size, its whole text's. It is built flat, its instructions the
+    top level: an edit would leave at most one chunk of it to share,
     which saves less than the bookkeeping costs (150-iteration searches,
     whose tails stay short, ran 4-20% slower chunked).
     """
@@ -334,9 +335,9 @@ class _Tail:
         i = bisect_right(bounds, lo) - 1
         j = bisect_left(bounds, n - hi)
         if 0 < m - n + bounds[j] - bounds[i] < _CHUNK // 2:
-            if i > 0 and type(pieces[i - 1]) is tuple:
+            if i > 0 and type(pieces[i - 1]) is vm._Chunk:
                 i -= 1
-            if j < len(pieces) and type(pieces[j]) is tuple:
+            if j < len(pieces) and type(pieces[j]) is vm._Chunk:
                 j += 1
         fresh, counts, sizes = _cut(proposal[bounds[i]:m - n + bounds[j]])
         return (_Tail(proposal, pieces[:i] + fresh + pieces[j:],
@@ -362,15 +363,11 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
     # any other piece's id is no key of memo, since the piece is alive
     scores: dict[frozenset, float] = {}
     memo: dict = {}
-    memos = {params.dims: memo}  # the same summaries, as vm.execute takes them
 
     def score(tail: _Tail) -> float:
+        top = tuple(tail.instrs) if tail.pieces is None else tail.pieces
         try:
-            if tail.pieces is None:
-                built = vm.execute(vm.Program(prelude + tuple(tail.instrs)), params.dims,
-                                   limits, memo=memos)
-            else:
-                built = vm._build_chunked(prelude + tail.pieces, params.dims, limits, memo)
+            built = vm._build(prelude + top, params.dims, limits, memo)
         except DomusError:
             return math.inf
         j = scores.get(built.occupied)

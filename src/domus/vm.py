@@ -505,6 +505,14 @@ class _Executor:
         return cur
 
 
+class _Chunk(tuple):
+    """Instructions, none of them a DEF, that stand in a top level as one
+    piece, to be summarised once and shared by the programs that hold it
+    (see _build); designer cuts its candidates so."""
+
+    __slots__ = ()
+
+
 class _Summary:
     """What one run of a body does, started at cursor (0, 0, 0).
 
@@ -546,7 +554,7 @@ class _Summarizer:
     the world volume; no level past MAX_BLOCK_DEPTH is entered, which
     bounds how deep it recurses.
 
-    The memo may outlive one build (see execute). An entry keeps its
+    The memo may outlive one build (see _build). An entry keeps its
     body, so no other body can take its id while the entry lives, and
     the names its summary read, those of its sub-summaries included. It
     is reused only while each of those names is bound to the same
@@ -554,9 +562,7 @@ class _Summarizer:
     name, and only where a fresh summary would raise nothing: its height
     added to the depth it runs at stays within MAX_BLOCK_DEPTH, and its
     placements fit this build's budget. Otherwise the body is
-    summarised afresh, which raises the fault a fresh build raises. The
-    memo serves one dims, since a summary proves nothing out of bounds
-    only for the dims it was made for.
+    summarised afresh, which raises the fault a fresh build raises.
     """
 
     def __init__(self, dims: tuple[int, int, int], limits: ExecutionLimits, memo: dict):
@@ -574,33 +580,9 @@ class _Summarizer:
         # env_id is the one under which they last resolved so
         self.memo = memo
 
-    def run(self, program: Program) -> set[tuple[int, int, int]]:
+    def run(self, top: tuple[Union[Instruction, _Chunk], ...]) -> set[tuple[int, int, int]]:
         # nothing keeps the top level's summary, so it records no reads
-        return self._in_bounds(self._summarize(program.instructions, 1, 0, None, top=True).cells)
-
-    def run_chunked(self, top: tuple[Union[Def, tuple[Instruction, ...]], ...]
-                    ) -> set[tuple[int, int, int]]:
-        # each chunk is stamped as a CALL is, but at depth 0 and with the
-        # cursor moved on, since its text stands in the top level itself
-        cells: set[tuple[int, int, int]] = set()
-        x = y = z = count = 0
-        for piece in top:
-            if type(piece) is Def:
-                if piece.name in self.env:
-                    self.env_id = object()
-                self.env[piece.name] = piece.body
-                continue
-            s = self._sub(piece, 1, 0, None)
-            count += s.count
-            sx, sy, sz = s.disp
-            if s.cells:
-                cells.update(_shifted(s.cells, x, y, z))
-            x += sx
-            y += sy
-            z += sz
-        if count > self.limits.max_placements:
-            raise BudgetExceeded(f"more than {self.limits.max_placements} placements")
-        return self._in_bounds(cells)
+        return self._in_bounds(self._summarize(top, 1, 0, None, top=True).cells)
 
     def _in_bounds(self, cells: set[tuple[int, int, int]]) -> set[tuple[int, int, int]]:
         if cells:
@@ -702,6 +684,17 @@ class _Summarizer:
                     height = s.height + 1
                 if s.cells:
                     cells.update(_shifted(s.cells, x, y, z))
+            elif kind is _Chunk and top:
+                # stamped as a CALL is, but at this depth and with the
+                # cursor moved on, since its text stands in the top level
+                s = self._sub(ins, scale, depth, reads)
+                count += s.count
+                sx, sy, sz = s.disp
+                if s.cells:
+                    cells.update(_shifted(s.cells, x, y, z))
+                x += sx
+                y += sy
+                z += sz
             else:
                 raise TypeError(f"not an instruction: {ins!r}")
         if count > self.limits.max_placements:
@@ -713,8 +706,7 @@ class _Summarizer:
 
 
 def execute(program: Program, dims: tuple[int, int, int],
-            limits: ExecutionLimits | None = None, *,
-            memo: dict | None = None) -> VoxelStructure:
+            limits: ExecutionLimits | None = None) -> VoxelStructure:
     """Run a program on an empty world and return the built structure.
 
     The cursor starts at (0, 0, 0) and may wander outside the box
@@ -734,50 +726,41 @@ def execute(program: Program, dims: tuple[int, int, int],
     cells than the world, or else once all cells are built. So an out-of-bounds PLACE
     before a CALL to an unbound name reports UnknownName, and a FILL
     wider than the world before it reports OutOfBounds.
-
-    The summaries live for this build alone, unless the caller hands in
-    memo: a dict, empty at first, that it passes to each build meant to
-    share them, such as the candidates of one search. A body summarised
-    by an earlier build is then stamped again while the names it calls
-    are bound as they were (see _Summarizer), so the result, or the
-    fault raised, is the one a build without memo gives. memo keeps
-    the summaries of each dims apart.
     """
-    if limits is None:
-        limits = ExecutionLimits()
-    engine = _Summarizer(dims, limits, {} if memo is None else memo.setdefault(dims, {}))
+    return _build(program.instructions, dims,
+                  ExecutionLimits() if limits is None else limits, {})
+
+
+def _build(top: tuple[Union[Instruction, _Chunk], ...], dims: tuple[int, int, int],
+           limits: ExecutionLimits, memo: dict) -> VoxelStructure:
+    """Build the program whose top level is top, as execute does, with
+    each chunk in it spliced in where it stands.
+
+    memo holds the summaries, and is the memo of one dims, since a
+    summary proves nothing out of bounds only for the dims it was made
+    for: a dict, empty at first, that the caller passes to each build
+    meant to share them, such as the candidates of one search. A body
+    summarised by an earlier build is stamped again while the names it
+    calls are bound as they were (see _Summarizer), so the result, or
+    the fault raised, is the one a build with a fresh memo gives.
+
+    A chunk is summarised, or found in memo, as a body at depth 0, since
+    its text is the top level's, and its summary is stamped at the
+    cursor, which then moves on by the chunk's displacement. memo holds
+    it under the key (id(chunk), 1) as long as its caller leaves it
+    there: the annealer's candidates share their unchanged chunks from
+    one candidate to the next (see designer). The result is the
+    structure that execute builds from the flat program. Where that
+    build fails, this one fails too, though maybe with another fault: a
+    chunk's placements and cells are a subset of the whole build's, so
+    a chunk past the placement budget or with more cells than the world
+    proves that the flat build fails; a FILL or REPEAT too wide for the
+    world fails in both; and an unbound name and REPEATs and CALLs
+    nested past MAX_BLOCK_DEPTH are proved in program order in both.
+    Where the flat build succeeds, so does this one.
+    """
     # run proved that the cells' bounding box lies in the world
-    return VoxelStructure._trusted(dims, frozenset(engine.run(program)))
-
-
-def _build_chunked(top: tuple[Union[Def, tuple[Instruction, ...]], ...],
-                   dims: tuple[int, int, int], limits: ExecutionLimits,
-                   memo: dict) -> VoxelStructure:
-    """Build the program whose top level is top with each chunk, a tuple
-    of instructions that holds no DEF, spliced in where it stands: the
-    annealer's candidates, whose unchanged chunks are the same objects
-    from one candidate to the next (see designer).
-
-    DEFs are bound in order, as execute binds them. Each chunk is
-    summarised, or found in memo, as a body at depth 0, since its text
-    is the top level's, and its summary is stamped at the cursor, which
-    then moves on by the chunk's displacement. memo is the memo of one
-    dims (execute keeps one per dims), and holds each chunk's summary
-    under the key (id(chunk), 1) as long as its caller leaves it there.
-
-    The result is the structure that execute builds from the flat
-    program. Where that build fails, this one fails too,
-    though maybe with another fault: a chunk's placements and cells are
-    a subset of the whole build's, so a chunk past the placement budget
-    or with more cells than the world proves that the flat build fails;
-    a FILL or REPEAT too wide for the world fails in both; and an
-    unbound name and REPEATs and CALLs nested past MAX_BLOCK_DEPTH are
-    proved in program order in both. Where the flat build succeeds, so
-    does this one.
-    """
-    # run_chunked proved that the cells' bounding box lies in the world
-    engine = _Summarizer(dims, limits, memo)
-    return VoxelStructure._trusted(dims, frozenset(engine.run_chunked(top)))
+    return VoxelStructure._trusted(dims, frozenset(_Summarizer(dims, limits, memo).run(top)))
 
 
 def walk(program: Program, box: BoxFn, limits: ExecutionLimits | None = None):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import pytest
 
@@ -214,7 +215,7 @@ def test_a_search_keeps_the_summaries_of_its_current_and_best_chunks_only(monkey
     # each iteration's candidate tail, None where it proposed nothing
     tails = []
     memos = []
-    propose, edited, build = designer._Editor.propose, designer._Tail.edited, vm._build_chunked
+    propose, edited, build = designer._Editor.propose, designer._Tail.edited, vm._build
 
     def proposing(self, tail):
         tails.append(None)
@@ -226,12 +227,14 @@ def test_a_search_keeps_the_summaries_of_its_current_and_best_chunks_only(monkey
         return result
 
     def building(top, dims, limits, memo):
-        memos.append(memo)
+        # vm.execute builds through here too, each time with a fresh memo
+        if sys._getframe(1).f_code is not vm.execute.__code__:
+            memos.append(memo)
         return build(top, dims, limits, memo)
 
     monkeypatch.setattr(designer._Editor, "propose", proposing)
     monkeypatch.setattr(designer._Tail, "edited", editing)
-    monkeypatch.setattr(vm, "_build_chunked", building)
+    monkeypatch.setattr(vm, "_build", building)
     params = _params(iterations=2000)
     _, trace = optimize(DICT1, CORPUS_CS, params)
     # the current and best tails, followed through the trace
@@ -245,8 +248,9 @@ def test_a_search_keeps_the_summaries_of_its_current_and_best_chunks_only(monkey
     memo = memos[-1]
     assert all(m is memo for m in memos)
     # tails holds every chunk alive, so no other body has a chunk's id
-    chunks = {id(p) for t in tails if t is not None for p in t.pieces or () if type(p) is tuple}
-    kept = {id(p) for t in (current, best) for p in t.pieces or () if type(p) is tuple}
+    chunks = {id(p) for t in tails if t is not None for p in t.pieces or ()
+              if type(p) is vm._Chunk}
+    kept = {id(p) for t in (current, best) for p in t.pieces or () if type(p) is vm._Chunk}
     held = {key[0] for key in memo} & chunks
     assert kept and held == kept
 

@@ -374,6 +374,26 @@ def test_def_below_top_level_rejected_at_execution():
         vm.execute(bogus, (2, 2, 2))
 
 
+_NOT_INSTRUCTIONS = [(vm.Place(),), "PLACE"]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["top", "in REPEAT"])
+@pytest.mark.parametrize("bogus", _NOT_INSTRUCTIONS, ids=["tuple", "str"])
+@pytest.mark.parametrize("use", [
+    lambda p: vm.execute(p, (2, 2, 2)),
+    lambda p: vm.walk(p, lambda cur, dx, dy, dz: None),
+    vm.serialize,
+    lambda p: vm.body_length(p.instructions),
+], ids=["execute", "walk", "serialize", "body_length"])
+def test_a_non_instruction_is_refused(use, bogus, nested):
+    # a bare tuple is no chunk: only the annealer's own chunk type
+    # stands in a top level as a run of instructions
+    body = (vm.Place(), bogus)
+    program = vm.Program((vm.Repeat(2, body),) if nested else body)
+    with pytest.raises(TypeError):
+        use(program)
+
+
 # --- the summary engine against the sequential walker ---
 
 def _zero_placement_nest(levels: int) -> vm.Program:
@@ -459,13 +479,13 @@ def test_depth_limit_holds_when_a_summary_is_reused_deeper(b_body, deepest, monk
     monkeypatch.setattr(vm, "MAX_BLOCK_DEPTH", deepest)
     memo = {}
     built = vm.execute(p, (1, 1, 1))
-    assert vm.execute(p, (1, 1, 1), memo=memo) == built
+    assert vm._build(p.instructions, (1, 1, 1), vm.ExecutionLimits(), memo) == built
     monkeypatch.setattr(vm, "MAX_BLOCK_DEPTH", deepest - 1)
     with pytest.raises(vm.DepthExceeded):
         vm.execute(p, (1, 1, 1))
     # every summary of the first build is kept, made under the higher cap
     with pytest.raises(vm.DepthExceeded):
-        vm.execute(p, (1, 1, 1), memo=memo)
+        vm._build(p.instructions, (1, 1, 1), vm.ExecutionLimits(), memo)
 
 
 def _in_world(cur, dx, dy, dz, dims) -> bool:
@@ -603,11 +623,15 @@ def test_a_shared_summary_is_redone_once_a_name_it_calls_is_rebound():
     second = vm.Program((vm.Def("a", (vm.Move("Y", 1), vm.Place())), loop))
     unbound = vm.Program((loop,))
     memo = {}
-    assert vm.execute(first, (4, 2, 1), memo=memo).occupied == {(0, 0, 0), (2, 0, 0)}
-    assert vm.execute(second, (4, 2, 1), memo=memo).occupied == {(0, 1, 0), (2, 1, 0)}
+
+    def build(program):
+        return vm._build(program.instructions, (4, 2, 1), vm.ExecutionLimits(), memo)
+
+    assert build(first).occupied == {(0, 0, 0), (2, 0, 0)}
+    assert build(second).occupied == {(0, 1, 0), (2, 1, 0)}
     with pytest.raises(vm.UnknownName):
-        vm.execute(unbound, (4, 2, 1), memo=memo)
-    assert vm.execute(first, (4, 2, 1), memo=memo).occupied == {(0, 0, 0), (2, 0, 0)}
+        build(unbound)
+    assert build(first).occupied == {(0, 0, 0), (2, 0, 0)}
 
 
 def test_a_shared_summary_keeps_to_each_builds_budget():
@@ -615,27 +639,13 @@ def test_a_shared_summary_keeps_to_each_builds_budget():
     # one a fresh build stops at the end of a's body, before CALL zz
     a = vm.Def("a", (vm.Fill(2, 2, 2),))
     memo = {}
-    vm.execute(vm.Program((a, vm.Call("a"))), (2, 2, 2), vm.ExecutionLimits(100), memo=memo)
+    vm._build((a, vm.Call("a")), (2, 2, 2), vm.ExecutionLimits(100), memo)
     program = vm.Program((a, vm.Call("a"), vm.Call("zz")))
     small = vm.ExecutionLimits(max_placements=5)
     with pytest.raises(vm.BudgetExceeded):
         vm.execute(program, (2, 2, 2), small)
     with pytest.raises(vm.BudgetExceeded):
-        vm.execute(program, (2, 2, 2), small, memo=memo)
-
-
-def test_a_shared_memo_keeps_each_dims_apart():
-    # at 2^3 a fresh build proves a's FILL too wide before CALL zz
-    a = vm.Def("a", (vm.Fill(3, 1, 1),))
-    memo = {}
-    vm.execute(vm.Program((a, vm.Call("a"))), (4, 4, 4), memo=memo)
-    program = vm.Program((a, vm.Call("a"), vm.Call("zz")))
-    with pytest.raises(vm.OutOfBounds):
-        vm.execute(program, (2, 2, 2))
-    with pytest.raises(vm.OutOfBounds):
-        vm.execute(program, (2, 2, 2), memo=memo)
-    with pytest.raises(vm.UnknownName):
-        vm.execute(program, (4, 4, 4), memo=memo)
+        vm._build(program.instructions, (2, 2, 2), small, memo)
 
 
 @st.composite
@@ -645,7 +655,8 @@ def _any_memo_run(draw):
     instruction inserted or deleted (a DEF deleted unbinds its name),
     instructions wrapped in a REPEAT, or a DEF rebound to a body the
     program holds elsewhere. Each program has its own dims out of two,
-    limits and depth cap."""
+    limits and depth cap; a memo serves one dims, so each dims has its
+    own."""
     program, dims, _, _ = draw(_any_case())
     worlds = (dims, draw(st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9))))
     # every name bound at first, so that most CALLs resolve
@@ -680,11 +691,12 @@ _LOOP = vm.Repeat(2, (vm.Call("a"), vm.Move("X", 1)))
           (vm.Program((vm.Def("a", (vm.Move("Y", 1), vm.Place())), _LOOP)), (2, 2, 1),
            vm.ExecutionLimits(), 1)])
 def test_a_shared_memo_builds_what_a_fresh_build_does(runs):
-    memo = {}
+    memos = {}
     for program, dims, limits, depth in runs:
+        memo = memos.setdefault(dims, {})
         with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth):
             fresh = _outcome(lambda: vm.execute(program, dims, limits))
-            shared = _outcome(lambda: vm.execute(program, dims, limits, memo=memo))
+            shared = _outcome(lambda: vm._build(program.instructions, dims, limits, memo))
         assert shared == fresh
 
 
@@ -695,24 +707,27 @@ _REBOUND = vm.Program((vm.Def("a", (vm.Place(),)), vm.Def("b", (vm.Call("a"),)),
                        vm.Def("a", (vm.Move("Y", 1), vm.Place())), vm.Call("b")))
 
 
-@given(_any_memo_run(), st.integers(1, designer._CHUNK))
+@given(_any_memo_run(), st.integers(1, designer._CHUNK), st.sampled_from((0, designer._FLAT)))
 @settings(max_examples=300, deadline=None)
-@example([(_REBOUND, (1, 2, 1), vm.ExecutionLimits(), 4)], 1)
-def test_chunked_candidates_build_what_their_flat_programs_do(runs, size):
+@example([(_REBOUND, (1, 2, 1), vm.ExecutionLimits(), 4)], 1, 0)
+def test_chunked_candidates_build_what_their_flat_programs_do(runs, size, flat_max):
     # each program is the tail of a candidate, cut into chunks of at most
-    # size as the annealer cuts them, sharing the chunks an edit keeps;
-    # as when each candidate is accepted, a chunk it replaces is dropped
+    # size as the annealer cuts them, sharing the chunks an edit keeps,
+    # or kept whole while it has at most flat_max instructions, and
+    # built as the annealer builds it; as when each candidate is
+    # accepted, a chunk it replaces is dropped
     memos = {}
     tail = designer._Tail([], None, None, ())
-    with mock.patch.object(designer, "_CHUNK", size), mock.patch.object(designer, "_FLAT", 0):
+    with (mock.patch.object(designer, "_CHUNK", size),
+          mock.patch.object(designer, "_FLAT", flat_max)):
         for program, dims, limits, depth in runs:
             tail, _, replaced = tail.edited(list(program.instructions))
             assert max(sum(tail.sizes) - 1, 0) == vm.program_length(program)
+            top = tuple(tail.instrs) if tail.pieces is None else tail.pieces
             memo = memos.setdefault(dims, {})
             with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth):
                 flat = _outcome(lambda: vm.execute(program, dims, limits))
-                chunked = _outcome(lambda: vm._build_chunked(tail.pieces or (), dims, limits,
-                                                             memo))
+                chunked = _outcome(lambda: vm._build(top, dims, limits, memo))
             if isinstance(flat, VoxelStructure):
                 assert chunked == flat
             else:
