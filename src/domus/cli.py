@@ -9,8 +9,9 @@ attack refuses a fleet holding more cells than that, and a structure
 whose attack grid would. complexity, beauty and natural refuse a
 structure of more than synthesis.DEFAULT_CELL_LIMIT cells.
 Exit codes: 0 success, 1 negative domain verdict (a structure judged
-Artificial), 2 usage error, 3 execution or analysis error.
-DOMUS_MAX_PLACEMENTS overrides the placement budget.
+Artificial), 2 usage error, 3 execution or analysis error. Every build,
+walk and witness check a command makes charges at most
+vm.MAX_PLACEMENTS placements.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -32,16 +32,6 @@ __all__ = ["run", "render", "main"]
 # the most cells build, render and optimize write out as layered text:
 # 256^3, a 16 MB file
 MAX_RENDER_CELLS = 1 << 24
-
-
-def _limits() -> vm.ExecutionLimits:
-    env = os.environ.get("DOMUS_MAX_PLACEMENTS")
-    if env:
-        try:
-            return vm.ExecutionLimits(max_placements=int(env))
-        except ValueError as exc:
-            raise DomusError(f"bad DOMUS_MAX_PLACEMENTS value {env!r}") from exc
-    return vm.ExecutionLimits()
 
 
 def _read(path: str) -> str:
@@ -59,7 +49,7 @@ def _load_structure(path: str, dims: tuple[int, int, int]) -> VoxelStructure:
     the layered text format."""
     text = _read(path)
     if path.endswith(".cvm"):
-        return vm.execute(vm.parse(text), dims, _limits())
+        return vm.execute(vm.parse(text), dims)
     return VoxelStructure.from_layer_text(text)
 
 
@@ -97,7 +87,7 @@ def _emit(args, payload: dict, text_lines: list[str]):
 def _cmd_build(args) -> int:
     _check_render_size(args)
     program = vm.parse(_read(args.file))
-    _write(args, render(vm.execute(program, tuple(args.dims), _limits())) + "\n")
+    _write(args, render(vm.execute(program, tuple(args.dims))) + "\n")
     return 0
 
 
@@ -110,7 +100,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_complexity(args) -> int:
     s = _load_structure(args.file, tuple(args.dims))
-    bound = synthesis.synthesize_min(s, limits=_limits())
+    bound = synthesis.synthesize_min(s)
     payload = {
         "length": bound.length,
         "method": bound.method,
@@ -183,15 +173,14 @@ def _cmd_optimize(args) -> int:
         max_program_bytes=args.max_bytes,
         islands=args.islands,
     )
-    limits = _limits()
     try:
-        best, trace = designer.optimize(dictionary, cs, params, limits=limits)
+        best, trace = designer.optimize(dictionary, cs, params)
     except ValueError as exc:  # raised before the search: a cap below the prelude
         args.parser.error(f"argument --max-bytes: {exc}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "best.cvm").write_text(vm.serialize(best) + "\n", encoding="utf-8")
-    built = vm.execute(best, tuple(args.dims), limits)
+    built = vm.execute(best, tuple(args.dims))
     (out_dir / "best.vox.txt").write_text(render(built) + "\n", encoding="utf-8")
     (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="utf-8")
     final = trace.records[-1].best_so_far
@@ -208,7 +197,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_attack(args) -> int:
     program = vm.parse(_read(args.file))
     dims = tuple(args.dims)
-    prototype = vm.execute(program, dims, _limits())
+    prototype = vm.execute(program, dims)
     # a human member holds its own cells; robots share the prototype's
     held = args.fleet * (len(prototype.occupied) if args.builder == "human" else 1)
     if held > MAX_RENDER_CELLS:
@@ -226,7 +215,7 @@ def _cmd_attack(args) -> int:
         model: fleet.BuilderModel = fleet.RobotBuilder()
     else:
         model = fleet.HumanBuilder(jitter_prob=args.p, seed=args.seed)
-    members = fleet.build_fleet(program, args.fleet, model, dims, _limits())
+    members = fleet.build_fleet(program, args.fleet, model, dims)
     report = fleet.transfer_rate(atk, members, collapse_threshold=args.threshold)
     payload = {
         "attack_cells": [list(c) for c in sorted(atk.removed_cells)],

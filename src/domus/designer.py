@@ -115,8 +115,8 @@ def objective(program: vm.Program, dictionary: PatternDictionary,
               cs: ConstraintSet, dims: tuple[int, int, int]) -> float:
     """Residual perception cost plus constraint penalties, in bytes.
 
-    The program is built under the default execution limits; one that
-    fails to execute scores +inf.
+    The program is built by vm.execute, under vm.MAX_PLACEMENTS; one
+    that fails to execute scores +inf.
     """
     try:
         built = vm.execute(program, dims)
@@ -347,12 +347,10 @@ class _Tail:
 
 
 def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
-            params: SearchParams, seed: int, prelude: tuple[vm.Def, ...],
-            limits: vm.ExecutionLimits | None) -> tuple[vm.Program, SearchTrace]:
+            params: SearchParams, seed: int,
+            prelude: tuple[vm.Def, ...]) -> tuple[vm.Program, SearchTrace]:
     rng = random.Random(seed)
     editor = _Editor(rng, params.dims, [d.name for d in prelude])
-    if limits is None:
-        limits = vm.ExecutionLimits()
     # a candidate is within the byte cap when its tail's sizes sum to at
     # most room (a canonical text has one LF fewer than its lines)
     room = params.max_program_bytes + 1 - (vm.body_length(prelude) + 1 if prelude else 0)
@@ -367,7 +365,7 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
     def score(tail: _Tail) -> float:
         top = tuple(tail.instrs) if tail.pieces is None else tail.pieces
         try:
-            built = vm._build(prelude + top, params.dims, limits, memo)
+            built = vm._build(prelude + top, params.dims, memo)
         except DomusError:
             return math.inf
         j = scores.get(built.occupied)
@@ -414,17 +412,15 @@ def _anneal(dictionary: PatternDictionary, cs: ConstraintSet,
 
 
 def optimize(dictionary: PatternDictionary, cs: ConstraintSet,
-             params: SearchParams, workers: int = 1,
-             limits: vm.ExecutionLimits | None = None
-             ) -> tuple[vm.Program, SearchTrace]:
+             params: SearchParams, workers: int = 1) -> tuple[vm.Program, SearchTrace]:
     """Minimize the objective by simulated annealing.
 
     Deterministic given the seed and the island count. The islands are
     independent annealers, seeded per island and run one after another;
     the best final objective wins, ties to the lowest island index.
     `workers` is accepted for compatibility and changes nothing. Every
-    candidate is executed under the limits, so the result builds within
-    them. Raises ValueError when `max_program_bytes` is below the stamp
+    candidate is built under vm.MAX_PLACEMENTS, so the result builds
+    within it. Raises ValueError when `max_program_bytes` is below the stamp
     prelude's own length, since no design could then meet the cap.
     """
     prelude = stamp_prelude(dictionary)
@@ -432,7 +428,7 @@ def optimize(dictionary: PatternDictionary, cs: ConstraintSet,
     if params.max_program_bytes < floor:
         raise ValueError(f"max_program_bytes {params.max_program_bytes} is below "
                          f"the {floor}-byte stamp prelude")
-    runs = [_anneal(dictionary, cs, params, _island_seed(params.seed, i), prelude, limits)
+    runs = [_anneal(dictionary, cs, params, _island_seed(params.seed, i), prelude)
             for i in range(params.islands)]
     # an island's final best-so-far is the objective of the program it returns
     winner = min(range(params.islands),

@@ -91,8 +91,7 @@ def _member_seed(seed: int, index: int) -> int:
 
 
 def build_fleet(program: vm.Program, n: int, model: BuilderModel,
-                dims: tuple[int, int, int],
-                limits: vm.ExecutionLimits | None = None) -> list[VoxelStructure]:
+                dims: tuple[int, int, int]) -> list[VoxelStructure]:
     """Build n structures from one program under the given builder model.
 
     Robot fleets execute once and share the immutable result. A human
@@ -106,7 +105,7 @@ def build_fleet(program: vm.Program, n: int, model: BuilderModel,
     if n < 1:
         raise ValueError("fleet size must be >= 1")
     if isinstance(model, RobotBuilder):
-        prototype = vm.execute(program, dims, limits)
+        prototype = vm.execute(program, dims)
         return [prototype] * n
     p = model.jitter_prob
     rngs = [random.Random(_member_seed(model.seed, i)) for i in range(n)]
@@ -124,7 +123,7 @@ def build_fleet(program: vm.Program, n: int, model: BuilderModel,
                     shared = tuple(_clipped(x, y, z, dx, dy, dz, dims))
                 cells.update(shared)
 
-    vm.walk(program, box, limits)
+    vm.walk(program, box)
     # every cell was clipped to the world as it was placed
     return [VoxelStructure._trusted(dims, frozenset(cells)) for cells in members]
 

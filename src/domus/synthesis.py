@@ -1041,8 +1041,7 @@ def _check_cell_limit(s: VoxelStructure):
             f"structure has {len(s.occupied)} cells, limit {DEFAULT_CELL_LIMIT}")
 
 
-def synthesize_min(s: VoxelStructure,
-                   limits: vm.ExecutionLimits | None = None) -> ComplexityBound:
+def synthesize_min(s: VoxelStructure) -> ComplexityBound:
     """Best upper bound the compression pipeline can certify.
 
     One chain: the cuboid listing when it is shorter than the literal
@@ -1050,9 +1049,9 @@ def synthesize_min(s: VoxelStructure,
     extraction, which price each rewrite exactly and make only those
     that strictly shrink the canonical text. So the witness never
     exceeds the literal program, and method is "compressed" exactly
-    when it is shorter. The witness is re-executed under the limits
-    before returning; more than DEFAULT_CELL_LIMIT cells raise
-    BudgetExceeded.
+    when it is shorter. The witness is re-executed by vm.execute, under
+    vm.MAX_PLACEMENTS, before returning; more than DEFAULT_CELL_LIMIT
+    cells raise BudgetExceeded.
     """
     _check_cell_limit(s)
     literal = literal_program(s)
@@ -1069,7 +1068,7 @@ def synthesize_min(s: VoxelStructure,
     folded = _fold_loops(start, ids)
     witness = _extract_defs(folded, ids=ids if folded is start else None)
 
-    rebuilt = vm.execute(witness, s.dims, limits)
+    rebuilt = vm.execute(witness, s.dims)
     if rebuilt != s:
         raise WitnessMismatch("synthesis produced a witness that does not rebuild its input")
     length = vm.program_length(witness)
@@ -1124,9 +1123,9 @@ class _Enumerator:
 
     _exec places cells in one branch: a PLACE is a 1 x 1 x 1 box and a
     FILL its extent times the scale. It charges the box's cells, top
-    level or repeated, against the max_placements of vm's default
-    ExecutionLimits, and fails past it, so the table holds exactly the
-    programs vm.execute accepts. A box that leaves the world fails too;
+    level or repeated, against vm.MAX_PLACEMENTS, read when the
+    enumerator is made, and fails past it, so the table holds exactly
+    the programs vm.execute accepts. A box that leaves the world fails too;
     one inside it sets the bits of dx cells, times the row and layer
     strides of its dy rows and dz layers, shifted to its anchor.
     Every search node and every body extension counts against
@@ -1161,7 +1160,7 @@ class _Enumerator:
         self.rep_opts = [(cnt, _wrapper_length(vm.Repeat(cnt, ())))
                          for cnt in range(2, maxd + 1)]
         self.def_opts = [(name, _wrapper_length(vm.Def(name, ()))) for name in _NAMES]
-        self.max_placements = vm.ExecutionLimits().max_placements
+        self.max_placements = vm.MAX_PLACEMENTS
         # rows[d] / slabs[d]: bit 0 of d consecutive rows / layers
         row, slab = self.nx, self.nx * self.ny
         self.rows = [sum(1 << (row * j) for j in range(d)) for d in range(self.ny + 1)]

@@ -49,7 +49,7 @@ __all__ = [
     "Call",
     "Instruction",
     "Program",
-    "ExecutionLimits",
+    "MAX_PLACEMENTS",
     "MAX_BLOCK_DEPTH",
     "MAX_STEPS",
     "DslError",
@@ -208,14 +208,10 @@ class Program:
         object.__setattr__(self, "instructions", tuple(self.instructions))
 
 
-@dataclass(frozen=True)
-class ExecutionLimits:
-    max_placements: int = 10_000_000
-
-    def __post_init__(self):
-        if self.max_placements < 1:
-            raise ValueError("execution limits must be positive")
-
+# The placement budget of one build or walk: the cells charged, each
+# PLACE one and each FILL its volume, repeated cells included. Past it
+# the run raises BudgetExceeded.
+MAX_PLACEMENTS = 10_000_000
 
 # How deep REPEAT and DEF blocks nest in the text, and how deep REPEAT
 # bodies and CALLs nest when a program runs, one level each. It bounds
@@ -446,18 +442,15 @@ class _Executor:
     """The sequential walker (see walk). depth is how many levels,
     REPEAT bodies and CALLs, the instructions of body run inside."""
 
-    def __init__(self, limits: ExecutionLimits, box: BoxFn):
-        self.limits = limits
+    def __init__(self, box: BoxFn):
         self.box = box
         self.placements = 0
         self.steps = 0
 
     def _charge(self, n: int):
         self.placements += n
-        if self.placements > self.limits.max_placements:
-            raise BudgetExceeded(
-                f"more than {self.limits.max_placements} placements"
-            )
+        if self.placements > MAX_PLACEMENTS:
+            raise BudgetExceeded(f"more than {MAX_PLACEMENTS} placements")
 
     def _step(self):
         self.steps += 1
@@ -561,14 +554,13 @@ class _Summarizer:
     callee, checked once per entry in a build until a DEF rebinds a
     name, and only where a fresh summary would raise nothing: its height
     added to the depth it runs at stays within MAX_BLOCK_DEPTH, and its
-    placements fit this build's budget. Otherwise the body is
+    placements fit MAX_PLACEMENTS as this build reads it. Otherwise the body is
     summarised afresh, which raises the fault a fresh build raises.
     """
 
-    def __init__(self, dims: tuple[int, int, int], limits: ExecutionLimits, memo: dict):
+    def __init__(self, dims: tuple[int, int, int], memo: dict):
         self.dims = dims
         self.volume = dims[0] * dims[1] * dims[2]
-        self.limits = limits
         self.env: dict[str, tuple[Instruction, ...]] = {}
         # stands for the bindings env holds now: a new object for each
         # build and whenever a DEF rebinds a bound name (binding a new
@@ -608,7 +600,7 @@ class _Summarizer:
                                                       callees)):
                 entry[4] = checked = self.env_id
             if (checked is self.env_id and depth + s.height <= MAX_BLOCK_DEPTH
-                    and s.count <= self.limits.max_placements):
+                    and s.count <= MAX_PLACEMENTS):
                 if names and reads is not None:
                     reads.update(zip(names, callees))
                 return s
@@ -697,23 +689,23 @@ class _Summarizer:
                 z += sz
             else:
                 raise TypeError(f"not an instruction: {ins!r}")
-        if count > self.limits.max_placements:
-            raise BudgetExceeded(f"more than {self.limits.max_placements} placements")
+        if count > MAX_PLACEMENTS:
+            raise BudgetExceeded(f"more than {MAX_PLACEMENTS} placements")
         if len(cells) > self.volume:
             raise OutOfBounds(f"a block places {len(cells)} cells, more than dims "
                               f"{self.dims} hold")
         return _Summary(cells, (x, y, z), count, height)
 
 
-def execute(program: Program, dims: tuple[int, int, int],
-            limits: ExecutionLimits | None = None) -> VoxelStructure:
+def execute(program: Program, dims: tuple[int, int, int]) -> VoxelStructure:
     """Run a program on an empty world and return the built structure.
 
     The cursor starts at (0, 0, 0) and may wander outside the box
-    freely; a placement outside it aborts with OutOfBounds. limits sets
-    the placement budget. Each REPEAT body and each CALL is one level,
-    and the levels around any instruction may number at most
-    MAX_BLOCK_DEPTH. For a walk one instruction at a time see walk.
+    freely; a placement outside it aborts with OutOfBounds. The build
+    may charge at most MAX_PLACEMENTS placements. Each REPEAT body and
+    each CALL is one level, and the levels around any instruction may
+    number at most MAX_BLOCK_DEPTH. For a walk one instruction at a
+    time see walk.
 
     A summary engine runs each (body, scale) once and stamps the result
     by translation, so nested REPEATs and CALLs cost no more than their
@@ -721,18 +713,17 @@ def execute(program: Program, dims: tuple[int, int, int],
     Faults of the program text (a DEF below top level, a CALL to an
     unbound name, REPEATs and CALLs nested past MAX_BLOCK_DEPTH) are
     proved in program order; BudgetExceeded at the end of the first
-    block whose placements pass max_placements; OutOfBounds at a FILL
+    block whose placements pass MAX_PLACEMENTS; OutOfBounds at a FILL
     or REPEAT too wide for the world, at the end of a block with more
     cells than the world, or else once all cells are built. So an out-of-bounds PLACE
     before a CALL to an unbound name reports UnknownName, and a FILL
     wider than the world before it reports OutOfBounds.
     """
-    return _build(program.instructions, dims,
-                  ExecutionLimits() if limits is None else limits, {})
+    return _build(program.instructions, dims, {})
 
 
 def _build(top: tuple[Union[Instruction, _Chunk], ...], dims: tuple[int, int, int],
-           limits: ExecutionLimits, memo: dict) -> VoxelStructure:
+           memo: dict) -> VoxelStructure:
     """Build the program whose top level is top, as execute does, with
     each chunk in it spliced in where it stands.
 
@@ -760,15 +751,13 @@ def _build(top: tuple[Union[Instruction, _Chunk], ...], dims: tuple[int, int, in
     Where the flat build succeeds, so does this one.
     """
     # run proved that the cells' bounding box lies in the world
-    return VoxelStructure._trusted(dims, frozenset(_Summarizer(dims, limits, memo).run(top)))
+    return VoxelStructure._trusted(dims, frozenset(_Summarizer(dims, memo).run(top)))
 
 
-def walk(program: Program, box: BoxFn, limits: ExecutionLimits | None = None):
+def walk(program: Program, box: BoxFn):
     """Run a program with the sequential walker, each REPEAT iteration
     and CALL body anew, handing each PLACE and FILL to box(anchor, dx,
     dy, dz) once its placements are charged; a PLACE is a 1 x 1 x 1 box.
-    The walk raises the first fault it meets, and spends the placement
-    budget and MAX_STEPS once. fleet.build_fleet builds human fleets so."""
-    if limits is None:
-        limits = ExecutionLimits()
-    _Executor(limits, box).run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
+    The walk raises the first fault it meets, and spends MAX_PLACEMENTS
+    and MAX_STEPS once. fleet.build_fleet builds human fleets so."""
+    _Executor(box).run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)

@@ -233,18 +233,10 @@ def test_corpus_builds_at_documented_dims(capsys):
 
 
 def test_env_placement_budget(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DOMUS_MAX_PLACEMENTS", "2")
+    monkeypatch.setattr(vm, "MAX_PLACEMENTS", 2)
     code, _, err = run(capsys, "build", CORPUS / "slab4.cvm", "--dims", 4, 4, 1)
     assert code == 3
     assert "placements" in err
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_env_placement_budget_is_an_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("DOMUS_MAX_PLACEMENTS", value)
-    code, out, err = run(capsys, "build", CORPUS / "row3.cvm", "--dims", 4, 1, 1)
-    assert code == 3 and out == ""
-    assert err == f"domus: error: bad DOMUS_MAX_PLACEMENTS value {value!r}\n"
 
 
 def test_dims_that_are_not_ints_are_usage_errors(capsys):
@@ -277,15 +269,36 @@ def test_metrics_refuse_structures_over_the_cell_limit(monkeypatch, capsys, comm
 def test_env_placement_budget_reaches_witness_verification(tmp_path, capsys, monkeypatch):
     row = tmp_path / "row.vox.txt"
     row.write_text("DIMS 3 1 1\nLAYER 0\n###\n")
-    monkeypatch.setenv("DOMUS_MAX_PLACEMENTS", "1")
+    monkeypatch.setattr(vm, "MAX_PLACEMENTS", 1)
     code, out, err = run(capsys, "complexity", row)
     assert code == 3 and out == ""
     assert err.startswith("domus: error:") and "placements" in err
 
 
+@pytest.mark.parametrize("command", ["complexity", "beauty"])
+def test_every_witness_check_of_a_command_keeps_to_the_one_budget(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    # layered text is read, not built, so only the witness check of the
+    # row (complexity) or of its residual (beauty, whose one pattern fits
+    # nowhere in a 3 x 1 x 1 world) can refuse it
+    row = tmp_path / "row.vox.txt"
+    row.write_text("DIMS 3 1 1\nLAYER 0\n###\n")
+    argv = [command, row]
+    if command == "beauty":
+        pat = tmp_path / "column.pat"
+        pat.write_text("PATTERN column\n0 0 0\n0 1 0\n")
+        argv += ["--dict", pat]
+    assert run(capsys, *argv)[0] in (0, 1)
+    monkeypatch.setattr(vm, "MAX_PLACEMENTS", 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("domus: error:") and "more than 1 placements" in err
+
+
 def test_optimize_searches_within_the_placement_budget(tmp_path, capsys, monkeypatch):
     # the dictionary's one stamp encloses a cell, which the constraint pays
-    # for, but it takes more placements than the budget allows
+    # for; its witness charges 31 placements, so the budget admits one
+    # stamp of the shell but not two
     shell = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)
              if (x, y, z) != (1, 1, 1)]
     pat = tmp_path / "shell.pat"
@@ -293,13 +306,14 @@ def test_optimize_searches_within_the_placement_budget(tmp_path, capsys, monkeyp
     cons = tmp_path / "enclose.json"
     cons.write_text(json.dumps([{"kind": "EnclosedVolumeAtLeast",
                                  "params": {"v_min": 1}, "weight": 100.0}]))
-    monkeypatch.setenv("DOMUS_MAX_PLACEMENTS", "20")
+    monkeypatch.setattr(vm, "MAX_PLACEMENTS", 40)
     out_dir = tmp_path / "design"
-    code, _, err = run(capsys, "optimize", "--dict", pat, "--constraints", cons,
-                       "--dims", 3, 3, 3, "--seed", 0, "--iters", 30, "--out-dir", out_dir)
+    code, out, err = run(capsys, "optimize", "--dict", pat, "--constraints", cons,
+                         "--dims", 3, 3, 3, "--seed", 0, "--iters", 30, "--out-dir", out_dir)
     assert code == 0, err
+    assert json.loads(out)["objective"] == 0
     best = vm.parse((out_dir / "best.cvm").read_text())
-    vm.execute(best, (3, 3, 3), vm.ExecutionLimits(max_placements=20))
+    assert vm.execute(best, (3, 3, 3)).occupied == set(shell)
 
 
 def test_deeply_nested_program_is_an_error(tmp_path, capsys):

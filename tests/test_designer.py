@@ -226,11 +226,11 @@ def test_a_search_keeps_the_summaries_of_its_current_and_best_chunks_only(monkey
         tails[-1] = result[0]
         return result
 
-    def building(top, dims, limits, memo):
+    def building(top, dims, memo):
         # vm.execute builds through here too, each time with a fresh memo
         if sys._getframe(1).f_code is not vm.execute.__code__:
             memos.append(memo)
-        return build(top, dims, limits, memo)
+        return build(top, dims, memo)
 
     monkeypatch.setattr(designer._Editor, "propose", proposing)
     monkeypatch.setattr(designer._Tail, "edited", editing)
@@ -258,7 +258,7 @@ def test_a_search_keeps_the_summaries_of_its_current_and_best_chunks_only(monkey
 def test_islands_pick_the_lowest_final_best_then_the_lowest_index(monkeypatch):
     finals = {}
 
-    def fake_anneal(dictionary, cs, params, seed, prelude, limits):
+    def fake_anneal(dictionary, cs, params, seed, prelude):
         record = designer.TraceRecord(0, finals[seed], True, finals[seed])
         return vm.Program((vm.Move("X", seed),)), designer.SearchTrace((record,))
 

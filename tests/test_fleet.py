@@ -103,9 +103,8 @@ class _MemberWalker:
     PLACE or FILL and places the box cell by cell, dropping the cells
     that leave the world."""
 
-    def __init__(self, dims, limits, jitter):
+    def __init__(self, dims, jitter):
         self.nx, self.ny, self.nz = dims
-        self.limits = limits
         self.jitter = jitter
         self.cells = set()
         self.placements = 0
@@ -113,8 +112,8 @@ class _MemberWalker:
 
     def _charge(self, n):
         self.placements += n
-        if self.placements > self.limits.max_placements:
-            raise vm.BudgetExceeded(f"more than {self.limits.max_placements} placements")
+        if self.placements > vm.MAX_PLACEMENTS:
+            raise vm.BudgetExceeded(f"more than {vm.MAX_PLACEMENTS} placements")
 
     def _step(self):
         self.steps += 1
@@ -177,7 +176,7 @@ class _MemberWalker:
         return cur
 
 
-def _fleet_by_member_walks(program, n, model, dims, limits):
+def _fleet_by_member_walks(program, n, model, dims):
     """build_fleet for a human model, one walk per member, each with
     its own stream seeded by (seed, member index)."""
     members = []
@@ -189,7 +188,7 @@ def _fleet_by_member_walks(program, n, model, dims, limits):
                 return _OFFSETS[rng.randrange(len(_OFFSETS))]
             return None
 
-        walker = _MemberWalker(dims, limits, jitter)
+        walker = _MemberWalker(dims, jitter)
         walker.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
         members.append(VoxelStructure(dims, frozenset(walker.cells)))
     return members
@@ -232,13 +231,13 @@ def _human_fleet_cases(draw):
     dims = draw(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)))
     program = vm.Program(tuple(draw(st.lists(st.one_of(_instructions(2), _defs),
                                              min_size=1, max_size=7))))
-    limits = vm.ExecutionLimits(max_placements=draw(st.integers(1, 400)))
+    budget = draw(st.integers(1, 400))
     model = HumanBuilder(draw(st.sampled_from((0.0, 0.3, 1.0))), draw(st.integers(0, 10**6)))
     caps = draw(st.integers(1, 4)), draw(st.integers(1, 200))
-    return program, draw(st.integers(1, 4)), model, dims, limits, caps
+    return program, draw(st.integers(1, 4)), model, dims, budget, caps
 
 
-_BIG = vm.ExecutionLimits(max_placements=10**6)
+_BIG = 10**6
 
 
 @given(_human_fleet_cases())
@@ -254,17 +253,18 @@ _BIG = vm.ExecutionLimits(max_placements=10**6)
 # faults: the step budget, the placement budget, an unbound name, the depth cap
 @example((vm.parse("REPEAT 3 { PLACE }"), 2, HumanBuilder(0.3, 4), (2, 2, 2), _BIG, (4, 2)))
 @example((vm.parse("FILL 2 2 2"), 2, HumanBuilder(0.3, 4), (2, 2, 2),
-          vm.ExecutionLimits(max_placements=7), (4, 100)))
+          7, (4, 100)))
 @example((vm.Program((vm.Place(), vm.Call("zz"))), 2, HumanBuilder(0.3, 4), (2, 2, 2),
           _BIG, (4, 100)))
 @example((vm.parse("DEF a { PLACE } DEF b { CALL a } CALL b"), 2, HumanBuilder(0.3, 4),
           (2, 2, 2), _BIG, (1, 100)))
 def test_human_fleet_matches_a_walk_per_member(case):
-    program, n, model, dims, limits, (depth, steps) = case
+    program, n, model, dims, budget, (depth, steps) = case
     with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth), \
-            mock.patch.object(vm, "MAX_STEPS", steps):
-        got = _outcome(lambda: build_fleet(program, n, model, dims, limits))
-        want = _outcome(lambda: _fleet_by_member_walks(program, n, model, dims, limits))
+            mock.patch.object(vm, "MAX_STEPS", steps), \
+            mock.patch.object(vm, "MAX_PLACEMENTS", budget):
+        got = _outcome(lambda: build_fleet(program, n, model, dims))
+        want = _outcome(lambda: _fleet_by_member_walks(program, n, model, dims))
     assert got == want
 
 

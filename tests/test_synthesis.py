@@ -1158,6 +1158,19 @@ def test_exhaustive_placements_are_bounded_like_vm_execute():
     assert vm.execute(program, dims) == S(dims, itertools.product(*map(range, dims)))
 
 
+def test_the_oracle_keeps_to_vm_s_placement_budget(monkeypatch):
+    # the 2 x 2 square charges 4 placements from any program, one more
+    # than the patched budget, so the table has no witness for it
+    dims, fill = (2, 2, 1), vm.parse("FILL 2 2 1")
+    square = S(dims, itertools.product(range(2), range(2), range(1)))
+    assert square.occupied in exhaustive_table(dims, 12)
+    assert vm.execute(fill, dims) == square
+    monkeypatch.setattr(vm, "MAX_PLACEMENTS", 3)
+    assert square.occupied not in exhaustive_table(dims, 12)
+    with pytest.raises(vm.BudgetExceeded):
+        vm.execute(fill, dims)
+
+
 def test_exhaustive_table_of_a_16_cube_is_fast():
     # 1.8-2.5 CPU s on 2 cores; a table of every box in the world took
     # minutes here, before the search began

@@ -290,12 +290,13 @@ def test_determinism():
     assert a == b and a.occupied == b.occupied
 
 
-def test_placement_budget():
-    p, limits = vm.parse("FILL 3 3 3"), vm.ExecutionLimits(max_placements=5)
+def test_placement_budget(monkeypatch):
+    p = vm.parse("FILL 3 3 3")
+    monkeypatch.setattr(vm, "MAX_PLACEMENTS", 5)
     with pytest.raises(vm.BudgetExceeded):
-        vm.execute(p, (3, 3, 3), limits)
+        vm.execute(p, (3, 3, 3))
     with pytest.raises(vm.BudgetExceeded, match="placements"):
-        vm.walk(p, _no_box, limits)
+        vm.walk(p, _no_box)
 
 
 def test_call_depth_limit(monkeypatch):
@@ -310,7 +311,7 @@ def test_call_depth_limit(monkeypatch):
 def _both_engines(program, dims):
     """The structure, or the fault, of each engine's build."""
     return (_outcome(lambda: vm.execute(program, dims)),
-            _outcome(lambda: _strict_walk(program, dims, None)))
+            _outcome(lambda: _strict_walk(program, dims)))
 
 
 def _hand_built_nest(levels: int, body=(vm.Place(),)) -> tuple:
@@ -352,11 +353,6 @@ def test_engines_count_each_repeat_body_and_call_as_one_level():
     assert vm.execute(vm.parse(inner + "CALL a"), (1, 1, 1)).occupied == frozenset()
     for text in (inner + "DEF b { CALL a } CALL b", inner + "REPEAT 2 { CALL a }"):
         assert _both_engines(vm.parse(text), (1, 1, 1)) == (vm.DepthExceeded,) * 2
-
-
-def test_limits_validation():
-    with pytest.raises(ValueError):
-        vm.ExecutionLimits(max_placements=0)
 
 
 def test_stamp_neutrality():
@@ -446,21 +442,21 @@ def test_walker_step_budget_counts_iterations_and_calls(monkeypatch):
         vm.walk(p, _no_box)
 
 
-def test_fault_precedence():
+def test_fault_precedence(monkeypatch):
     # each program has two faults; the walker reports the first it meets,
     # execute the first its engine proves, as its docstring gives
     oob_then_unbound = vm.Program((vm.Move("X", -1), vm.Place(), vm.Call("zz")))
     wide_then_unbound = vm.Program((vm.Fill(3, 1, 1), vm.Call("zz")))
     oob_then_budget = vm.parse("MOVE X -1 PLACE MOVE X 1 FILL 2 2 2")
-    limits = vm.ExecutionLimits(max_placements=4)
+    monkeypatch.setattr(vm, "MAX_PLACEMENTS", 4)
     for program, walker_fault, engine_fault in (
             (oob_then_unbound, vm.OutOfBounds, vm.UnknownName),
             (wide_then_unbound, vm.OutOfBounds, vm.OutOfBounds),
             (oob_then_budget, vm.OutOfBounds, vm.BudgetExceeded)):
         with pytest.raises(walker_fault):
-            _strict_walk(program, (2, 2, 2), limits)
+            _strict_walk(program, (2, 2, 2))
         with pytest.raises(engine_fault):
-            vm.execute(program, (2, 2, 2), limits)
+            vm.execute(program, (2, 2, 2))
 
 
 def test_rebinding_a_name_rebinds_its_callers():
@@ -479,13 +475,13 @@ def test_depth_limit_holds_when_a_summary_is_reused_deeper(b_body, deepest, monk
     monkeypatch.setattr(vm, "MAX_BLOCK_DEPTH", deepest)
     memo = {}
     built = vm.execute(p, (1, 1, 1))
-    assert vm._build(p.instructions, (1, 1, 1), vm.ExecutionLimits(), memo) == built
+    assert vm._build(p.instructions, (1, 1, 1), memo) == built
     monkeypatch.setattr(vm, "MAX_BLOCK_DEPTH", deepest - 1)
     with pytest.raises(vm.DepthExceeded):
         vm.execute(p, (1, 1, 1))
     # every summary of the first build is kept, made under the higher cap
     with pytest.raises(vm.DepthExceeded):
-        vm._build(p.instructions, (1, 1, 1), vm.ExecutionLimits(), memo)
+        vm._build(p.instructions, (1, 1, 1), memo)
 
 
 def _in_world(cur, dx, dy, dz, dims) -> bool:
@@ -497,7 +493,7 @@ def _box_cells(cur, dx, dy, dz):
     return itertools.product(range(x, x + dx), range(y, y + dy), range(z, z + dz))
 
 
-def _strict_walk(program, dims, limits) -> VoxelStructure:
+def _strict_walk(program, dims) -> VoxelStructure:
     """The walker with no jitter: a box that leaves the world raises
     OutOfBounds where the walker meets it."""
     cells = set()
@@ -507,7 +503,7 @@ def _strict_walk(program, dims, limits) -> VoxelStructure:
             raise vm.OutOfBounds(f"box {(dx, dy, dz)} at {cur} outside dims {dims}")
         cells.update(_box_cells(cur, dx, dy, dz))
 
-    vm.walk(program, box, limits)
+    vm.walk(program, box)
     return VoxelStructure(dims, frozenset(cells))
 
 
@@ -517,8 +513,8 @@ class _FaultLog(vm._Executor):
 
     out_of_bounds = False
 
-    def __init__(self, dims, limits):
-        super().__init__(limits, self._box)
+    def __init__(self, dims):
+        super().__init__(self._box)
         self.dims = dims
         self.cells = set()
 
@@ -533,20 +529,20 @@ class _FaultLog(vm._Executor):
     def _box(self, cur, dx, dy, dz):
         if not _in_world(cur, dx, dy, dz, self.dims):
             self.out_of_bounds = True
-        elif self.placements <= self.limits.max_placements:
+        elif self.placements <= vm.MAX_PLACEMENTS:
             self.cells.update(_box_cells(cur, dx, dy, dz))
 
 
-def _faults(program, dims, limits):
+def _faults(program, dims):
     """The program's faults, and the structure it builds when there are
     none."""
-    log = _FaultLog(dims, limits)
+    log = _FaultLog(dims)
     faults = []
     try:
         log.run(program.instructions, (0, 0, 0), 1, 0, {}, top=True)
     except (vm.DslError, vm.DepthExceeded) as exc:
         faults.append(type(exc))
-    if log.placements > limits.max_placements:
+    if log.placements > vm.MAX_PLACEMENTS:
         faults.append(vm.BudgetExceeded)
     if log.out_of_bounds:
         faults.append(vm.OutOfBounds)
@@ -586,28 +582,29 @@ _any_def = st.builds(vm.Def, st.sampled_from(_NAMES),
 
 @st.composite
 def _any_case(draw):
-    """A small world, limits, a depth cap, and a program of leading
-    DEFs, a move to the world's centre, then instructions and DEFs
-    mixed: names may be unbound, rebound, or call themselves."""
+    """A small world, a placement budget, a depth cap, and a program of
+    leading DEFs, a move to the world's centre, then instructions and
+    DEFs mixed: names may be unbound, rebound, or call themselves."""
     dims = draw(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)))
-    limits = vm.ExecutionLimits(max_placements=draw(st.integers(1, 300)))
+    budget = draw(st.integers(1, 300))
     depth = draw(st.integers(1, 4))
     centre = tuple(vm.Move(axis, n // 2) for axis, n in zip("XYZ", dims) if n > 1)
     tail = st.lists(st.one_of(_any_instr(2), _any_call, _any_def), min_size=1, max_size=6)
     program = vm.Program(tuple(draw(st.lists(_any_def, max_size=3))) + centre
                          + tuple(draw(tail)))
-    return program, dims, limits, depth
+    return program, dims, budget, depth
 
 
 @given(_any_case())
 @settings(max_examples=600, deadline=None)
 def test_summary_engine_matches_walker(case):
-    program, dims, limits, depth = case
+    program, dims, budget, depth = case
 
-    with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth):
-        faults, built = _faults(program, dims, limits)
-        walker = _outcome(lambda: _strict_walk(program, dims, limits))
-        engine = _outcome(lambda: vm.execute(program, dims, limits))
+    with (mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth),
+          mock.patch.object(vm, "MAX_PLACEMENTS", budget)):
+        faults, built = _faults(program, dims)
+        walker = _outcome(lambda: _strict_walk(program, dims))
+        engine = _outcome(lambda: vm.execute(program, dims))
     if not faults:
         assert walker == engine == built
     else:
@@ -625,7 +622,7 @@ def test_a_shared_summary_is_redone_once_a_name_it_calls_is_rebound():
     memo = {}
 
     def build(program):
-        return vm._build(program.instructions, (4, 2, 1), vm.ExecutionLimits(), memo)
+        return vm._build(program.instructions, (4, 2, 1), memo)
 
     assert build(first).occupied == {(0, 0, 0), (2, 0, 0)}
     assert build(second).occupied == {(0, 1, 0), (2, 1, 0)}
@@ -634,18 +631,19 @@ def test_a_shared_summary_is_redone_once_a_name_it_calls_is_rebound():
     assert build(first).occupied == {(0, 0, 0), (2, 0, 0)}
 
 
-def test_a_shared_summary_keeps_to_each_builds_budget():
+def test_a_shared_summary_keeps_to_each_builds_budget(monkeypatch):
     # a's FILL is summarised under the larger budget; under the smaller
     # one a fresh build stops at the end of a's body, before CALL zz
     a = vm.Def("a", (vm.Fill(2, 2, 2),))
     memo = {}
-    vm._build((a, vm.Call("a")), (2, 2, 2), vm.ExecutionLimits(100), memo)
+    monkeypatch.setattr(vm, "MAX_PLACEMENTS", 100)
+    vm._build((a, vm.Call("a")), (2, 2, 2), memo)
     program = vm.Program((a, vm.Call("a"), vm.Call("zz")))
-    small = vm.ExecutionLimits(max_placements=5)
+    monkeypatch.setattr(vm, "MAX_PLACEMENTS", 5)
     with pytest.raises(vm.BudgetExceeded):
-        vm.execute(program, (2, 2, 2), small)
+        vm.execute(program, (2, 2, 2))
     with pytest.raises(vm.BudgetExceeded):
-        vm._build(program.instructions, (2, 2, 2), small, memo)
+        vm._build(program.instructions, (2, 2, 2), memo)
 
 
 @st.composite
@@ -655,7 +653,7 @@ def _any_memo_run(draw):
     instruction inserted or deleted (a DEF deleted unbinds its name),
     instructions wrapped in a REPEAT, or a DEF rebound to a body the
     program holds elsewhere. Each program has its own dims out of two,
-    limits and depth cap; a memo serves one dims, so each dims has its
+    placement budget and depth cap; a memo serves one dims, so each dims has its
     own."""
     program, dims, _, _ = draw(_any_case())
     worlds = (dims, draw(st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9))))
@@ -663,8 +661,8 @@ def _any_memo_run(draw):
     instrs = [vm.Def(name, draw(_any_def).body) for name in _NAMES] + list(program.instructions)
     runs = []
     for _ in range(draw(st.integers(2, 10))):
-        limits = vm.ExecutionLimits(max_placements=draw(st.integers(1, 300)))
-        runs.append((vm.Program(tuple(instrs)), draw(st.sampled_from(worlds)), limits,
+        budget = draw(st.integers(1, 300))
+        runs.append((vm.Program(tuple(instrs)), draw(st.sampled_from(worlds)), budget,
                      draw(st.integers(1, 4))))
         edit = draw(st.sampled_from(("insert", "delete", "wrap", "rebind")))
         i = draw(st.integers(0, len(instrs)))
@@ -687,16 +685,17 @@ _LOOP = vm.Repeat(2, (vm.Call("a"), vm.Move("X", 1)))
 
 @given(_any_memo_run())
 @settings(max_examples=300, deadline=None)
-@example([(vm.Program((vm.Def("a", (vm.Place(),)), _LOOP)), (2, 2, 1), vm.ExecutionLimits(), 1),
+@example([(vm.Program((vm.Def("a", (vm.Place(),)), _LOOP)), (2, 2, 1), vm.MAX_PLACEMENTS, 1),
           (vm.Program((vm.Def("a", (vm.Move("Y", 1), vm.Place())), _LOOP)), (2, 2, 1),
-           vm.ExecutionLimits(), 1)])
+           vm.MAX_PLACEMENTS, 1)])
 def test_a_shared_memo_builds_what_a_fresh_build_does(runs):
     memos = {}
-    for program, dims, limits, depth in runs:
+    for program, dims, budget, depth in runs:
         memo = memos.setdefault(dims, {})
-        with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth):
-            fresh = _outcome(lambda: vm.execute(program, dims, limits))
-            shared = _outcome(lambda: vm._build(program.instructions, dims, limits, memo))
+        with (mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth),
+              mock.patch.object(vm, "MAX_PLACEMENTS", budget)):
+            fresh = _outcome(lambda: vm.execute(program, dims))
+            shared = _outcome(lambda: vm._build(program.instructions, dims, memo))
         assert shared == fresh
 
 
@@ -709,7 +708,7 @@ _REBOUND = vm.Program((vm.Def("a", (vm.Place(),)), vm.Def("b", (vm.Call("a"),)),
 
 @given(_any_memo_run(), st.integers(1, designer._CHUNK), st.sampled_from((0, designer._FLAT)))
 @settings(max_examples=300, deadline=None)
-@example([(_REBOUND, (1, 2, 1), vm.ExecutionLimits(), 4)], 1, 0)
+@example([(_REBOUND, (1, 2, 1), vm.MAX_PLACEMENTS, 4)], 1, 0)
 def test_chunked_candidates_build_what_their_flat_programs_do(runs, size, flat_max):
     # each program is the tail of a candidate, cut into chunks of at most
     # size as the annealer cuts them, sharing the chunks an edit keeps,
@@ -720,14 +719,15 @@ def test_chunked_candidates_build_what_their_flat_programs_do(runs, size, flat_m
     tail = designer._Tail([], None, None, ())
     with (mock.patch.object(designer, "_CHUNK", size),
           mock.patch.object(designer, "_FLAT", flat_max)):
-        for program, dims, limits, depth in runs:
+        for program, dims, budget, depth in runs:
             tail, _, replaced = tail.edited(list(program.instructions))
             assert max(sum(tail.sizes) - 1, 0) == vm.program_length(program)
             top = tuple(tail.instrs) if tail.pieces is None else tail.pieces
             memo = memos.setdefault(dims, {})
-            with mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth):
-                flat = _outcome(lambda: vm.execute(program, dims, limits))
-                chunked = _outcome(lambda: vm._build(top, dims, limits, memo))
+            with (mock.patch.object(vm, "MAX_BLOCK_DEPTH", depth),
+                  mock.patch.object(vm, "MAX_PLACEMENTS", budget)):
+                flat = _outcome(lambda: vm.execute(program, dims))
+                chunked = _outcome(lambda: vm._build(top, dims, memo))
             if isinstance(flat, VoxelStructure):
                 assert chunked == flat
             else:
