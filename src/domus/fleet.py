@@ -11,7 +11,9 @@ of a fleet it collapses.
 
 from __future__ import annotations
 
+import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
@@ -266,10 +268,11 @@ def find_attack(s: VoxelStructure, k: int) -> Attack:
     A closer pair (a, b) counts a's gain plus b's once a is gone: the
     search removes each a in turn (_AttackGrid.remove), counts the
     gains of the later cells within 2m of it in one batch and puts a
-    back. Otherwise it is greedy: each step takes the first maximum
-    gain in sorted-cell order, removes that cell and recounts, in one
-    batch, only the gains the removal can change, those of cells within
-    2m of it. Ties keep the first removal in sorted-cell order. Counts
+    back. Otherwise it is greedy: each step pops the first maximum
+    gain in sorted-cell order off a heap, removes that cell and
+    recounts, in one batch, only the gains the removal can change,
+    those of cells within 2m of it, pushing each gain that changed.
+    Ties keep the first removal in sorted-cell order. Counts
     are exact integers, so the result equals a full recount of every
     candidate.
     """
@@ -288,7 +291,8 @@ def find_attack(s: VoxelStructure, k: int) -> Attack:
     if unstable:
         raise AlreadyUnstable(f"{unstable} cells already unsupported")
     # the prototype is stable, so each gain is the count its removal collapses
-    gain = dict(zip(cells, grid.gains(cells)))
+    gains = grid.gains(cells)
+    gain = dict(zip(cells, gains))
     best_set: frozenset[Cell] = frozenset()
     best_frac = -1.0
 
@@ -310,18 +314,29 @@ def find_attack(s: VoxelStructure, k: int) -> Attack:
             for b in cells[i + 1:]:
                 consider((a, b), gain[a] + after_a.get(b, gain[b]))
     else:
+        # a lazy max-heap: the key i - g * n orders by gain g, highest
+        # first, then by sorted-cell index i, so ties pop the first cell in
+        # sorted order; a key whose cell is gone or whose gain has changed
+        # since it was pushed is stale and skipped
+        heap = [i - g * n for i, g in enumerate(gains)]
+        heapq.heapify(heap)
         removed: list[Cell] = []
         count = 0
         while True:
-            c = max(gain, key=gain.get)
+            neg, i = divmod(heapq.heappop(heap), n)
+            c = cells[i]
+            if gain.get(c) != -neg:
+                continue
             count += gain.pop(c)
             removed.append(c)
             consider(tuple(removed), count)
             if len(removed) == k or not gain:
                 break
             near = grid.remove(c)
-            # update keeps the key order, so ties still go to the first cell
-            gain.update(zip(near, grid.gains(near)))
+            for b, g in zip(near, grid.gains(near)):
+                if g != gain[b]:
+                    gain[b] = g
+                    heapq.heappush(heap, bisect_left(cells, b) - g * n)
 
     return Attack(removed_cells=best_set, k=k, collapse_fraction=best_frac)
 

@@ -7,6 +7,13 @@ Their mean is the regularity index; naturalness is its complement.
 Self-similarity is measured separately with a box-counting dimension
 estimate, reported with the quality of its log-log fit.
 
+Straightness and planarity walk the cells as ints, x + X*y + X*Y*z over
+the bounding box padded by one cell on every side (_cell_keys), so a
+step to a neighbour is one int addition and one set lookup. Box counting
+builds each box size's boxes from the previous size's. Every metric
+takes time linear in the occupied cells, however large the world or the
+bounding box: nothing is allocated per unit of volume.
+
 The exact formulas, the 0.5 default label threshold and the smallest
 flat patch (MIN_PATCH faces) are calibrations chosen for testability.
 """
@@ -46,6 +53,20 @@ def _require_nonempty(s: VoxelStructure):
         raise EmptyStructure("metric undefined for an empty structure")
 
 
+def _cell_keys(s: VoxelStructure, lo: Cell, hi: Cell) -> tuple[set[int], tuple[int, int, int]]:
+    """Each occupied cell (x, y, z) as the int x + X*y + X*Y*z, and the
+    steps (1, X, X*Y) between neighbours along x, y and z.
+
+    X and Y are the bounding box's x and y extents plus two, so the keys
+    are distinct over the box padded by one cell on every side: a step
+    from an occupied cell lands on its neighbour's key and never wraps
+    into another row or layer.
+    """
+    X = hi[0] - lo[0] + 3
+    XY = X * (hi[1] - lo[1] + 3)
+    return {x + X * y + XY * z for x, y, z in s.occupied}, (1, X, XY)
+
+
 def straightness_score(s: VoxelStructure) -> float:
     """Longest occupied run along an axis over that axis's bounding-box
     extent, maximized over axes.
@@ -55,38 +76,30 @@ def straightness_score(s: VoxelStructure) -> float:
     every axis degenerates, scores 1.0.
     """
     _require_nonempty(s)
-    occ = s.occupied
     lo, hi = s.bounding_box()
-    extents = (hi[0] - lo[0] + 1, hi[1] - lo[1] + 1, hi[2] - lo[2] + 1)
+    keys, steps = _cell_keys(s, lo, hi)
 
     best = None
-    for axis in range(3):
-        if extents[axis] == 1:
+    for axis, step in enumerate(steps):
+        extent = hi[axis] - lo[axis] + 1
+        if extent == 1:
             continue
-        step = [0, 0, 0]
-        step[axis] = 1
-        sx, sy, sz = step
-        longest = 0
-        for (x, y, z) in occ:
-            if (x - sx, y - sy, z - sz) in occ:
+        longest = 0  # in key units, step per cell
+        for k in keys:
+            if k - step in keys:
                 continue  # not a run start
-            run = 1
-            while (x + run * sx, y + run * sy, z + run * sz) in occ:
-                run += 1
-            longest = max(longest, run)
-        ratio = longest / extents[axis]
+            end = k + step
+            while end in keys:
+                end += step
+            if end - k > longest:
+                longest = end - k
+        ratio = (longest // step) / extent
         best = ratio if best is None else max(best, ratio)
     return 1.0 if best is None else best
 
 
 # the fewest coplanar faces that count as a flat patch
 MIN_PATCH = 4
-
-_FACE_DIRS = (
-    (1, 0, 0), (-1, 0, 0),
-    (0, 1, 0), (0, -1, 0),
-    (0, 0, 1), (0, 0, -1),
-)
 
 
 def planarity_score(s: VoxelStructure) -> float:
@@ -96,41 +109,31 @@ def planarity_score(s: VoxelStructure) -> float:
     A face is exposed when its neighbor cell is empty or beyond the
     world box. Faces join a patch when they share orientation and plane
     and their cells are adjacent within that plane.
+
+    Cells are int keys (_cell_keys). The faces of one orientation are
+    the keys whose neighbour key that way is not occupied, and each
+    patch is one 4-connected component of them (Rosenfeld and Pfaltz,
+    J. ACM 13(4), 1966), flooded over the two in-plane steps and taken
+    out of the face set as it is visited. Time is linear in the cells,
+    and independent of the world's and the bounding box's volume.
     """
     _require_nonempty(s)
-    occ = s.occupied
-    faces: set[tuple[Cell, int]] = set()
-    for c in occ:
-        for di, (dx, dy, dz) in enumerate(_FACE_DIRS):
-            n = (c[0] + dx, c[1] + dy, c[2] + dz)
-            if n not in occ:
-                faces.add((c, di))
-
-    # in-plane neighbor steps for each face orientation
-    tangents = {
-        0: ((0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
-        2: ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)),
-        4: ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)),
-    }
-    flat_area = 0
-    seen: set[tuple[Cell, int]] = set()
-    for start in faces:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        patch = 0
-        while stack:
-            (c, di) = stack.pop()
-            patch += 1
-            for (tx, ty, tz) in tangents[di & ~1]:
-                nb = ((c[0] + tx, c[1] + ty, c[2] + tz), di)
-                if nb in faces and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if patch >= MIN_PATCH:
-            flat_area += patch
-    return flat_area / len(faces)
+    keys, (sx, sy, sz) = _cell_keys(s, *s.bounding_box())
+    total = flat_area = 0
+    for normal, a, b in ((sx, sy, sz), (sy, sx, sz), (sz, sx, sy)):
+        for d in (normal, -normal):
+            faces = {k for k in keys if k + d not in keys}
+            total += len(faces)
+            while faces:
+                patch = [faces.pop()]
+                for k in patch:  # grows as the flood reaches new faces
+                    for n in (k + a, k - a, k + b, k - b):
+                        if n in faces:
+                            faces.remove(n)
+                            patch.append(n)
+                if len(patch) >= MIN_PATCH:
+                    flat_area += len(patch)
+    return flat_area / total
 
 
 def symmetry_score(s: VoxelStructure) -> float:
@@ -148,13 +151,14 @@ def symmetry_score(s: VoxelStructure) -> float:
         if hi[axis] == lo[axis]:
             continue
         span = lo[axis] + hi[axis]
-        matched = 0
-        for c in occ:
-            m = list(c)
-            m[axis] = span - c[axis]
-            if tuple(m) in occ:
-                matched += 1
-        frac = matched / len(occ)
+        if axis == 0:
+            mirrored = [(span - x, y, z) for x, y, z in occ]
+        elif axis == 1:
+            mirrored = [(x, span - y, z) for x, y, z in occ]
+        else:
+            mirrored = [(x, y, span - z) for x, y, z in occ]
+        # mirroring is one-to-one, so this counts the cells whose mirror image is occupied
+        frac = len(occ.intersection(mirrored)) / len(occ)
         best = frac if best is None else max(best, frac)
     return 1.0 if best is None else best
 
@@ -193,12 +197,14 @@ def box_counting_dimension(s: VoxelStructure) -> tuple[float, float]:
             f"need >= 3 box sizes, got {len(sizes)} (max extent {max_extent})"
         )
 
+    # the boxes of side 1 from the corner; those of side 2 * sigma are the
+    # halved boxes of side sigma, since (a // sigma) // 2 == a // (2 * sigma)
+    lx, ly, lz = lo
+    boxes = {(x - lx, y - ly, z - lz) for x, y, z in s.occupied}
     xs, ys = [], []
     for sigma in sizes:
-        boxes = {
-            ((c[0] - lo[0]) // sigma, (c[1] - lo[1]) // sigma, (c[2] - lo[2]) // sigma)
-            for c in s.occupied
-        }
+        if sigma > 1:
+            boxes = {(bx >> 1, by >> 1, bz >> 1) for bx, by, bz in boxes}
         xs.append(math.log(math.ceil(max_extent / sigma)))
         ys.append(math.log(len(boxes)))
 

@@ -1,7 +1,10 @@
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +18,8 @@ from domus import aesthetics, cli, designer, synthesis, vm
 from domus.world import VoxelStructure, load_constraints
 
 from conftest import CORPUS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -513,6 +518,60 @@ def test_text_reports_are_pinned(tmp_path, capsys, command):
     code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == expected_code
     assert out == expected.format(out_dir=out_dir)
+
+
+# every corpus program's natural report at its criterion-8 dims, each
+# value as printed, in the JSON payload's key order
+_NATURAL_KEYS = ("fit_r2", "fractal_dimension", "label", "naturalness", "planarity",
+                 "regularity_index", "straightness", "symmetry")
+_NATURAL_PAYLOADS = {
+    "row3.cvm": ((4, 1, 1), "null", "null", '"Artificial"', "0.33333333333333337",
+                 "0.0", "0.6666666666666666", "1.0", "1.0"),
+    "slab4.cvm": ((8, 8, 4), "null", "null", '"Artificial"', "0.0",
+                  "1.0", "1.0", "1.0", "1.0"),
+    "pillar.cvm": ((4, 4, 10), "1.0", "1.0", '"Artificial"', "0.019607843137254832",
+                   "0.9411764705882353", "0.9803921568627452", "1.0", "1.0"),
+    "bridge.cvm": ((8, 1, 8), "null", "null", '"Artificial"', "0.011494252873563204",
+                   "0.9655172413793104", "0.9885057471264368", "1.0", "1.0"),
+    "sierpinski2.cvm": ((9, 9, 1), "0.9983668658222807", "1.7826624321183975",
+                        '"Artificial"', "0.0705128205128206", "0.7884615384615384",
+                        "0.9294871794871794", "1.0", "1.0"),
+    "sierpinski3.cvm": ((27, 27, 1), "0.9987330100697825", "1.8158547674089713",
+                        '"Artificial"', "0.07719298245614026", "0.7684210526315789",
+                        "0.9228070175438597", "1.0", "1.0"),
+    "sierpinski4.cvm": ((81, 81, 1), "0.9991250591820685", "1.8643580130551194",
+                        '"Artificial"', "0.0800363801728059", "0.7598908594815825",
+                        "0.9199636198271941", "1.0", "1.0"),
+}
+
+
+def _natural_text(values) -> str:
+    return "{\n" + ",\n".join(
+        f'  "{key}": {value}' for key, value in zip(_NATURAL_KEYS, values)) + "\n}\n"
+
+
+@pytest.mark.parametrize("name", sorted(_NATURAL_PAYLOADS))
+def test_corpus_natural_payloads_are_pinned(capsys, name):
+    dims, *values = _NATURAL_PAYLOADS[name]
+    code, out, _ = run(capsys, "natural", CORPUS / name, "--dims", *dims)
+    assert code == 1  # every corpus program reads as Artificial
+    assert out == _natural_text(values)
+
+
+def test_natural_on_a_sparse_world_is_cheap(tmp_path):
+    # two cells at opposite corners of a 100000^3 world: a metric that
+    # allocated by world or bounding-box volume would not end in time
+    prog = tmp_path / "corners.cvm"
+    prog.write_text("PLACE\nMOVE X 99999\nMOVE Y 99999\nMOVE Z 99999\nPLACE\n")
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys; from domus.cli import main; sys.exit(main())",
+         "natural", str(prog), "--dims", "100000", "100000", "100000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == _natural_text(
+        ("1.0", "0.0", '"Natural"', "0.9999966666666666", "0.0",
+         "3.3333333333333337e-06", "1e-05", "0.0"))
 
 
 @pytest.mark.parametrize("weight", ["-1.0", "NaN"])

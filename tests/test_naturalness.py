@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domus import naturalness as nat
 from domus import vm
@@ -200,3 +202,178 @@ def test_translation_invariance():
     assert nat.planarity_score(a) == nat.planarity_score(b)
     assert nat.symmetry_score(a) == nat.symmetry_score(b)
     assert nat.box_counting_dimension(a) == nat.box_counting_dimension(b)
+
+
+# --- equivalence with the set-of-tuples metrics ---
+#
+# The metrics walk int cell keys and build box counts level by level; these
+# references compute the same quantities the direct way, over tuples of
+# cells, and every result must be equal, not merely close.
+
+_FACE_DIRS = (
+    (1, 0, 0), (-1, 0, 0),
+    (0, 1, 0), (0, -1, 0),
+    (0, 0, 1), (0, 0, -1),
+)
+
+
+def _ref_straightness(s):
+    occ = s.occupied
+    lo, hi = s.bounding_box()
+    extents = (hi[0] - lo[0] + 1, hi[1] - lo[1] + 1, hi[2] - lo[2] + 1)
+    best = None
+    for axis in range(3):
+        if extents[axis] == 1:
+            continue
+        step = [0, 0, 0]
+        step[axis] = 1
+        sx, sy, sz = step
+        longest = 0
+        for (x, y, z) in occ:
+            if (x - sx, y - sy, z - sz) in occ:
+                continue
+            run = 1
+            while (x + run * sx, y + run * sy, z + run * sz) in occ:
+                run += 1
+            longest = max(longest, run)
+        ratio = longest / extents[axis]
+        best = ratio if best is None else max(best, ratio)
+    return 1.0 if best is None else best
+
+
+def _ref_planarity(s, min_patch):
+    occ = s.occupied
+    faces = set()
+    for c in occ:
+        for di, (dx, dy, dz) in enumerate(_FACE_DIRS):
+            if (c[0] + dx, c[1] + dy, c[2] + dz) not in occ:
+                faces.add((c, di))
+    tangents = {
+        0: ((0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+        2: ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)),
+        4: ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)),
+    }
+    flat_area = 0
+    seen = set()
+    for start in faces:
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        patch = 0
+        while stack:
+            (c, di) = stack.pop()
+            patch += 1
+            for (tx, ty, tz) in tangents[di & ~1]:
+                nb = ((c[0] + tx, c[1] + ty, c[2] + tz), di)
+                if nb in faces and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if patch >= min_patch:
+            flat_area += patch
+    return flat_area / len(faces)
+
+
+def _ref_symmetry(s):
+    occ = s.occupied
+    lo, hi = s.bounding_box()
+    best = None
+    for axis in range(3):
+        if hi[axis] == lo[axis]:
+            continue
+        span = lo[axis] + hi[axis]
+        matched = 0
+        for c in occ:
+            m = list(c)
+            m[axis] = span - c[axis]
+            if tuple(m) in occ:
+                matched += 1
+        frac = matched / len(occ)
+        best = frac if best is None else max(best, frac)
+    return 1.0 if best is None else best
+
+
+def _ref_box_counting(s):
+    lo, hi = s.bounding_box()
+    max_extent = max(hi[i] - lo[i] + 1 for i in range(3))
+    sizes = []
+    sigma = 1
+    while sigma <= max_extent / 2:
+        sizes.append(sigma)
+        sigma *= 2
+    if len(sizes) < 3:
+        raise nat.TooSmall(f"need >= 3 box sizes, got {len(sizes)}")
+    xs, ys = [], []
+    for sigma in sizes:
+        boxes = {
+            ((c[0] - lo[0]) // sigma, (c[1] - lo[1]) // sigma, (c[2] - lo[2]) // sigma)
+            for c in s.occupied
+        }
+        xs.append(math.log(math.ceil(max_extent / sigma)))
+        ys.append(math.log(len(boxes)))
+    n = len(xs)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    syy = sum((y - mean_y) ** 2 for y in ys)
+    slope = sxy / sxx
+    r2 = 1.0 if syy == 0 else min(1.0, (sxy * sxy) / (sxx * syy))
+    return slope, r2
+
+
+def _box_counting_or_too_small(box_counting, s):
+    try:
+        return box_counting(s)
+    except nat.TooSmall:
+        return "TooSmall"
+
+
+@st.composite
+def _structures(draw):
+    """A few cuboids and loose cells, so a structure often has several
+    components; each coordinate is often on the world's faces, where a
+    neighbour lies outside the world."""
+    dims = tuple(draw(st.integers(1, 20)) for _ in range(3))
+
+    def coord(axis):
+        n = dims[axis]
+        return draw(st.one_of(st.sampled_from((0, n - 1)), st.integers(0, n - 1)))
+
+    cells = set()
+    for _ in range(draw(st.integers(1, 5))):
+        x, y, z = coord(0), coord(1), coord(2)
+        dx, dy, dz = (draw(st.integers(1, 6)) for _ in range(3))
+        cells.update((i, j, k)
+                     for i in range(x, min(x + dx, dims[0]))
+                     for j in range(y, min(y + dy, dims[1]))
+                     for k in range(z, min(z + dz, dims[2])))
+    for _ in range(draw(st.integers(0, 12))):
+        cells.add((coord(0), coord(1), coord(2)))
+    return S(dims, cells)
+
+
+@pytest.mark.parametrize("min_patch", range(1, 7))
+@settings(max_examples=100, deadline=None)
+@given(s=_structures())
+def test_metrics_equal_the_set_of_tuples_references(min_patch, s):
+    assert nat.straightness_score(s) == _ref_straightness(s)
+    assert nat.symmetry_score(s) == _ref_symmetry(s)
+    assert (_box_counting_or_too_small(nat.box_counting_dimension, s)
+            == _box_counting_or_too_small(_ref_box_counting, s))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nat, "MIN_PATCH", min_patch)
+        assert nat.planarity_score(s) == _ref_planarity(s, min_patch)
+
+
+def test_metrics_equal_the_references_on_seeded_structures():
+    # larger and denser than the drawn structures, as in the corpus
+    rng = random.Random(36)
+    for _ in range(20):
+        s = random_structure(rng, max_cells=400, dims_lo=6, dims_hi=24)
+        assert nat.straightness_score(s) == _ref_straightness(s)
+        assert nat.planarity_score(s) == _ref_planarity(s, nat.MIN_PATCH)
+        assert nat.symmetry_score(s) == _ref_symmetry(s)
+        assert (_box_counting_or_too_small(nat.box_counting_dimension, s)
+                == _box_counting_or_too_small(_ref_box_counting, s))
+
